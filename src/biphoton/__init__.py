@@ -1,7 +1,3 @@
-"""Double-lambda SFWM biphoton source: simulation, observables, fitting.
-
-Heavy numeric imports live in the submodules so the CLI can configure
-thread environment variables before numpy loads.
-"""
+"""Double-lambda SFWM biphoton source: simulation, observables, fitting."""
 
 __version__ = "0.1.0"

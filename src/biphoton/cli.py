@@ -5,24 +5,26 @@ Every command is deterministic: identical inputs produce byte-identical
 output files (floats are written with shortest round-trip repr).  Exit
 statuses: 0 success/partial, 2 usage or config, 3 data, 4 numerical.
 Errors print one machine-readable line ``error: CODE detail`` to stderr.
-
-``BIPHOTON_THREADS`` is the only environment knob: it caps the BLAS/FFT
-thread pools and must be read before numpy is first imported, which is
-why the numeric imports live inside main().
 """
 
 import argparse
-import os
 import sys
+from pathlib import Path
 
+import numpy as np
 
-def _setup_threads():
-    n = os.environ.get("BIPHOTON_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+from .config import ConfigError, RunConfig
+from .errors import (BiphotonError, GridOverflowError, ParameterError,
+                     ParseError)
+from .fitting import (DetuningSeries, FitOptions, Theta, fit_series,
+                      format_fit_report)
+from .forward import predict
+from .ingest import (detected_pair_rate, estimate_background, load_histogram,
+                     to_g2)
+from .observables import (detected_to_generated, heralding_probability,
+                          sbr_from_g2)
+from .units import gamma_to_mhz, ghz_to_gamma, tau_to_ns
+from .wavepacket import biphoton_spectrum
 
 
 class CliError(Exception):
@@ -58,7 +60,6 @@ def _observables_rows(entries):
 
 
 def _load_config(args, required=True):
-    from .config import RunConfig
     if args.config is None:
         if required:
             raise CliError("CONFIG_MISSING", "--config is required", 2)
@@ -66,13 +67,10 @@ def _load_config(args, required=True):
     cfg = RunConfig.load(args.config, strict=args.strict)
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.quadrature is not None:
-        cfg.values["quadrature.method"] = args.quadrature
     return cfg
 
 
 def _out_dir(args):
-    from pathlib import Path
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -81,7 +79,6 @@ def _out_dir(args):
 def _wavepacket_window(wp, tau_w):
     """Indices covering the packet: peak out to 1e-6 of the peak, padded,
     and at least +-5 tau_w."""
-    import numpy as np
     peak = int(np.argmax(wp.g2))
     floor = wp.g2[peak] * 1e-6
     lo = peak
@@ -98,17 +95,12 @@ def _wavepacket_window(wp, tau_w):
 
 
 def _run_forward(cfg):
-    from .forward import predict
     params = cfg.system_params()
-    return predict(params, grid_hint=cfg.grid_hint(), quad=cfg.quadrature(),
+    return predict(params, grid_hint=cfg.grid_hint(),
                    oversample=cfg.oversample())
 
 
 def cmd_simulate(args):
-    import numpy as np
-
-    from .units import gamma_to_mhz, tau_to_ns
-
     cfg = _load_config(args)
     out = _out_dir(args)
     pred = _run_forward(cfg)
@@ -135,11 +127,6 @@ def cmd_simulate(args):
 
 
 def _write_spectrum(out, pred):
-    import numpy as np
-
-    from .units import gamma_to_mhz
-    from .wavepacket import biphoton_spectrum
-
     sa = pred.amplitude
     if pred.rg_arb == 0.0:
         delta_mhz = gamma_to_mhz(sa.grid.values)
@@ -157,8 +144,6 @@ def _write_spectrum(out, pred):
 
 
 def cmd_spectrum(args):
-    from .units import gamma_to_mhz
-
     cfg = _load_config(args)
     out = _out_dir(args)
     pred = _run_forward(cfg)
@@ -170,14 +155,10 @@ def cmd_spectrum(args):
 
 
 def cmd_sweep(args):
-    from .forward import predict
-    from .units import gamma_to_mhz, ghz_to_gamma
-
     cfg = _load_config(args)
     out = _out_dir(args)
     detunings = cfg.sweep_detunings()
     params = cfg.system_params()
-    quad = cfg.quadrature()
     hint = cfg.grid_hint()
     oversample = cfg.oversample()
 
@@ -186,11 +167,11 @@ def cmd_sweep(args):
     for dcg in detunings:
         try:
             pred = predict(params.replace(delta_c=ghz_to_gamma(float(dcg))),
-                           grid_hint=hint, quad=quad, oversample=oversample)
+                           grid_hint=hint, oversample=oversample)
             rows.append((float(dcg), pred.rg_arb, pred.tau_w_ns,
                          gamma_to_mhz(pred.delta_omega)))
             successes += 1
-        except Exception as exc:  # per-point failure becomes a marker row
+        except BiphotonError as exc:  # per-point failure becomes a marker row
             rows.append((float(dcg), "ERROR", "ERROR", "ERROR"))
             print(f"warning: point delta_c={dcg} GHz failed: {exc}",
                   file=sys.stderr)
@@ -202,12 +183,6 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
-    from .errors import ParseError
-    from .ingest import (detected_pair_rate, estimate_background,
-                         load_histogram, to_g2)
-    from .observables import (detected_to_generated, heralding_probability,
-                              sbr_from_g2)
-
     cfg = _load_config(args, required=False)
     out = _out_dir(args)
     hist_path = args.histogram or cfg.get_str("analyze.histogram")
@@ -256,19 +231,10 @@ def cmd_analyze(args):
 
 
 def cmd_fit(args):
-    import numpy as np
-
-    from .errors import ParameterError
-    from .fitting import (DetuningSeries, FitOptions, Theta, fit_series,
-                          format_fit_report)
-
     cfg = _load_config(args)
     out = _out_dir(args)
     cfg.require("fit.series")
-    series_path = cfg.get_str("fit.series")
-
-    from pathlib import Path
-    path = Path(series_path)
+    path = Path(cfg.get_str("fit.series"))
     if not path.exists():
         raise CliError("DATA_NOT_FOUND", str(path), 3)
     lines = path.read_text().splitlines()
@@ -337,10 +303,6 @@ def build_parser():
                            help="coincidence histogram CSV (with .meta sidecar)")
         p.add_argument("--config", default=None, help="run configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--quadrature", default=None,
-                       choices=["faddeeva_analytic", "adaptive_panels",
-                                "dense_trapezoid"],
-                       help="override the quadrature method")
         p.add_argument("--strict", action="store_true",
                        help="reject unknown config keys")
         p.set_defaults(fn=fn)
@@ -348,12 +310,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    _setup_threads()
     args = build_parser().parse_args(argv)
-
-    from .config import ConfigError
-    from .errors import (ConvergenceError, GridOverflowError, ParameterError,
-                         ParseError)
     try:
         return args.fn(args)
     except CliError as exc:
@@ -365,7 +322,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: DATA_PARSE {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, GridOverflowError) as exc:
+    except GridOverflowError as exc:
         print(f"error: NUMERICAL {exc}", file=sys.stderr)
         return 4
     except ParameterError as exc:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BiphotonError
-from .kernels import QuadratureSpec
 from .params import SystemParams
 from .units import mhz_to_gamma
 from .wavepacket import DetuningGrid
@@ -34,8 +33,6 @@ KNOWN_KEYS = {
     "system.gamma_dec", "system.delta_p_ghz", "system.delta_c_ghz",
     "system.gamma_doppler", "system.gamma_etalon",
     "grid.delta_max_mhz", "grid.n_points",
-    "quadrature.method", "quadrature.trapezoid_points",
-    "quadrature.panel_tolerance", "quadrature.support_halfwidth",
     "sweep.delta_c_ghz",
     "fit.series", "fit.init_b", "fit.init_omega_c", "fit.init_gamma_dec",
     "fit.init_scale", "fit.max_iterations", "fit.freeze",
@@ -128,25 +125,6 @@ class RunConfig:
                 lab[name] = val
         try:
             return SystemParams.from_lab_units(**lab, **kwargs)
-        except BiphotonError as exc:
-            raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
-
-    def quadrature(self) -> QuadratureSpec:
-        kwargs = {}
-        method = self.get_str("quadrature.method")
-        if method is not None:
-            kwargs["method"] = method
-        pts = self.get_int("quadrature.trapezoid_points")
-        if pts is not None:
-            kwargs["trapezoid_points"] = pts
-        tol = self.get_float("quadrature.panel_tolerance")
-        if tol is not None:
-            kwargs["panel_tolerance"] = tol
-        half = self.get_float("quadrature.support_halfwidth")
-        if half is not None:
-            kwargs["support_halfwidth"] = half
-        try:
-            return QuadratureSpec(**kwargs)
         except BiphotonError as exc:
             raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
 

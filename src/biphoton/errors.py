@@ -33,10 +33,6 @@ class InconsistentRatesError(BiphotonError):
     """Pair rate exceeds the heralding singles rate."""
 
 
-class UncorrectedRatesError(BiphotonError):
-    """Absolute rates requested from data without saturation correction."""
-
-
 class ParseError(BiphotonError):
     """A data or config file failed to parse.
 

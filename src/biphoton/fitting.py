@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BiphotonError, ParameterError
 from .forward import predict
 from .params import SystemParams
 from .units import ghz_to_gamma
@@ -138,11 +138,16 @@ class _ForwardModel:
             b=init.b, omega_c=init.omega_c,
             gamma_dec=max(init.gamma_dec, 1e-6))
         self.grid: DetuningGrid = auto_grid(base).widened()
-        self.delta_c = ghz_to_gamma(np.asarray(delta_c_ghz, dtype=float))
+        self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
+        self.delta_c = ghz_to_gamma(self.delta_c_ghz)
         self._cache: dict = {}
 
     def rates_and_widths(self, theta):
-        """Uncalibrated model (rg_arb, tau_w_ns) at every detuning."""
+        """Uncalibrated model (rg_arb, tau_w_ns) at every detuning.
+
+        A pipeline failure propagates with its class and attributes kept
+        and the failing detuning appended to its message.
+        """
         b, omega_c, gamma_dec = theta[0], theta[1], theta[2]
         rg = np.empty(self.delta_c.size)
         tw = np.empty(self.delta_c.size)
@@ -153,8 +158,13 @@ class _ForwardModel:
                 params = self.fixed.replace(
                     b=b, omega_c=omega_c, gamma_dec=gamma_dec,
                     delta_c=float(dc))
-                pred = predict(params, grid_hint=self.grid,
-                               oversample=self.oversample)
+                try:
+                    pred = predict(params, grid_hint=self.grid,
+                                   oversample=self.oversample)
+                except BiphotonError as exc:
+                    exc.args = (f"{exc} (at delta_c = "
+                                f"{float(self.delta_c_ghz[i])!r} GHz)",)
+                    raise
                 hit = (pred.rg_arb, pred.tau_w_ns)
                 self._cache[key] = hit
             rg[i], tw[i] = hit
@@ -174,17 +184,13 @@ def residuals(theta, series: DetuningSeries,
     """Error-weighted residuals, two per detuning point (rate, width).
 
     Runs the full pipeline at each detuning; deterministic for fixed
-    theta.  Pipeline failures propagate tagged with the offending
-    detuning.
+    theta.  A pipeline failure propagates with the one detuning (GHz) at
+    which it failed named in its message.
     """
     theta = _as_theta_array(theta)
     model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*theta),
                           oversample=options.oversample)
-    try:
-        return _residual_vector(theta, series, model)
-    except Exception as exc:
-        raise type(exc)(f"{exc} (while evaluating the series "
-                        f"at one of delta_c = {series.delta_c_ghz} GHz)") from exc
+    return _residual_vector(theta, series, model)
 
 
 def _as_theta_array(theta):

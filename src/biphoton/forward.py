@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ANALYTIC, QuadratureSpec
 from .observables import fwhm, generation_rate
 from .params import SystemParams
 from .units import tau_to_ns
@@ -36,14 +35,13 @@ class ModelPrediction:
 
 def predict(params: SystemParams,
             grid_hint: DetuningGrid | None = None,
-            quad: QuadratureSpec = ANALYTIC,
             oversample: int = 2) -> ModelPrediction:
     """Run the pipeline and extract (R_g, tau_w, delta_omega).
 
     A zero amplitude (pump off) yields rg_arb = 0 with NaN widths rather
     than an extraction error, so sweeps can record the degenerate point.
     """
-    sa = sample_spectral_amplitude(params, grid_hint=grid_hint, quad=quad)
+    sa = sample_spectral_amplitude(params, grid_hint=grid_hint)
     wp = wave_packet(sa, oversample=oversample)
     rg = generation_rate(wp)
     if sa.peak_magnitude == 0.0:
@@ -56,9 +54,8 @@ def predict(params: SystemParams,
 
 def detuning_sweep(params: SystemParams, delta_c_values,
                    grid_hint: DetuningGrid | None = None,
-                   quad: QuadratureSpec = ANALYTIC,
                    oversample: int = 2) -> list[ModelPrediction]:
     """Forward model across coupling detunings (units of Gamma), in order."""
     return [predict(params.replace(delta_c=float(dc)), grid_hint=grid_hint,
-                    quad=quad, oversample=oversample)
+                    oversample=oversample)
             for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float))]

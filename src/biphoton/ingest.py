@@ -335,9 +335,9 @@ def make_synthetic_histogram(pair_rate_true: float, background_mean: float,
         tau_peak_ns = tau[n_bins // 4]
     rise = width_ns / 6.0
     fall = width_ns
-    profile = np.where(tau < tau_peak_ns,
-                       np.exp((tau - tau_peak_ns) / rise),
-                       np.exp(-(tau - tau_peak_ns) / fall))
+    # one exp of a non-positive argument per bin, so it cannot overflow
+    profile = np.exp(-np.abs(tau - tau_peak_ns)
+                     / np.where(tau < tau_peak_ns, rise, fall))
     profile /= profile.sum()
     detected_pairs = pair_rate_true * chain.d_s * chain.d_p * accumulation
     expected = background_mean + detected_pairs * profile

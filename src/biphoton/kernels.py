@@ -13,11 +13,13 @@ the spectral amplitude:
 Each is a thermal average over the Doppler shift omega_D with the Gaussian
 weight exp(-omega_D^2/Gamma_D^2)/(sqrt(pi) Gamma_D).  Because every
 integrand is a rational function of omega_D with simple poles off the real
-axis, the average reduces exactly to one or two evaluations of the
-Gaussian pole integral J (a Faddeeva evaluation); that is the
-``faddeeva_analytic`` path.  Two brute-force quadrature paths over a
-truncated support (``dense_trapezoid`` and ``adaptive_panels``) serve as
-independent oracles.
+axis, the average reduces exactly to Faddeeva evaluations of the Gaussian
+pole integral J, which is the only way the package evaluates the kernels.
+
+The section marked "test reference" holds the integrands themselves and a
+brute-force Gaussian average by dense trapezoid or adaptive Simpson
+quadrature, the oracles the tests compare the kernels against.  Nothing
+in the package calls it.
 
 Sign convention: all three responses enter the amplitude through
 sinc(rho) * exp(i rho), so a *positive* imaginary part attenuates the
@@ -31,52 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .faddeeva import SQRT_PI, gaussian_pole_integral
+from .faddeeva import SQRT_PI, gaussian_pole_difference, gaussian_pole_integral
 from .params import SystemParams
-
-METHOD_ANALYTIC = "faddeeva_analytic"
-METHOD_TRAPEZOID = "dense_trapezoid"
-METHOD_ADAPTIVE = "adaptive_panels"
-_METHODS = (METHOD_ANALYTIC, METHOD_ADAPTIVE, METHOD_TRAPEZOID)
 
 # |delta + i*gamma_dec| below this is treated as exactly on two-photon
 # resonance with gamma_dec = 0; keeps the pole Omega_c^2/(4q) finite.
 _Q_FLOOR = 1e-200
 # relative pole separation below which the partial-fraction split of
-# kappa_bar loses accuracy and the quadrature fallback is used instead
-_POLE_MERGE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to evaluate the Doppler averages.
-
-    ``support_halfwidth`` truncates the Gaussian integral at that many
-    Doppler widths; the default 8 leaves a tail mass below 1e-27, far
-    under every tolerance used in the package.
-    """
-
-    method: str = METHOD_ANALYTIC
-    panel_tolerance: float = 1e-10
-    trapezoid_points: int = 1_000_000
-    support_halfwidth: float = 8.0
-    max_panels: int = 20_000
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ParameterError(f"unknown quadrature method {self.method!r}")
-        if not self.panel_tolerance > 0:
-            raise ParameterError("panel_tolerance must be positive")
-        if self.trapezoid_points < 1000:
-            raise ParameterError("trapezoid_points must be >= 1000")
-        if self.support_halfwidth < 6:
-            raise ParameterError("support_halfwidth must be >= 6")
-        if self.max_panels < 16:
-            raise ParameterError("max_panels must be >= 16")
-
-
-ANALYTIC = QuadratureSpec()
-ORACLE = QuadratureSpec(method=METHOD_TRAPEZOID)
+# kappa_bar cancels and the divided-difference series is used instead
+_POLE_MERGE_RTOL = 1e-3
 
 
 def etalon_response(delta, gamma_etalon):
@@ -116,13 +81,51 @@ def complex_sinc(z):
     return complex(out[0]) if scalar else out
 
 
+# ---------------------------------------------------------------------------
+# test reference: the integrands and brute-force Doppler averages.  The
+# oracle value of a kernel is doppler_average(<kernel>_integrand(delta,
+# params), params, spec); tests and the benchmark tracer reach these here.
+
+METHOD_TRAPEZOID = "dense_trapezoid"
+METHOD_ADAPTIVE = "adaptive_panels"
+_METHODS = (METHOD_ADAPTIVE, METHOD_TRAPEZOID)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """How the reference quadrature evaluates a Doppler average.
+
+    ``support_halfwidth`` truncates the Gaussian integral at that many
+    Doppler widths; the default 8 leaves a tail mass below 1e-27, far
+    under every tolerance used in the package.
+    """
+
+    method: str = METHOD_TRAPEZOID
+    panel_tolerance: float = 1e-10
+    trapezoid_points: int = 1_000_000
+    support_halfwidth: float = 8.0
+    max_panels: int = 20_000
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ParameterError(f"unknown quadrature method {self.method!r}")
+        if not self.panel_tolerance > 0:
+            raise ParameterError("panel_tolerance must be positive")
+        if self.trapezoid_points < 1000:
+            raise ParameterError("trapezoid_points must be >= 1000")
+        if self.support_halfwidth < 6:
+            raise ParameterError("support_halfwidth must be >= 6")
+        if self.max_panels < 16:
+            raise ParameterError("max_panels must be >= 16")
+
+
 def doppler_average(integrand, params: SystemParams, quad: QuadratureSpec):
     """Gaussian-weighted average of ``integrand(omega_D)`` by quadrature.
 
     Integrates exp(-w^2/Gamma_D^2)/(sqrt(pi) Gamma_D) * integrand(w) over
     w in [-h*Gamma_D, +h*Gamma_D].  ``integrand`` must accept numpy
     arrays.  Summation order is fixed, so results are bit-identical for a
-    fixed spec.  The analytic method is not meaningful here and raises.
+    fixed spec.
     """
     gd = params.gamma_doppler
     half = quad.support_halfwidth * gd
@@ -133,11 +136,8 @@ def doppler_average(integrand, params: SystemParams, quad: QuadratureSpec):
     if quad.method == METHOD_TRAPEZOID:
         w = np.linspace(-half, half, quad.trapezoid_points)
         return complex(np.trapezoid(weighted(w), w))
-    if quad.method == METHOD_ADAPTIVE:
-        return _adaptive_panels(weighted, -half, half,
-                                quad.panel_tolerance, quad.max_panels)
-    raise ParameterError(
-        "doppler_average requires a quadrature method, not faddeeva_analytic")
+    return _adaptive_panels(weighted, -half, half,
+                            quad.panel_tolerance, quad.max_panels)
 
 
 def _adaptive_panels(f, a, b, rel_tol, max_panels):
@@ -188,20 +188,18 @@ def _adaptive_panels(f, a, b, rel_tol, max_panels):
     return complex(total)
 
 
-# ---------------------------------------------------------------------------
-# integrands (shared by the oracle paths; also document the model)
-
-def _rho_m_integrand(delta, p: SystemParams):
+def rho_m_integrand(delta, p: SystemParams):
     """Impurity (two-level) response before Doppler averaging, absorbing sign."""
     g = p.gamma_natural
+    pref = p.b * p.alpha / 2.0
 
     def f(w):
-        return -g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
+        return -pref * g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
 
     return f
 
 
-def _rho_c_integrand(delta, p: SystemParams):
+def rho_c_integrand(delta, p: SystemParams):
     """EIT response before Doppler averaging.
 
     For Omega_c = 0 the (delta + i gamma) factor cancels exactly against
@@ -210,27 +208,29 @@ def _rho_c_integrand(delta, p: SystemParams):
     """
     g = p.gamma_natural
     q = delta + 1j * p.gamma_dec
+    pref = (1.0 - p.b) * p.alpha / 2.0
 
     if p.omega_c == 0.0:
         def f(w):
-            return -g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
+            return -pref * g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
     else:
         def f(w):
             denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j * g)
-            return q * g / denom
+            return pref * q * g / denom
 
     return f
 
 
-def _kappa_integrand(delta, p: SystemParams):
+def kappa_integrand(delta, p: SystemParams):
     """Signal-probe cross-coupling before Doppler averaging."""
     g = p.gamma_natural
     q = delta + 1j * p.gamma_dec
+    pref = (1.0 - p.b) * p.alpha / 4.0
 
     def f(w):
         pump = p.omega_p / (p.delta_p + w + 0.5j * g)
         denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j * g)
-        return pump * p.omega_c * g / denom
+        return pref * pump * p.omega_c * g / denom
 
     return f
 
@@ -243,17 +243,12 @@ def _as_delta_array(delta):
     return arr.ndim == 0, np.atleast_1d(arr)
 
 
-def rho_m_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
+def rho_m_bar(delta, params: SystemParams):
     """Doppler-averaged impurity response at two-photon detuning ``delta``.
 
     Prefactor b*alpha/2 on the averaged two-level line; the imaginary part
-    is strictly positive (pure absorber).  The analytic path accepts
-    arrays of delta; the quadrature paths are scalar.
+    is strictly positive (pure absorber).  Accepts scalars or arrays.
     """
-    if quad.method != METHOD_ANALYTIC:
-        pref = params.b * params.alpha / 2.0
-        return pref * doppler_average(_rho_m_integrand(float(delta), params),
-                                      params, quad)
     scalar, d = _as_delta_array(delta)
     g = params.gamma_natural
     pole = d + params.delta_c + 0.5j * g
@@ -263,7 +258,7 @@ def rho_m_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
     return complex(out[0]) if scalar else out
 
 
-def rho_c_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
+def rho_c_bar(delta, params: SystemParams):
     """Doppler-averaged EIT response at two-photon detuning ``delta``.
 
     The denominator is linear in the Doppler shift, so the average is a
@@ -272,10 +267,6 @@ def rho_c_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
     two-photon resonance with gamma_dec = 0 the response vanishes (or, if
     Omega_c = 0 as well, reduces to the two-level line).
     """
-    if quad.method != METHOD_ANALYTIC:
-        pref = (1.0 - params.b) * params.alpha / 2.0
-        return pref * doppler_average(_rho_c_integrand(float(delta), params),
-                                      params, quad)
     scalar, d = _as_delta_array(delta)
     g = params.gamma_natural
     gd = params.gamma_doppler
@@ -296,18 +287,17 @@ def rho_c_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
     return complex(out[0]) if scalar else out
 
 
-def kappa_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
+def kappa_bar(delta, params: SystemParams):
     """Doppler-averaged signal-probe cross-coupling at detuning ``delta``.
 
     Two simple poles in the Doppler shift (pump line at
     omega_1 = -Delta_p - i Gamma/2 and the coupling-dressed pole omega_0);
-    partial fractions reduce the average to two Gaussian pole integrals.
-    Near-coincident poles fall back to the dense-trapezoid quadrature.
+    partial fractions reduce the average to the divided difference
+    (J(zeta_1) - J(zeta_0))/(zeta_1 - zeta_0) at zeta = omega/Gamma_D.
+    Below a relative pole separation of 1e-3 that difference is summed as
+    a series (:func:`~biphoton.faddeeva.gaussian_pole_difference`), so the
+    merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
-    if quad.method != METHOD_ANALYTIC:
-        pref = (1.0 - params.b) * params.alpha / 4.0
-        return pref * doppler_average(_kappa_integrand(float(delta), params),
-                                      params, quad)
     scalar, d = _as_delta_array(delta)
     g = params.gamma_natural
     gd = params.gamma_doppler
@@ -331,19 +321,15 @@ def kappa_bar(delta, params: SystemParams, quad: QuadratureSpec = ANALYTIC):
     if np.any(regular):
         qr = q[regular]
         omega0 = params.omega_c**2 / (4.0 * qr) - p_pole[regular]
-        sep = np.abs(omega1 - omega0)
-        merged = sep < _POLE_MERGE_RTOL * np.maximum(
-            1.0, np.maximum(np.abs(omega1), np.abs(omega0)))
         pref = -(1.0 - params.b) * params.alpha * \
             params.omega_p * params.omega_c * g / (16.0 * qr)
-        j0 = gaussian_pole_integral(np.where(merged, 1j, omega0) / gd)
-        sep_safe = np.where(merged, 1.0, omega1 - omega0)
-        vals = pref * (j1 - j0) / sep_safe / gd
+        merged = np.abs(omega1 - omega0) < _POLE_MERGE_RTOL * np.maximum(
+            gd, np.maximum(abs(omega1), np.abs(omega0)))
+        j0 = gaussian_pole_integral(omega0 / gd)
+        sep = np.where(merged, 1.0, omega1 - omega0)
+        vals = pref * (j1 - j0) / sep / gd
         if np.any(merged):
-            fallback = QuadratureSpec(method=METHOD_TRAPEZOID)
-            idx = np.flatnonzero(regular)[merged]
-            dd = d[idx]
-            vals = np.array(vals)
-            vals[merged] = [kappa_bar(float(x), params, fallback) for x in dd]
+            vals[merged] = pref[merged] * gaussian_pole_difference(
+                omega0[merged] / gd, omega1 / gd) / gd**2
         out[regular] = vals
     return complex(out[0]) if scalar else out

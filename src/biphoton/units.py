@@ -30,16 +30,6 @@ def ghz_to_gamma(f_ghz):
     return f_ghz * 1e3 / GAMMA_MHZ
 
 
-def gamma_to_ghz(x):
-    """Angular frequency from units of Gamma to f/2pi in GHz."""
-    return x * GAMMA_MHZ * 1e-3
-
-
 def tau_to_ns(t):
     """Time from units of 1/Gamma to nanoseconds."""
     return t / GAMMA_RAD_PER_NS
-
-
-def ns_to_tau(t_ns):
-    """Time from nanoseconds to units of 1/Gamma."""
-    return t_ns * GAMMA_RAD_PER_NS

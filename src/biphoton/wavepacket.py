@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
-from .kernels import (ANALYTIC, QuadratureSpec, complex_sinc, etalon_response,
-                      kappa_bar, rho_c_bar, rho_m_bar)
+from .kernels import (complex_sinc, etalon_response, kappa_bar, rho_c_bar,
+                      rho_m_bar)
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
@@ -96,22 +96,17 @@ class SpectralAmplitude:
         return float(np.max(np.abs(self.amplitude)))
 
 
-def amplitude_at(delta, params: SystemParams,
-                 quad: QuadratureSpec = ANALYTIC):
-    """The integrand A(delta) itself, at arbitrary detunings.
-
-    Accepts scalars or arrays on the analytic path; the quadrature paths
-    are scalar-only (they exist as oracles, not for production sampling).
-    """
-    rho = rho_c_bar(delta, params, quad) + rho_m_bar(delta, params, quad)
-    kap = kappa_bar(delta, params, quad)
+def amplitude_at(delta, params: SystemParams):
+    """The integrand A(delta) itself, at scalar or array detunings."""
+    rho = rho_c_bar(delta, params) + rho_m_bar(delta, params)
+    kap = kappa_bar(delta, params)
     return (kap * complex_sinc(rho) * np.exp(1j * rho)
             * etalon_response(delta, params.gamma_etalon))
 
 
 def sample_spectral_amplitude(params: SystemParams,
-                              grid_hint: DetuningGrid | None = None,
-                              quad: QuadratureSpec = ANALYTIC) -> SpectralAmplitude:
+                              grid_hint: DetuningGrid | None = None
+                              ) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
     Starts from ``grid_hint`` or the auto-sized grid and doubles the span
@@ -122,7 +117,7 @@ def sample_spectral_amplitude(params: SystemParams,
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     for _ in range(MAX_WIDENINGS + 1):
         delta = grid.values
-        amp = amplitude_at(delta, params, quad)
+        amp = amplitude_at(delta, params)
         peak = float(np.max(np.abs(amp)))
         if peak == 0.0:
             return SpectralAmplitude(grid, amp, params)

@@ -1,0 +1,118 @@
+"""Run configuration: parsing, strictness, typed accessors, error codes."""
+
+import numpy as np
+import pytest
+
+from biphoton.config import ConfigError, RunConfig
+from biphoton.params import coupling_15mw_params
+from biphoton.units import mhz_to_gamma
+
+
+def load(tmp_path, text, strict=False):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return RunConfig.load(path, strict=strict)
+
+
+class TestLoad:
+    def test_comments_blank_lines_and_whitespace(self, tmp_path):
+        cfg = load(tmp_path, "# header\n\n  system.b =  0.375  # inline\n"
+                             "output.oversample=4\n")
+        assert cfg.values == {"system.b": "0.375", "output.oversample": "4"}
+        assert cfg.warnings == []
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.load(tmp_path / "absent.cfg")
+        assert excinfo.value.code == "CONFIG_NOT_FOUND"
+
+    def test_line_without_equals_names_its_line(self, tmp_path):
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, "system.b = 0.3\nsystem.omega_c 11.4\n")
+        assert excinfo.value.code == "CONFIG_BAD_LINE"
+        assert excinfo.value.detail == "run.cfg:2"
+
+    @pytest.mark.parametrize("key", [
+        "quadrature.method", "quadrature.trapezoid_points",
+        "quadrature.panel_tolerance", "quadrature.support_halfwidth",
+        "system.typo"])
+    def test_unknown_keys(self, tmp_path, key):
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, f"{key} = 1\n", strict=True)
+        assert excinfo.value.code == "CONFIG_UNKNOWN_KEY"
+        assert excinfo.value.detail == key
+        cfg = load(tmp_path, f"{key} = 1\nsystem.b = 0.3\n")
+        assert cfg.values == {"system.b": "0.3"}
+        assert cfg.warnings == [f"ignoring unknown config key {key!r}"]
+
+
+class TestAccessors:
+    def test_typed_values_and_defaults(self, tmp_path):
+        cfg = load(tmp_path, "fit.max_iterations = 7\n"
+                             "sweep.delta_c_ghz = 0.5, 1.0,2\n")
+        assert cfg.get_int("fit.max_iterations") == 7
+        assert cfg.get_float("fit.init_b", 0.3) == 0.3
+        assert cfg.get_float_list("sweep.delta_c_ghz") == [0.5, 1.0, 2.0]
+        assert cfg.oversample() == 2
+        assert cfg.grid_hint() is None
+
+    def test_bad_value(self, tmp_path):
+        cfg = load(tmp_path, "fit.max_iterations = many\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.get_int("fit.max_iterations")
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == "fit.max_iterations = many"
+
+    def test_require(self, tmp_path):
+        cfg = load(tmp_path, "system.b = 0.3\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.require("system.b", "fit.series")
+        assert excinfo.value.code == "CONFIG_MISSING_KEY"
+        assert excinfo.value.detail == "fit.series"
+
+
+class TestSystemParams:
+    def test_lab_units_match_the_operating_point(self, tmp_path):
+        cfg = load(tmp_path, "system.b = 0.375\nsystem.omega_c = 11.4\n"
+                             "system.gamma_dec = 0.013\n"
+                             "system.delta_c_ghz = 1.0\n")
+        assert cfg.system_params() == coupling_15mw_params(delta_c_ghz=1.0)
+
+    def test_required_keys(self, tmp_path):
+        cfg = load(tmp_path, "system.b = 0.375\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.system_params()
+        assert excinfo.value.code == "CONFIG_MISSING_KEY"
+        assert cfg.system_params(require=False).b == 0.375
+
+    def test_out_of_range_value(self, tmp_path):
+        cfg = load(tmp_path, "system.b = 1.5\nsystem.omega_c = 11.4\n"
+                             "system.gamma_dec = 0.013\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.system_params()
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert "SystemParams.b" in excinfo.value.detail
+
+
+class TestGridAndSweep:
+    def test_grid_hint_in_mhz(self, tmp_path):
+        cfg = load(tmp_path, "grid.delta_max_mhz = 600\n"
+                             "grid.n_points = 16384\n")
+        grid = cfg.grid_hint()
+        assert grid.delta_max == mhz_to_gamma(600.0)
+        assert grid.n_points == 16384
+
+    @pytest.mark.parametrize("text", [
+        "grid.delta_max_mhz = 600\n",
+        "grid.delta_max_mhz = 600\ngrid.n_points = 1000\n"])
+    def test_grid_hint_errors(self, tmp_path, text):
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, text).grid_hint()
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+
+    def test_sweep_detunings(self, tmp_path):
+        cfg = load(tmp_path, "sweep.delta_c_ghz = 0.0, 1.5\n")
+        assert np.array_equal(cfg.sweep_detunings(), [0.0, 1.5])
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, "sweep.delta_c_ghz = 1.5\n").sweep_detunings()
+        assert excinfo.value.code == "CONFIG_SWEEP_TOO_SHORT"

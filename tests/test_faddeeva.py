@@ -12,12 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.faddeeva import SQRT_PI, faddeeva_w, gaussian_pole_integral
+from biphoton.faddeeva import (SQRT_PI, faddeeva_w, gaussian_pole_difference,
+                               gaussian_pole_integral)
 
 
 def j_oracle(z, half=30.0, n=3_000_001):
     t = np.linspace(-half, half, n)
     return np.trapezoid(np.exp(-t**2) / (t - z), t) / SQRT_PI
+
+
+def difference_oracle(z0, z1, half=30.0, n=3_000_001):
+    # the divided difference of J is the Gaussian average of
+    # 1/((t - z0)(t - z1)), so the oracle needs no subtraction
+    t = np.linspace(-half, half, n)
+    return np.trapezoid(np.exp(-t**2) / ((t - z0) * (t - z1)), t) / SQRT_PI
 
 
 def w_oracle(z):
@@ -100,3 +108,25 @@ class TestGaussianPoleIntegral:
     def test_real_axis_rejected(self):
         with pytest.raises(ValueError):
             gaussian_pole_integral(1.0 + 0.0j)
+
+
+# midpoints on both sides of the |m| = 8 switch between the Taylor and the
+# asymptotic series, in the lower half-plane where the kernels' poles lie
+@pytest.mark.parametrize("m", [0.3 - 0.2j, -5.864 - 0.00926j, 7.9 - 1.0j,
+                               8.1 - 0.5j, -40.0 - 0.01j])
+@pytest.mark.parametrize("rel_sep", [1e-3, 1e-7, 0.0])
+def test_pole_difference_matches_quadrature_oracle(m, rel_sep):
+    h = rel_sep * max(1.0, abs(m)) * np.exp(0.4j)
+    z0, z1 = m - h / 2, m + h / 2
+    got = gaussian_pole_difference(z0, z1)
+    want = difference_oracle(z0, z1)
+    assert abs(got - want) / abs(want) < 1e-10
+
+
+def test_pole_difference_is_the_plain_difference_when_apart():
+    z0, z1 = 2.0 - 0.3j, 2.001 - 0.3j
+    j0, j1 = gaussian_pole_integral(np.array([z0, z1]))
+    plain = (j1 - j0) / (z1 - z0)
+    assert gaussian_pole_difference(z0, z1) == pytest.approx(plain, rel=1e-9)
+    vec = gaussian_pole_difference(np.array([z0, 9.0 - 1j]), z1)
+    assert vec[0] == gaussian_pole_difference(z0, z1)

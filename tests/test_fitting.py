@@ -1,18 +1,21 @@
 """Residuals, the series generator, and the damped least-squares fitter.
 
-The heavyweight recovery runs (12-point series, perturbed inits, noisy
-replicas, power-scaling pairs) live in the acceptance module; here the
-machinery is exercised on small series to stay fast.
+Every test works on small inputs so the suite stays fast: the fits run
+on one noise-free 5-point series at the 15 mW operating point, with
+short iteration budgets where convergence is not the point.
 """
 
 import numpy as np
 import pytest
 
-from biphoton.errors import ParameterError
+import biphoton.fitting
+from biphoton.config import ConfigError
+from biphoton.errors import GridOverflowError, ParameterError
 from biphoton.fitting import (DetuningSeries, FitOptions, Theta,
                               apply_multiplicative_noise, default_init,
                               fit_series, format_fit_report, residuals,
                               synthesize_series)
+from biphoton.units import ghz_to_gamma
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -92,6 +95,27 @@ class TestResiduals:
         chi1 = math.fsum(float(v) ** 2 for v in r1)
         chi2 = math.fsum(float(v) ** 2 for v in r2)
         assert chi1 == chi2
+
+    @pytest.mark.parametrize("exc", [
+        GridOverflowError("no decay"),
+        ConfigError("CONFIG_BAD_VALUE", "two-argument constructor")])
+    def test_failure_names_the_failing_detuning(self, clean_series,
+                                                monkeypatch, exc):
+        real_predict = biphoton.fitting.predict
+        bad_delta_c = ghz_to_gamma(1.5)
+
+        def predict(params, **kwargs):
+            if params.delta_c == bad_delta_c:
+                raise exc
+            return real_predict(params, **kwargs)
+
+        monkeypatch.setattr(biphoton.fitting, "predict", predict)
+        with pytest.raises(type(exc)) as excinfo:
+            residuals(THETA_TRUE, clean_series)
+        assert excinfo.value is exc
+        assert str(excinfo.value).endswith("(at delta_c = 1.5 GHz)")
+        for other in (0.2, 0.6, 1.0, 2.2):
+            assert f"{other} GHz" not in str(excinfo.value)
 
     def test_bounds_enforced(self, clean_series):
         with pytest.raises(ParameterError, match="bounds"):

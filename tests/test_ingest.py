@@ -1,5 +1,7 @@
 """Histogram ingest: parsing, background, normalization, pair rates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ class TestLoad:
         path = write_pair(tmp_path, ["0.0,5", "0.8,-1"])
         with pytest.raises(ParseError):
             load_histogram(path)
+
+    def test_long_synthetic_histogram_raises_no_warning(self):
+        # a profile that evaluates the rise exponential on every bin
+        # overflows far past the peak, above ~11800 bins
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3,
+                                         n_bins=32768)
+        assert h.n_bins == 32768
+        assert int(np.argmax(h.counts)) in range(32768 // 4 - 50,
+                                                 32768 // 4 + 50)
 
     def test_round_trip_bit_identical(self, tmp_path):
         h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3)

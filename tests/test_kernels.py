@@ -3,7 +3,8 @@
 Frozen complex literals below were produced by the dense-trapezoid oracle
 (1e6 points over +-8 Doppler widths) at the canonical 15 mW operating
 point; the tests both pin those numbers and re-derive the analytic/oracle
-agreement live.
+agreement live.  An oracle value is the brute-force Doppler average of
+the kernel's integrand, ``oracle(K.kappa_integrand, delta, params, spec)``.
 """
 
 import numpy as np
@@ -16,6 +17,11 @@ from biphoton.errors import ConvergenceError, ParameterError
 from biphoton.units import ghz_to_gamma
 
 from conftest import rel_err
+
+def oracle(integrand, delta, params, spec):
+    """Brute-force Doppler average of a kernel's integrand at ``delta``."""
+    return K.doppler_average(integrand(float(delta), params), params, spec)
+
 
 # dense-trapezoid oracle values, frozen (see module docstring)
 RHO_M_AT_0 = 1.5663630045418437e-18 + 0.7613221526785102j
@@ -98,12 +104,13 @@ class TestDopplerAverage:
         # the impurity kernel is that average with the absorbing sign and
         # prefactor b*alpha/2
         p = params_15mw.replace(b=2.0 / params_15mw.alpha)
-        assert K.rho_m_bar(0.0, p, trapezoid_oracle) == pytest.approx(
-            -trap, rel=1e-12)
+        assert oracle(K.rho_m_integrand, 0.0, p,
+                      trapezoid_oracle) == pytest.approx(-trap, rel=1e-12)
 
-    def test_analytic_method_rejected(self, params_15mw):
+    def test_analytic_method_rejected(self):
+        # the Faddeeva reduction is the kernels themselves, not an oracle
         with pytest.raises(ParameterError):
-            K.doppler_average(lambda w: w, params_15mw, K.ANALYTIC)
+            K.QuadratureSpec(method="faddeeva_analytic")
 
     def test_panel_budget_exhaustion_carries_tolerance(self, params_15mw):
         tight = K.QuadratureSpec(method=K.METHOD_ADAPTIVE,
@@ -127,15 +134,15 @@ class TestRhoM:
 
     def test_oracle_value_and_analytic_match(self, params_15mw,
                                              trapezoid_oracle):
-        oracle = K.rho_m_bar(0.0, params_15mw, trapezoid_oracle)
-        assert oracle == pytest.approx(RHO_M_AT_0, rel=1e-9)
-        assert rel_err(K.rho_m_bar(0.0, params_15mw), oracle) < 1e-8
+        ref = oracle(K.rho_m_integrand, 0.0, params_15mw, trapezoid_oracle)
+        assert ref == pytest.approx(RHO_M_AT_0, rel=1e-9)
+        assert rel_err(K.rho_m_bar(0.0, params_15mw), ref) < 1e-8
 
     def test_far_detuned_suppression(self, params_15mw, trapezoid_oracle):
-        near = K.rho_m_bar(0.0, params_15mw, trapezoid_oracle)
-        far = K.rho_m_bar(
-            0.0, params_15mw.replace(delta_c=ghz_to_gamma(3.0)),
-            trapezoid_oracle)
+        near = oracle(K.rho_m_integrand, 0.0, params_15mw, trapezoid_oracle)
+        far = oracle(K.rho_m_integrand, 0.0,
+                     params_15mw.replace(delta_c=ghz_to_gamma(3.0)),
+                     trapezoid_oracle)
         assert abs(far) < abs(near)
 
     def test_linear_in_impurity_weight(self, params_15mw):
@@ -161,9 +168,9 @@ class TestRhoC:
 
     def test_oracle_value_and_analytic_match(self, params_15mw,
                                              trapezoid_oracle):
-        oracle = K.rho_c_bar(0.1, params_15mw, trapezoid_oracle)
-        assert oracle == pytest.approx(RHO_C_AT_0P1, rel=1e-9)
-        assert rel_err(K.rho_c_bar(0.1, params_15mw), oracle) < 1e-8
+        ref = oracle(K.rho_c_integrand, 0.1, params_15mw, trapezoid_oracle)
+        assert ref == pytest.approx(RHO_C_AT_0P1, rel=1e-9)
+        assert rel_err(K.rho_c_bar(0.1, params_15mw), ref) < 1e-8
 
     def test_pole_sign_spanning_grid(self, params_15mw, trapezoid_oracle):
         # the reduction must hold on both sides of the two-photon resonance
@@ -171,15 +178,15 @@ class TestRhoC:
         for delta in (-5.0, -0.1, 0.1, 5.0):
             for dcg in (0.0, 0.7, 3.0):
                 p = params_15mw.replace(delta_c=ghz_to_gamma(dcg))
-                oracle = K.rho_c_bar(delta, p, trapezoid_oracle)
-                assert rel_err(K.rho_c_bar(delta, p), oracle) < 1e-8
+                ref = oracle(K.rho_c_integrand, delta, p, trapezoid_oracle)
+                assert rel_err(K.rho_c_bar(delta, p), ref) < 1e-8
 
     def test_coupling_off_reduces_to_two_level(self, params_15mw,
                                                trapezoid_oracle):
         p = params_15mw.replace(omega_c=0.0)
         analytic = K.rho_c_bar(0.2, p)
-        oracle = K.rho_c_bar(0.2, p, trapezoid_oracle)
-        assert rel_err(analytic, oracle) < 1e-8
+        ref = oracle(K.rho_c_integrand, 0.2, p, trapezoid_oracle)
+        assert rel_err(analytic, ref) < 1e-8
         # and equals the impurity line reweighted by (1-b)/b
         two_level = K.rho_m_bar(0.2, params_15mw)
         weight = (1 - params_15mw.b) / params_15mw.b
@@ -202,9 +209,9 @@ class TestKappa:
     def test_oracle_value_and_analytic_match(self, params_15mw,
                                              trapezoid_oracle):
         p = params_15mw.replace(delta_c=ghz_to_gamma(1.0))
-        oracle = K.kappa_bar(0.0, p, trapezoid_oracle)
-        assert oracle == pytest.approx(KAPPA_AT_0_1GHZ, rel=1e-9)
-        assert rel_err(K.kappa_bar(0.0, p), oracle) < 1e-8
+        ref = oracle(K.kappa_integrand, 0.0, p, trapezoid_oracle)
+        assert ref == pytest.approx(KAPPA_AT_0_1GHZ, rel=1e-9)
+        assert rel_err(K.kappa_bar(0.0, p), ref) < 1e-8
 
     def test_linear_in_pump_and_coherent_weight(self, params_15mw):
         base = K.kappa_bar(0.7, params_15mw)
@@ -223,14 +230,57 @@ class TestKappa:
                                                   trapezoid_oracle):
         p = params_15mw.replace(gamma_dec=0.0)
         analytic = K.kappa_bar(0.0, p)
-        oracle = K.kappa_bar(0.0, p, trapezoid_oracle)
-        assert rel_err(analytic, oracle) < 1e-8
+        ref = oracle(K.kappa_integrand, 0.0, p, trapezoid_oracle)
+        assert rel_err(analytic, ref) < 1e-8
 
     def test_vectorized_matches_scalar(self, params_15mw):
         deltas = np.array([-2.0, 0.0, 0.3, 40.0])
         vec = K.kappa_bar(deltas, params_15mw)
         for i, d in enumerate(deltas):
             assert vec[i] == K.kappa_bar(float(d), params_15mw)
+
+
+class TestMergedPoles:
+    """With gamma_dec = 0 the pump pole and the dressed pole of kappa_bar
+    coincide at the real roots of delta^2 + (Delta_c - Delta_p) delta
+    - Omega_c^2/4 = 0: delta ~ -0.1026 and 316.77 Gamma at 15 mW, where
+    zeta = omega/Gamma_D ~ 5.9.  A Doppler width of 2 Gamma moves the
+    poles to |zeta| ~ 160, past the |zeta| = 8 switch to the asymptotic
+    series of the divided difference."""
+
+    @staticmethod
+    def roots(p):
+        big = 0.5 * (p.delta_p - p.delta_c + np.hypot(p.delta_p - p.delta_c,
+                                                      p.omega_c))
+        # the product of the roots is -Omega_c^2/4; no cancellation
+        return (-0.25 * p.omega_c**2 / big, big)
+
+    @pytest.mark.parametrize("gamma_doppler", [54.0, 2.0])
+    @pytest.mark.parametrize("root", [0, 1])
+    @pytest.mark.parametrize("rel_dist", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_matches_oracle_approaching_the_root(
+            self, params_15mw, trapezoid_oracle, gamma_doppler, root,
+            rel_dist):
+        p = params_15mw.replace(gamma_dec=0.0, gamma_doppler=gamma_doppler)
+        delta = self.roots(p)[root] * (1.0 + rel_dist)
+        ref = oracle(K.kappa_integrand, delta, p, trapezoid_oracle)
+        assert rel_err(K.kappa_bar(delta, p), ref) < 1e-10
+
+    def test_grid_through_the_roots_needs_no_quadrature(self, params_15mw,
+                                                        monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kappa_bar fell back to quadrature")
+
+        monkeypatch.setattr(K, "doppler_average", forbidden)
+        p = params_15mw.replace(gamma_dec=0.0)
+        roots = np.array(self.roots(p))
+        deltas = np.sort(np.concatenate(
+            [np.linspace(-400.0, 400.0, 4097), roots,
+             roots * (1.0 + 1e-9), roots * (1.0 - 1e-4)]))
+        vals = K.kappa_bar(deltas, p)
+        assert np.all(np.isfinite(vals))
+        for d in (*roots, *(roots * (1.0 + 1e-9))):
+            assert vals[np.searchsorted(deltas, d)] == K.kappa_bar(d, p)
 
 
 def test_quadrature_spec_validation():

@@ -66,7 +66,14 @@ class TestSampling:
         # compose the three oracle kernel values through the amplitude
         # formula and compare with the analytic-path sample at delta = 0
         p = params_15mw.replace(b=0.0)
-        composed = amplitude_at(0.0, p, trapezoid_oracle)
+
+        def avg(integrand):
+            return K.doppler_average(integrand(0.0, p), p, trapezoid_oracle)
+
+        rho = avg(K.rho_c_integrand) + avg(K.rho_m_integrand)
+        kap = avg(K.kappa_integrand)
+        composed = (kap * K.complex_sinc(rho) * np.exp(1j * rho)
+                    * K.etalon_response(0.0, p.gamma_etalon))
         analytic = amplitude_at(0.0, p)
         assert abs(analytic - composed) / abs(composed) < 1e-8
 
