@@ -3,8 +3,12 @@
 Subcommands: ``simulate``, ``sweep``, ``spectrum``, ``analyze``, ``fit``.
 Every command is deterministic: identical inputs produce byte-identical
 output files (floats are written with shortest round-trip repr).  Exit
-statuses: 0 success/partial, 2 usage or config, 3 data, 4 numerical.
-Errors print one machine-readable line ``error: CODE detail`` to stderr.
+status 0 means success or a partial sweep.  Any package error prints one
+machine-readable line ``error: CODE detail`` to stderr and exits with the
+status its class carries: 2 for usage, config and output (CONFIG_*,
+SERIES_TOO_SHORT, UNCORRECTED_RATES, OUTPUT_UNWRITABLE), 3 for data
+(DATA_PARSE, DATA_NOT_FOUND, DATA_UNREADABLE, INCONSISTENT_RATES), 4 for
+numerical failures (NUMERICAL, SWEEP_ALL_POINTS_FAILED).
 """
 
 import argparse
@@ -14,25 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .errors import (BiphotonError, GridOverflowError, ParameterError,
-                     ParseError)
-from .fitting import (DetuningSeries, FitOptions, Theta, fit_series,
-                      format_fit_report)
-from .forward import predict
+from .errors import BiphotonError, ParameterError
+from .fitting import FitOptions, Theta, fit_series, format_fit_report
+from .forward import detuning_sweep, predict
 from .ingest import (detected_pair_rate, estimate_background, load_histogram,
-                     to_g2)
+                     load_series, region_above, to_g2)
 from .observables import (detected_to_generated, heralding_probability,
                           sbr_from_g2)
 from .units import gamma_to_mhz, ghz_to_gamma, tau_to_ns
 from .wavepacket import biphoton_spectrum
-
-
-class CliError(Exception):
-    def __init__(self, code, detail, status):
-        super().__init__(f"{code} {detail}")
-        self.code = code
-        self.detail = detail
-        self.status = status
 
 
 def _fmt(x):
@@ -42,10 +36,17 @@ def _fmt(x):
     return str(x)
 
 
+def _write(path, text):
+    try:
+        path.write_text(text)
+    except OSError:
+        raise ConfigError("OUTPUT_UNWRITABLE", str(path)) from None
+
+
 def _write_rows(path, header, rows):
     lines = [header]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _decimate(n_rows, cap):
@@ -53,16 +54,17 @@ def _decimate(n_rows, cap):
     return slice(0, n_rows, stride)
 
 
-def _observables_rows(entries):
+def _write_observables(out, entries):
     # entries: (name, value, units, calibrated)
-    return [(name, value, units, "true" if calib else "false")
-            for name, value, units, calib in entries]
+    _write_rows(out / "observables.csv", "name,value,units,calibrated",
+                [(name, value, units, "true" if calib else "false")
+                 for name, value, units, calib in entries])
 
 
 def _load_config(args, required=True):
     if args.config is None:
         if required:
-            raise CliError("CONFIG_MISSING", "--config is required", 2)
+            raise ConfigError("CONFIG_MISSING", "--config is required")
         return RunConfig()
     cfg = RunConfig.load(args.config, strict=args.strict)
     for warning in cfg.warnings:
@@ -72,7 +74,10 @@ def _load_config(args, required=True):
 
 def _out_dir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        raise ConfigError("OUTPUT_UNWRITABLE", str(out)) from None
     return out
 
 
@@ -80,13 +85,7 @@ def _wavepacket_window(wp, tau_w):
     """Indices covering the packet: peak out to 1e-6 of the peak, padded,
     and at least +-5 tau_w."""
     peak = int(np.argmax(wp.g2))
-    floor = wp.g2[peak] * 1e-6
-    lo = peak
-    while lo > 0 and wp.g2[lo - 1] > floor:
-        lo -= 1
-    hi = peak
-    while hi < wp.g2.size - 1 and wp.g2[hi + 1] > floor:
-        hi += 1
+    lo, hi = region_above(wp.g2, peak, wp.g2[peak] * 1e-6)
     pad = max(int(0.2 * (hi - lo)), 1)
     need = 5.0 * tau_w if np.isfinite(tau_w) else 0.0
     lo = min(lo - pad, int(np.searchsorted(wp.tau, wp.tau[peak] - need)))
@@ -121,8 +120,7 @@ def cmd_simulate(args):
     entries = [("rg", pred.rg_arb, "arb/s", False),
                ("tau_w", pred.tau_w_ns, "ns", True),
                ("delta_omega", gamma_to_mhz(pred.delta_omega), "MHz", True)]
-    _write_rows(out / "observables.csv", "name,value,units,calibrated",
-                _observables_rows(entries))
+    _write_observables(out, entries)
     return 0
 
 
@@ -148,9 +146,8 @@ def cmd_spectrum(args):
     out = _out_dir(args)
     pred = _run_forward(cfg)
     _write_spectrum(out, pred)
-    entries = [("delta_omega", gamma_to_mhz(pred.delta_omega), "MHz", True)]
-    _write_rows(out / "observables.csv", "name,value,units,calibrated",
-                _observables_rows(entries))
+    _write_observables(
+        out, [("delta_omega", gamma_to_mhz(pred.delta_omega), "MHz", True)])
     return 0
 
 
@@ -158,27 +155,23 @@ def cmd_sweep(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     detunings = cfg.sweep_detunings()
-    params = cfg.system_params()
-    hint = cfg.grid_hint()
-    oversample = cfg.oversample()
-
+    results = detuning_sweep(cfg.system_params(), ghz_to_gamma(detunings),
+                             grid_hint=cfg.grid_hint(),
+                             oversample=cfg.oversample())
     rows = []
-    successes = 0
-    for dcg in detunings:
-        try:
-            pred = predict(params.replace(delta_c=ghz_to_gamma(float(dcg))),
-                           grid_hint=hint, oversample=oversample)
+    for dcg, pred in zip(detunings, results):
+        if isinstance(pred, BiphotonError):  # a failed point is a marker row
+            rows.append((float(dcg), "ERROR", "ERROR", "ERROR"))
+            print(f"warning: point delta_c={dcg} GHz failed: {pred}",
+                  file=sys.stderr)
+        else:
             rows.append((float(dcg), pred.rg_arb, pred.tau_w_ns,
                          gamma_to_mhz(pred.delta_omega)))
-            successes += 1
-        except BiphotonError as exc:  # per-point failure becomes a marker row
-            rows.append((float(dcg), "ERROR", "ERROR", "ERROR"))
-            print(f"warning: point delta_c={dcg} GHz failed: {exc}",
-                  file=sys.stderr)
     _write_rows(out / "sweep.csv", "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz",
                 rows)
-    if successes == 0:
-        raise CliError("SWEEP_ALL_POINTS_FAILED", "no point succeeded", 4)
+    if all(isinstance(pred, BiphotonError) for pred in results):
+        raise BiphotonError("no point succeeded",
+                            code="SWEEP_ALL_POINTS_FAILED")
     return 0
 
 
@@ -187,15 +180,12 @@ def cmd_analyze(args):
     out = _out_dir(args)
     hist_path = args.histogram or cfg.get_str("analyze.histogram")
     if hist_path is None:
-        raise CliError("CONFIG_MISSING_KEY", "analyze.histogram", 2)
-    try:
-        hist = load_histogram(hist_path)
-    except ParseError as exc:
-        raise CliError("DATA_PARSE", str(exc), 3) from exc
+        raise ConfigError("CONFIG_MISSING_KEY", "analyze.histogram")
+    hist = load_histogram(hist_path)
     if not hist.saturation_corrected:
-        raise CliError("UNCORRECTED_RATES",
-                       "histogram lacks saturation correction; absolute "
-                       "rates would be biased", 2)
+        raise ParameterError("histogram lacks saturation correction; "
+                             "absolute rates would be biased",
+                             code="UNCORRECTED_RATES")
 
     window = None
     lo = cfg.get_float("analyze.background_lo_ns")
@@ -212,21 +202,18 @@ def cmd_analyze(args):
               file=sys.stderr)
     sbr = sbr_from_g2(curve.g2)
     rates = detected_to_generated(pair.rate, hist.chain)
-    h_p = (heralding_probability(rates.fiber, hist.singles_signal)
-           if rates.fiber <= hist.singles_signal else None)
-
     entries = [("sbr", sbr, "", True),
                ("r_d", pair.rate, "1/s", True),
                ("rg_fiber", rates.fiber, "1/s", True),
                ("rg_cell", rates.cell, "1/s", True),
                ("background_per_bin", background.mean, "counts", True)]
-    if h_p is not None:
-        entries.append(("h_p", h_p, "", True))
+    if rates.fiber <= hist.singles_signal:
+        entries.append(("h_p", heralding_probability(
+            rates.fiber, hist.singles_signal), "", True))
     else:
         print("warning: INCONSISTENT_RATES pair rate exceeds singles rate; "
               "h_p omitted", file=sys.stderr)
-    _write_rows(out / "observables.csv", "name,value,units,calibrated",
-                _observables_rows(entries))
+    _write_observables(out, entries)
     return 0
 
 
@@ -234,55 +221,24 @@ def cmd_fit(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     cfg.require("fit.series")
-    path = Path(cfg.get_str("fit.series"))
-    if not path.exists():
-        raise CliError("DATA_NOT_FOUND", str(path), 3)
-    lines = path.read_text().splitlines()
-    header = "delta_c_ghz,rg,rg_err,tau_w_ns,tau_w_err"
-    if not lines or lines[0].strip() != header:
-        raise CliError("DATA_PARSE", f"series header must be '{header}'", 3)
-    try:
-        table = np.array([[float(v) for v in line.split(",")]
-                          for line in lines[1:] if line.strip()])
-    except ValueError:
-        raise CliError("DATA_PARSE", "bad number in series file", 3) from None
-    if table.ndim != 2 or table.shape[1] != 5:
-        raise CliError("DATA_PARSE", "series rows need 5 columns", 3)
-    if table.shape[0] < 4:
-        raise CliError("SERIES_TOO_SHORT",
-                       f"need >= 4 points, got {table.shape[0]}", 2)
+    series = load_series(cfg.get_str("fit.series"),
+                         cfg.system_params(require=False))
 
-    fixed = cfg.system_params(require=False)
-    try:
-        series = DetuningSeries(
-            delta_c_ghz=table[:, 0], rg=table[:, 1], rg_err=table[:, 2],
-            tau_w_ns=table[:, 3], tau_w_err=table[:, 4], fixed=fixed,
-            label=path.stem)
-    except ParameterError as exc:
-        raise CliError("DATA_PARSE", str(exc), 3) from exc
-
-    init = None
     init_vals = [cfg.get_float(f"fit.init_{name}")
                  for name in ("b", "omega_c", "gamma_dec", "scale")]
-    if all(v is not None for v in init_vals):
-        init = Theta(*init_vals)
-    options = FitOptions()
-    max_iter = cfg.get_int("fit.max_iterations")
-    if max_iter is not None:
-        options = FitOptions(max_iterations=max_iter)
-    freeze = cfg.get_str("fit.freeze")
-    if freeze:
-        options = FitOptions(max_iterations=options.max_iterations,
-                             freeze=tuple(t.strip() for t in freeze.split(",")
-                                          if t.strip()))
+    init = None if None in init_vals else Theta(*init_vals)
+    freeze = cfg.get_str("fit.freeze", "")
+    options = FitOptions(
+        max_iterations=cfg.get_int("fit.max_iterations",
+                                   FitOptions.max_iterations),
+        freeze=tuple(t.strip() for t in freeze.split(",") if t.strip()))
 
     result = fit_series(series, init=init, options=options)
-    (out / "fit_report.txt").write_text(format_fit_report(result, series))
-    rows = [(result.per_point[i, 0], series.rg[i], result.per_point[i, 1],
-             series.tau_w_ns[i], result.per_point[i, 2])
-            for i in range(series.n_points)]
+    _write(out / "fit_report.txt", format_fit_report(result, series))
+    dc, rg_pred, tw_pred = result.per_point.T
     _write_rows(out / "fit_curve.csv",
-                "delta_c_ghz,rg_meas,rg_pred,tauw_meas,tauw_pred", rows)
+                "delta_c_ghz,rg_meas,rg_pred,tauw_meas,tauw_pred",
+                zip(dc, series.rg, rg_pred, series.tau_w_ns, tw_pred))
     return 0
 
 
@@ -313,21 +269,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc.code} {exc.detail}", file=sys.stderr)
+    except BiphotonError as exc:
+        print(f"error: {exc.code} {exc}", file=sys.stderr)
         return exc.status
-    except ConfigError as exc:
-        print(f"error: {exc.code} {exc.detail}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: DATA_PARSE {exc}", file=sys.stderr)
-        return 3
-    except GridOverflowError as exc:
-        print(f"error: NUMERICAL {exc}", file=sys.stderr)
-        return 4
-    except ParameterError as exc:
-        print(f"error: CONFIG_BAD_VALUE {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

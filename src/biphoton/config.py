@@ -13,18 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BiphotonError
+from .errors import BiphotonError, ParameterError
+from .ingest import read_lines
 from .params import SystemParams
 from .units import mhz_to_gamma
 from .wavepacket import DetuningGrid
 
 
-class ConfigError(BiphotonError):
+class ConfigError(ParameterError):
     """Configuration problem with a machine-readable code."""
 
     def __init__(self, code, detail):
-        super().__init__(f"{code} {detail}")
-        self.code = code
+        super().__init__(detail, code)
         self.detail = detail
 
 
@@ -55,11 +55,11 @@ class RunConfig:
     @classmethod
     def load(cls, path, strict=False) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError("CONFIG_NOT_FOUND", str(path))
+        lines = read_lines(path, lambda detail, missing: ConfigError(
+            "CONFIG_NOT_FOUND" if missing else "CONFIG_UNREADABLE", detail))
         values = {}
         warnings = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

@@ -1,12 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every class carries the ``code`` and exit ``status`` the command line
+reports for it in one ``error: CODE detail`` line.  A raise site may pass
+a more specific ``code``; the status always comes from the class.
+"""
 
 
 class BiphotonError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a computation that failed."""
+
+    code = "NUMERICAL"
+    status = 4
+
+    def __init__(self, message="", code=None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
 
 
 class ParameterError(BiphotonError):
     """A physical parameter or configuration value is invalid."""
+
+    code = "CONFIG_BAD_VALUE"
+    status = 2
 
 
 class ConvergenceError(BiphotonError):
@@ -32,13 +48,19 @@ class ExtractionError(BiphotonError):
 class InconsistentRatesError(BiphotonError):
     """Pair rate exceeds the heralding singles rate."""
 
+    code = "INCONSISTENT_RATES"
+    status = 3
+
 
 class ParseError(BiphotonError):
-    """A data or config file failed to parse.
+    """A data file is missing, unreadable or malformed.
 
-    ``context`` holds the offending file/line/key description.
+    ``context``, appended in parentheses, names the offending file/line/key.
     """
 
-    def __init__(self, message, context=None):
-        super().__init__(message if context is None else f"{message} ({context})")
-        self.context = context
+    code = "DATA_PARSE"
+    status = 3
+
+    def __init__(self, message, context=None, code=None):
+        super().__init__(
+            message if context is None else f"{message} ({context})", code)

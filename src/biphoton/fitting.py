@@ -31,6 +31,12 @@ _UPPER = np.array([1.0, np.inf, np.inf, np.inf])
 # nominal relative error bar attached to noiseless synthetic series so the
 # weighted fit stays defined
 _NOISELESS_SIGMA_REL = 0.01
+# optimizer settings: projected-gradient and relative chi2-drop stopping
+# tolerances, relative Jacobian step, initial Levenberg damping
+_GRADIENT_TOL = 1e-6
+_CHI2_REL_TOL = 1e-10
+_FD_REL_STEP = 1e-4
+_LAMBDA_INIT = 1e-3
 
 
 class Theta(NamedTuple):
@@ -69,7 +75,7 @@ class DetuningSeries:
             raise ParameterError("series needs at least 4 detuning points")
         if np.unique(self.delta_c_ghz).size != n:
             raise ParameterError("detunings must be distinct")
-        if np.any(self.rg_err <= 0) or np.any(self.tau_w_err <= 0):
+        if not (np.all(self.rg_err > 0) and np.all(self.tau_w_err > 0)):
             raise ParameterError("error bars must be positive")
 
     @property
@@ -80,12 +86,7 @@ class DetuningSeries:
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 60
-    gradient_tol: float = 1e-6
-    chi2_rel_tol: float = 1e-10
-    fd_rel_step: float = 1e-4
-    lambda_init: float = 1e-3
     freeze: tuple[str, ...] = ()
-    oversample: int = 2
 
     def __post_init__(self):
         unknown = set(self.freeze) - set(PARAM_NAMES)
@@ -130,10 +131,8 @@ class _ForwardModel:
     the generating theta is exactly zero for noiseless data.
     """
 
-    def __init__(self, fixed: SystemParams, delta_c_ghz, init: Theta,
-                 oversample: int = 2):
+    def __init__(self, fixed: SystemParams, delta_c_ghz, init: Theta):
         self.fixed = fixed
-        self.oversample = oversample
         base = fixed.replace(
             b=init.b, omega_c=init.omega_c,
             gamma_dec=max(init.gamma_dec, 1e-6))
@@ -159,8 +158,7 @@ class _ForwardModel:
                     b=b, omega_c=omega_c, gamma_dec=gamma_dec,
                     delta_c=float(dc))
                 try:
-                    pred = predict(params, grid_hint=self.grid,
-                                   oversample=self.oversample)
+                    pred = predict(params, grid_hint=self.grid)
                 except BiphotonError as exc:
                     exc.args = (f"{exc} (at delta_c = "
                                 f"{float(self.delta_c_ghz[i])!r} GHz)",)
@@ -179,8 +177,7 @@ def _residual_vector(theta, series, model):
     return r
 
 
-def residuals(theta, series: DetuningSeries,
-              options: FitOptions = FitOptions()) -> np.ndarray:
+def residuals(theta, series: DetuningSeries) -> np.ndarray:
     """Error-weighted residuals, two per detuning point (rate, width).
 
     Runs the full pipeline at each detuning; deterministic for fixed
@@ -188,8 +185,7 @@ def residuals(theta, series: DetuningSeries,
     which it failed named in its message.
     """
     theta = _as_theta_array(theta)
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*theta),
-                          oversample=options.oversample)
+    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*theta))
     return _residual_vector(theta, series, model)
 
 
@@ -207,10 +203,10 @@ def _chi2(r):
     return math.fsum(float(v) * float(v) for v in r)
 
 
-def _jacobian(x, f0, series, model, free_idx, rel_step):
+def _jacobian(x, f0, series, model, free_idx):
     jac = np.zeros((f0.size, len(free_idx)))
     for col, i in enumerate(free_idx):
-        h = rel_step * max(abs(x[i]), 1e-6)
+        h = _FD_REL_STEP * max(abs(x[i]), 1e-6)
         up = min(h, _UPPER[i] - x[i])
         dn = min(h, x[i] - _LOWER[i])
         if up + dn == 0.0:
@@ -234,18 +230,17 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     identical inputs and options.
     """
     if init is None:
-        init = default_init(series, options)
+        init = default_init(series)
     x = _as_theta_array(init)
     free_idx = [i for i, name in enumerate(PARAM_NAMES)
                 if name not in options.freeze]
     if not free_idx:
         raise ParameterError("all parameters are frozen; nothing to fit")
 
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*x),
-                          oversample=options.oversample)
+    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*x))
     r = _residual_vector(x, series, model)
     chi2 = _chi2(r)
-    lam = options.lambda_init
+    lam = _LAMBDA_INIT
     converged = False
     iterations = 0
 
@@ -260,9 +255,9 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         return grad, proj
 
     for iterations in range(1, options.max_iterations + 1):
-        jac = _jacobian(x, r, series, model, free_idx, options.fd_rel_step)
+        jac = _jacobian(x, r, series, model, free_idx)
         grad, proj = projected_gradient(jac)
-        if np.max(np.abs(proj)) < options.gradient_tol:
+        if np.max(np.abs(proj)) < _GRADIENT_TOL:
             converged = True
             break
 
@@ -289,17 +284,17 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
                 improved = True
                 break
             lam *= 8.0
-        if not improved or rel_drop < options.chi2_rel_tol:
+        if not improved or rel_drop < _CHI2_REL_TOL:
             break
 
     if not converged:
         # the loop may have stopped on stalled chi2; converged must mean
         # the projected gradient itself cleared the tolerance
-        jac = _jacobian(x, r, series, model, free_idx, options.fd_rel_step)
+        jac = _jacobian(x, r, series, model, free_idx)
         _, proj = projected_gradient(jac)
-        converged = bool(np.max(np.abs(proj)) < options.gradient_tol)
+        converged = bool(np.max(np.abs(proj)) < _GRADIENT_TOL)
 
-    errs = _standard_errors(x, r, series, model, free_idx, options)
+    errs = _standard_errors(x, r, series, model, free_idx)
     rg_model, tw_model = model.rates_and_widths(x)
     per_point = np.column_stack(
         [series.delta_c_ghz, x[3] * rg_model, tw_model])
@@ -308,10 +303,10 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
                      iterations=iterations)
 
 
-def _standard_errors(x, r, series, model, free_idx, options):
+def _standard_errors(x, r, series, model, free_idx):
     errs = np.zeros(4)
     try:
-        jac = _jacobian(x, r, series, model, free_idx, options.fd_rel_step)
+        jac = _jacobian(x, r, series, model, free_idx)
         dof = max(r.size - len(free_idx), 1)
         cov = np.linalg.pinv(jac.T @ jac) * (_chi2(r) / dof)
         for col, i in enumerate(free_idx):
@@ -321,8 +316,7 @@ def _standard_errors(x, r, series, model, free_idx, options):
     return errs
 
 
-def default_init(series: DetuningSeries,
-                 options: FitOptions = FitOptions()) -> Theta:
+def default_init(series: DetuningSeries) -> Theta:
     """Heuristic starting point: coarse 1-d scan in omega_c.
 
     b starts at 0.3 and gamma at 0.01; omega_c minimizes the tau_w-only
@@ -332,8 +326,7 @@ def default_init(series: DetuningSeries,
     best = None
     for omega_c in np.geomspace(4.0, 30.0, 9):
         theta = Theta(b=0.3, omega_c=float(omega_c), gamma_dec=0.01, scale=1.0)
-        model = _ForwardModel(series.fixed, series.delta_c_ghz, theta,
-                              oversample=options.oversample)
+        model = _ForwardModel(series.fixed, series.delta_c_ghz, theta)
         _, tw = model.rates_and_widths(np.asarray(theta))
         cost = _chi2((tw - series.tau_w_ns) / series.tau_w_err)
         if best is None or cost < best[0]:

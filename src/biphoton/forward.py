@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BiphotonError
 from .observables import fwhm, generation_rate
 from .params import SystemParams
 from .units import tau_to_ns
@@ -54,8 +55,17 @@ def predict(params: SystemParams,
 
 def detuning_sweep(params: SystemParams, delta_c_values,
                    grid_hint: DetuningGrid | None = None,
-                   oversample: int = 2) -> list[ModelPrediction]:
-    """Forward model across coupling detunings (units of Gamma), in order."""
-    return [predict(params.replace(delta_c=float(dc)), grid_hint=grid_hint,
-                    oversample=oversample)
-            for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float))]
+                   oversample: int = 2
+                   ) -> list[ModelPrediction | BiphotonError]:
+    """Forward model across coupling detunings (units of Gamma), in order.
+
+    A point whose pipeline fails yields its BiphotonError in its place.
+    """
+    results = []
+    for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float)):
+        try:
+            results.append(predict(params.replace(delta_c=float(dc)),
+                                   grid_hint=grid_hint, oversample=oversample))
+        except BiphotonError as exc:
+            results.append(exc)
+    return results

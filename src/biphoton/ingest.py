@@ -1,12 +1,13 @@
-"""Coincidence-histogram loading, normalization, and rate extraction.
+"""Input files, histogram normalization, and rate extraction.
 
-File format: a histogram CSV with header ``tau_ns,counts`` (one row per
-bin, LF endings, '.' decimal separator) plus a sidecar metadata file with
-the same basename and a ``.meta`` suffix holding line-oriented
-``key = value`` pairs.  Required metadata keys: bin_width_ns,
-accumulation_s, singles_signal_per_s, singles_probe_per_s, d_s, d_p,
-fiber_factor, saturation_corrected.  All numbers are decimal text; no
-binary formats, so data files stay auditable.
+Every input file is UTF-8 text read by :func:`read_lines`.  A histogram
+is a CSV with header ``tau_ns,counts`` (one row per bin, '.' decimal
+separator) plus a sidecar metadata file with the same basename and a
+``.meta`` suffix holding line-oriented ``key = value`` pairs.  Required
+metadata keys: bin_width_ns, accumulation_s, singles_signal_per_s,
+singles_probe_per_s, d_s, d_p, fiber_factor, saturation_corrected.  A
+detuning series is a CSV with header :data:`SERIES_HEADER`.  All numbers
+are decimal text; no binary formats, so data files stay auditable.
 """
 
 import math
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ParseError
+from .fitting import DetuningSeries
 from .observables import DetectionChain
 
 REQUIRED_META_KEYS = (
@@ -31,6 +33,11 @@ DEFAULT_BACKGROUND_FRACTION = 0.25
 MIN_BACKGROUND_BINS = 50
 # support threshold: g2 > 1 + SUPPORT_NSIGMA * (relative background error)
 SUPPORT_NSIGMA = 3.0
+# a peak must clear sqrt(2 ln n_bins) standard errors, about the largest
+# noise excess of a flat histogram, by this many more; flat 600-131072-bin
+# histograms at 1-60 counts per bin reached 7.2 at most (600 seeds each)
+PEAK_MARGIN_NSIGMA = 4.0
+SERIES_HEADER = "delta_c_ghz,rg,rg_err,tau_w_ns,tau_w_err"
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,66 @@ class BackgroundEstimate:
     n_bins: int
 
 
+def read_lines(path: Path, error) -> list[str]:
+    """Lines of the UTF-8 text file ``path``.
+
+    A missing file raises ``error(str(path), True)``; an unreadable one (a
+    directory, no permission, not UTF-8) ``error("<path>: <why>", False)``.
+    """
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise error(str(path), True) from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}", False) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}", False) from None
+
+
+def _read_data(path: Path, what: str, missing_code=None) -> list[str]:
+    """read_lines for a data file: its failures are ParseErrors."""
+    return read_lines(path, lambda detail, missing: ParseError(
+        f"{what} not found" if missing else f"cannot read {what}", detail,
+        missing_code if missing else "DATA_UNREADABLE"))
+
+
+def _parse_table(lines, header: str, name: str) -> np.ndarray:
+    """Numeric CSV rows under an exact ``header`` line, as an (n, k) array.
+
+    Blank lines are skipped.  A row with the wrong field count, a bad
+    number or a non-finite value raises ParseError naming ``name:line``.
+    """
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected header '{header}'", context=f"{name}:1")
+    width = header.count(",") + 1
+    values = []
+    append = values.append
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError
+            for v in parts:
+                append(float(v))
+        except ValueError:
+            raise ParseError(f"row {line!r} is not {width} numbers",
+                             context=f"{name}:{lineno}") from None
+    table = np.array(values).reshape(-1, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        # the first row with this text is the first non-finite row
+        row = [line for line in lines[1:] if line.strip()][np.argmin(finite)]
+        raise ParseError(f"non-finite value in row {row!r}",
+                         context=f"{name}:{lines.index(row, 1) + 1}")
+    return table
+
+
 def _parse_meta(path: Path) -> dict:
     meta = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    lines = _read_data(path, "sidecar metadata file")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -116,33 +180,12 @@ def meta_path_for(path) -> Path:
 def load_histogram(path) -> CoincidenceHistogram:
     """Load a histogram CSV and its ``.meta`` sidecar, fully validated."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError("histogram file not found", context=str(path))
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "tau_ns,counts":
-        raise ParseError("histogram must start with header 'tau_ns,counts'",
-                         context=f"{path.name}:1")
-    taus, counts = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError("expected two comma-separated fields",
-                             context=f"{path.name}:{lineno}")
-        try:
-            taus.append(float(parts[0]))
-            counts.append(float(parts[1]))
-        except ValueError:
-            raise ParseError(f"bad number in row {line!r}",
-                             context=f"{path.name}:{lineno}") from None
-    if not taus:
+    table = _parse_table(_read_data(path, "histogram file"), "tau_ns,counts",
+                         path.name)
+    if not table.size:
         raise ParseError("histogram has no data rows", context=path.name)
 
     meta_file = meta_path_for(path)
-    if not meta_file.exists():
-        raise ParseError("missing sidecar metadata file",
-                         context=str(meta_file))
     meta = _parse_meta(meta_file)
 
     def num(key):
@@ -152,14 +195,14 @@ def load_histogram(path) -> CoincidenceHistogram:
             raise ParseError(f"metadata key {key} is not a number",
                              context=meta_file.name) from None
 
-    counts_arr = np.asarray(counts)
-    if np.any(counts_arr < 0) or np.any(counts_arr != np.floor(counts_arr)):
+    counts = table[:, 1]
+    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise ParseError("counts must be non-negative integers",
                          context=path.name)
     try:
         return CoincidenceHistogram(
-            bin_start=np.asarray(taus, dtype=float),
-            counts=counts_arr.astype(np.int64),
+            bin_start=table[:, 0].copy(),
+            counts=counts.astype(np.int64),
             bin_width=num("bin_width_ns"),
             accumulation=num("accumulation_s"),
             singles_signal=num("singles_signal_per_s"),
@@ -169,6 +212,24 @@ def load_histogram(path) -> CoincidenceHistogram:
             saturation_corrected=_parse_bool(meta["saturation_corrected"],
                                              meta_file.name),
         )
+    except ParameterError as exc:
+        raise ParseError(str(exc), context=path.name) from exc
+
+
+def load_series(path, fixed) -> DetuningSeries:
+    """Load a measured (R_g, tau_w) vs detuning series CSV.
+
+    ``fixed`` holds the parameters the fit does not vary.  Fewer than 4
+    rows is a usage error (SERIES_TOO_SHORT), any other fault a ParseError.
+    """
+    path = Path(path)
+    table = _parse_table(_read_data(path, "series file", "DATA_NOT_FOUND"),
+                         SERIES_HEADER, path.name)
+    if table.shape[0] < 4:
+        raise ParameterError(f"need >= 4 points, got {table.shape[0]}",
+                             code="SERIES_TOO_SHORT")
+    try:
+        return DetuningSeries(*table.T, fixed=fixed, label=path.stem)
     except ParameterError as exc:
         raise ParseError(str(exc), context=path.name) from exc
 
@@ -197,30 +258,37 @@ def _smoothed(values, width=SMOOTH_BINS):
     return np.convolve(np.asarray(values, dtype=float), kernel, mode="same")
 
 
+def region_above(values, start: int, threshold) -> tuple[int, int]:
+    """Inclusive index range around ``start`` where ``values`` stay above
+    ``threshold``."""
+    lo = start
+    while lo > 0 and values[lo - 1] > threshold:
+        lo -= 1
+    hi = start
+    while hi < len(values) - 1 and values[hi + 1] > threshold:
+        hi += 1
+    return lo, hi
+
+
 def _peak_region(counts):
     """Contiguous bin range around a significant smoothed peak, or None.
 
     A peak counts as significant when the smoothed maximum clears the
-    median by 5 standard errors of the smoothed flat-background estimate;
-    the region extends while the smoothed excess stays above 20% of the
-    peak excess.  Invented heuristic, documented here and configurable
-    only through the background window choice.
+    median by sqrt(2 ln n_bins) + PEAK_MARGIN_NSIGMA standard errors of
+    the smoothed flat-background estimate (the first term grows with the
+    bins noise can peak in); the region extends while the smoothed excess
+    stays above 20% of the peak excess.  Invented heuristic, documented
+    here and configurable only through the background window choice.
     """
     smooth = _smoothed(counts)
     median = float(np.median(smooth))
     peak_idx = int(np.argmax(smooth))
     excess = smooth[peak_idx] - median
     sigma = math.sqrt(max(median, 1.0) / SMOOTH_BINS)
-    if excess <= 5.0 * sigma:
+    nsigma = math.sqrt(2.0 * math.log(smooth.size)) + PEAK_MARGIN_NSIGMA
+    if excess <= nsigma * sigma:
         return None
-    thresh = median + 0.2 * excess
-    lo = peak_idx
-    while lo > 0 and smooth[lo - 1] > thresh:
-        lo -= 1
-    hi = peak_idx
-    while hi < smooth.size - 1 and smooth[hi + 1] > thresh:
-        hi += 1
-    return lo, hi
+    return region_above(smooth, peak_idx, median + 0.2 * excess)
 
 
 def default_background_window(h: CoincidenceHistogram) -> tuple[float, float]:
@@ -298,12 +366,7 @@ def detected_pair_rate(h: CoincidenceHistogram,
     peak_idx = int(np.argmax(smooth))
     if smooth[peak_idx] <= threshold:
         return PairRateResult(rate=0.0, support=None, threshold=threshold)
-    lo = peak_idx
-    while lo > 0 and smooth[lo - 1] > threshold:
-        lo -= 1
-    hi = peak_idx
-    while hi < smooth.size - 1 and smooth[hi + 1] > threshold:
-        hi += 1
+    lo, hi = region_above(smooth, peak_idx, threshold)
     excess = h.counts[lo:hi + 1].astype(float) - background.mean
     rate = float(np.sum(excess)) / h.accumulation
     return PairRateResult(rate=rate, support=(lo, hi), threshold=threshold)

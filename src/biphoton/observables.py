@@ -37,39 +37,6 @@ class DetectionChain:
             raise ParameterError("fiber_factor must be >= 1")
 
 
-@dataclass(frozen=True)
-class BiphotonObservables:
-    """Bundle of the per-setting figures of merit.
-
-    tau_w is in ns, delta_omega in units of Gamma (angular); r_g and sb are
-    absolute only when ``calibrated`` is set, otherwise arbitrary units.
-    """
-
-    r_g: float
-    tau_w: float
-    delta_omega: float
-    sbr: float | None = None
-    h_p: float | None = None
-    sb: float | None = None
-    calibrated: bool = False
-
-    def __post_init__(self):
-        if not self.tau_w > 0:
-            raise ParameterError("tau_w must be positive")
-        if not self.delta_omega > 0:
-            raise ParameterError("delta_omega must be positive")
-        if self.h_p is not None and not 0.0 <= self.h_p <= 1.0:
-            raise ParameterError("h_p must lie in [0, 1]")
-        if self.sb is not None:
-            expect = spectral_brightness(self.r_g, self.delta_omega)
-            if not np.isclose(self.sb, expect, rtol=1e-12, atol=0.0):
-                raise ParameterError("sb inconsistent with r_g/delta_omega")
-
-    @property
-    def delta_omega_mhz(self) -> float:
-        return gamma_to_mhz(self.delta_omega)
-
-
 def fwhm(x, y) -> float:
     """Full width at half maximum of a sampled non-negative curve.
 

@@ -8,11 +8,13 @@ check that its output files come out byte-identical.
 import numpy as np
 import pytest
 
-import biphoton.cli
+import biphoton.forward
 from biphoton.cli import main
-from biphoton.errors import ParameterError
+from biphoton.config import ConfigError
+from biphoton.errors import BiphotonError, ParameterError
 from biphoton.fitting import Theta, synthesize_series
-from biphoton.ingest import make_synthetic_histogram, save_histogram
+from biphoton.ingest import (SERIES_HEADER, make_synthetic_histogram,
+                             save_histogram)
 from biphoton.observables import DetectionChain
 from biphoton.units import ghz_to_gamma
 
@@ -193,17 +195,159 @@ class TestExitStatus:
         assert "--quadrature" in capsys.readouterr().err
 
 
+def write_series(tmp_path, rows, header=SERIES_HEADER):
+    path = tmp_path / "s.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return write_config(tmp_path, f"fit.series = {path}\n", name="fit.cfg")
+
+
+SERIES_ROWS = ["0.2,1.0,0.1,60.0,1.0", "0.6,1.1,0.1,62.0,1.0",
+               "1.0,1.2,0.1,64.0,1.0", "2.2,1.3,0.1,66.0,1.0"]
+
+
+def _probe_out_is_file(tmp_path):
+    (tmp_path / "afile").write_text("x\n")
+    return ["simulate", "--config", write_config(tmp_path, SYSTEM_15MW),
+            "--out", tmp_path / "afile"]
+
+
+def _probe_out_under_file(tmp_path):
+    (tmp_path / "afile").write_text("x\n")
+    return ["simulate", "--config", write_config(tmp_path, SYSTEM_15MW),
+            "--out", tmp_path / "afile" / "sub"]
+
+
+def _probe_output_file_is_directory(tmp_path):
+    (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, SYSTEM_15MW + "sweep.delta_c_ghz = 0.5, 1\n")
+    return ["sweep", "--config", cfg, "--out", tmp_path / "out"]
+
+
+def _probe_histogram_is_directory(tmp_path):
+    (tmp_path / "hist.csv").mkdir()
+    return ["analyze", tmp_path / "hist.csv", "--out", tmp_path / "out"]
+
+
+def _probe_histogram_missing(tmp_path):
+    return ["analyze", tmp_path / "absent.csv", "--out", tmp_path / "out"]
+
+
+def _probe_histogram_not_utf8(tmp_path):
+    (tmp_path / "hist.csv").write_bytes(b"tau_ns,counts\n0.0,5\xff\n")
+    return ["analyze", tmp_path / "hist.csv", "--out", tmp_path / "out"]
+
+
+def _probe_config_is_directory(tmp_path):
+    (tmp_path / "run.cfg").mkdir()
+    return ["simulate", "--config", tmp_path / "run.cfg", "--out", tmp_path]
+
+
+def _probe_config_missing(tmp_path):
+    return ["simulate", "--config", tmp_path / "absent.cfg",
+            "--out", tmp_path]
+
+
+def _probe_config_not_utf8(tmp_path):
+    (tmp_path / "run.cfg").write_bytes(b"system.b = 0.3\xe9\n")
+    return ["simulate", "--config", tmp_path / "run.cfg", "--out", tmp_path]
+
+
+def _probe_series_is_directory(tmp_path):
+    (tmp_path / "s.csv").mkdir()
+    cfg = write_config(tmp_path, f"fit.series = {tmp_path / 's.csv'}\n")
+    return ["fit", "--config", cfg, "--out", tmp_path / "out"]
+
+
+def _probe_series_missing(tmp_path):
+    cfg = write_config(tmp_path, f"fit.series = {tmp_path / 's.csv'}\n")
+    return ["fit", "--config", cfg, "--out", tmp_path / "out"]
+
+
+def _probe_series(*rows, header=SERIES_HEADER):
+    def build(tmp_path):
+        return ["fit", "--config", write_series(tmp_path, rows, header),
+                "--out", tmp_path / "out"]
+    return build
+
+
+# (input, exit status, error code, text the error line must contain)
+PROBES = [
+    pytest.param(_probe_out_is_file, 2, "OUTPUT_UNWRITABLE", "afile",
+                 id="out_is_file"),
+    pytest.param(_probe_out_under_file, 2, "OUTPUT_UNWRITABLE", "sub",
+                 id="out_under_file"),
+    pytest.param(_probe_output_file_is_directory, 2, "OUTPUT_UNWRITABLE",
+                 "sweep.csv", id="output_file_is_directory"),
+    pytest.param(_probe_histogram_is_directory, 3, "DATA_UNREADABLE",
+                 "hist.csv", id="histogram_is_directory"),
+    pytest.param(_probe_histogram_missing, 3, "DATA_PARSE", "absent.csv",
+                 id="histogram_missing"),
+    pytest.param(_probe_histogram_not_utf8, 3, "DATA_UNREADABLE",
+                 "not UTF-8", id="histogram_not_utf8"),
+    pytest.param(_probe_config_is_directory, 2, "CONFIG_UNREADABLE",
+                 "run.cfg", id="config_is_directory"),
+    pytest.param(_probe_config_missing, 2, "CONFIG_NOT_FOUND", "absent.cfg",
+                 id="config_missing"),
+    pytest.param(_probe_config_not_utf8, 2, "CONFIG_UNREADABLE", "not UTF-8",
+                 id="config_not_utf8"),
+    pytest.param(_probe_series_is_directory, 3, "DATA_UNREADABLE", "s.csv",
+                 id="series_is_directory"),
+    pytest.param(_probe_series_missing, 3, "DATA_NOT_FOUND", "s.csv",
+                 id="series_missing"),
+    pytest.param(_probe_series(*SERIES_ROWS[:3], "2.2,1.3,nan,66.0,1.0"),
+                 3, "DATA_PARSE", "(s.csv:5)", id="series_nan_error_bar"),
+    pytest.param(_probe_series(*SERIES_ROWS[:2], "1.0,1.2,0.1,64.0",
+                               SERIES_ROWS[3]),
+                 3, "DATA_PARSE", "(s.csv:4)", id="series_four_fields"),
+    pytest.param(_probe_series(*SERIES_ROWS, header="delta_c,rg"), 3,
+                 "DATA_PARSE", "(s.csv:1)", id="series_bad_header"),
+    pytest.param(_probe_series(SERIES_HEADER, *SERIES_ROWS), 3,
+                 "DATA_PARSE", "(s.csv:2)", id="series_repeated_header"),
+    pytest.param(_probe_series(*SERIES_ROWS[:3]), 2, "SERIES_TOO_SHORT",
+                 "got 3", id="series_too_short"),
+    pytest.param(_probe_series(*SERIES_ROWS[:3], SERIES_ROWS[0]), 3,
+                 "DATA_PARSE", "distinct", id="series_repeated_detuning"),
+]
+
+
+class TestProbeInputs:
+    @pytest.mark.parametrize("build, status, code, text", PROBES)
+    def test_documented_status_and_one_error_line(self, tmp_path, capsys,
+                                                  build, status, code, text):
+        got, err = run(capsys, *build(tmp_path))
+        assert got == status
+        assert_one_error_line(err, code)
+        assert text in err[-1]
+
+
+def _error_classes():
+    seen, todo = [], [BiphotonError]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return seen
+
+
+def test_every_error_class_has_a_code_and_status():
+    classes = _error_classes()
+    assert ConfigError in classes
+    for cls in classes:
+        assert isinstance(cls.code, str) and cls.code.isupper(), cls
+        assert cls.status in (2, 3, 4), cls
+
+
 class TestSweepFailures:
     @pytest.fixture
     def failing_at_1ghz(self, monkeypatch):
-        real_predict = biphoton.cli.predict
+        real_predict = biphoton.forward.predict
 
         def install(exc):
             def predict(params, **kwargs):
                 if params.delta_c == ghz_to_gamma(1.0):
                     raise exc
                 return real_predict(params, **kwargs)
-            monkeypatch.setattr(biphoton.cli, "predict", predict)
+            monkeypatch.setattr(biphoton.forward, "predict", predict)
 
         return install
 
@@ -219,6 +363,15 @@ class TestSweepFailures:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert rows[2] == "1.0,ERROR,ERROR,ERROR"
         assert np.isfinite(float(rows[1].split(",")[1]))
+
+    def test_detuning_sweep_keeps_failures_in_place(self, failing_at_1ghz,
+                                                     params_15mw):
+        exc = ParameterError("no good")
+        failing_at_1ghz(exc)
+        results = biphoton.forward.detuning_sweep(
+            params_15mw, ghz_to_gamma(np.array([0.5, 1.0, 0.5])))
+        assert results[1] is exc
+        assert results[0].rg_arb == results[2].rg_arb > 0
 
     def test_programming_error_propagates(self, tmp_path, capsys,
                                           failing_at_1ghz):

@@ -45,6 +45,13 @@ class TestSeries:
                            rg=np.ones(4), rg_err=np.zeros(4),
                            tau_w_ns=np.ones(4), tau_w_err=np.ones(4))
 
+    def test_nan_error_bar(self):
+        with pytest.raises(ParameterError, match="error"):
+            DetuningSeries(delta_c_ghz=np.array([0.1, 0.5, 0.9, 1.0]),
+                           rg=np.ones(4), rg_err=np.ones(4),
+                           tau_w_ns=np.ones(4),
+                           tau_w_err=np.array([1.0, 1.0, np.nan, 1.0]))
+
 
 class TestSynthesize:
     def test_noiseless_is_exact_forward_model(self, clean_series):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from biphoton.errors import ParameterError, ParseError
-from biphoton.ingest import (CoincidenceHistogram, detected_pair_rate,
-                             estimate_background, load_histogram,
+from biphoton.ingest import (SERIES_HEADER, CoincidenceHistogram,
+                             detected_pair_rate, estimate_background,
+                             load_histogram, load_series,
                              make_synthetic_histogram, save_histogram, to_g2)
 from biphoton.observables import (DetectionChain, detected_to_generated,
                                   sbr_from_g2)
+from biphoton.params import SystemParams
 
 CHAIN = DetectionChain(d_s=0.13, d_p=0.094, fiber_factor=1.9)
 
@@ -92,6 +94,59 @@ class TestLoad:
             p2.with_suffix(".meta").read_bytes()
 
 
+def write_series(tmp_path, rows, header=SERIES_HEADER):
+    path = tmp_path / "s.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+SERIES_ROWS = ["0.2,1.0,0.1,60.0,1.0", "0.6,1.1,0.1,62.0,1.0",
+               "1.0,1.2,0.1,64.0,1.0", "2.2,1.3,0.1,66.0,1.0"]
+
+
+class TestLoadSeries:
+    def test_columns_fixed_and_label(self, tmp_path):
+        fixed = SystemParams(alpha=300.0)
+        series = load_series(write_series(tmp_path, SERIES_ROWS), fixed)
+        assert series.delta_c_ghz.tolist() == [0.2, 0.6, 1.0, 2.2]
+        assert series.tau_w_err.tolist() == [1.0] * 4
+        assert series.fixed is fixed
+        assert series.label == "s"
+
+    @pytest.mark.parametrize("bad_row", ["1.0,1.2,0.1,64.0",
+                                         "1.0,1.2,0.1,64.0,1.0,7",
+                                         "1.0,1.2,0.1,sixty,1.0",
+                                         "1.0,1.2,nan,64.0,1.0",
+                                         "1.0,inf,0.1,64.0,1.0"])
+    def test_bad_row_names_its_line(self, tmp_path, bad_row):
+        rows = SERIES_ROWS[:2] + [bad_row] + SERIES_ROWS[3:]
+        with pytest.raises(ParseError, match=r"\(s\.csv:4\)") as excinfo:
+            load_series(write_series(tmp_path, rows), SystemParams())
+        assert (excinfo.value.code, excinfo.value.status) == ("DATA_PARSE", 3)
+
+    def test_header_checked(self, tmp_path):
+        path = write_series(tmp_path, SERIES_ROWS, header="a,b,c,d,e")
+        with pytest.raises(ParseError, match=r"s\.csv:1"):
+            load_series(path, SystemParams())
+
+    def test_too_short_is_a_usage_error(self, tmp_path):
+        with pytest.raises(ParameterError) as excinfo:
+            load_series(write_series(tmp_path, SERIES_ROWS[:3]),
+                        SystemParams())
+        assert (excinfo.value.code, excinfo.value.status) == (
+            "SERIES_TOO_SHORT", 2)
+
+    def test_repeated_detuning_is_a_parse_error(self, tmp_path):
+        rows = SERIES_ROWS[:3] + [SERIES_ROWS[0]]
+        with pytest.raises(ParseError, match="distinct"):
+            load_series(write_series(tmp_path, rows), SystemParams())
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError) as excinfo:
+            load_series(tmp_path / "absent.csv", SystemParams())
+        assert excinfo.value.code == "DATA_NOT_FOUND"
+
+
 class TestBackground:
     def test_constant_histogram_any_window(self):
         h = flat_histogram(level=20)
@@ -109,6 +164,14 @@ class TestBackground:
             chain=CHAIN, saturation_corrected=True)
         est = estimate_background(h)
         assert abs(est.mean - 20.0) <= 3.0 * max(est.stderr, 1e-9)
+
+    def test_long_flat_histogram_has_no_false_peak(self):
+        # the largest noise excess of this seed sits 5.4 standard errors
+        # above the median, past a fixed 5-sigma significance threshold
+        h = make_synthetic_histogram(0.0, 10.0, DetectionChain(),
+                                     n_bins=32768, seed=19)
+        est = estimate_background(h)
+        assert abs(est.mean - 10.0) <= 3.0 * est.stderr
 
     def test_window_overlapping_peak_rejected(self):
         h = make_synthetic_histogram(2e5, 20.0, CHAIN, seed=5,

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from biphoton.errors import (ExtractionError, InconsistentRatesError,
                              ParameterError)
 from biphoton.forward import detuning_sweep, predict
-from biphoton.observables import (BiphotonObservables, DetectionChain,
-                                  detected_to_generated, fwhm,
-                                  generation_rate, heralding_probability,
-                                  sbr_from_g2, spectral_brightness)
+from biphoton.observables import (DetectionChain, detected_to_generated,
+                                  fwhm, generation_rate,
+                                  heralding_probability, sbr_from_g2,
+                                  spectral_brightness)
 from biphoton.units import ghz_to_gamma, mhz_to_gamma
 from biphoton.wavepacket import sample_spectral_amplitude, wave_packet
 
@@ -147,21 +147,6 @@ class TestSpectralBrightness:
 
     def test_zero_rate(self):
         assert spectral_brightness(0.0, mhz_to_gamma(1.0)) == 0.0
-
-
-class TestObservablesRecord:
-    def test_sb_consistency_enforced(self):
-        with pytest.raises(ParameterError, match="sb"):
-            BiphotonObservables(r_g=100.0, tau_w=60.0,
-                                delta_omega=mhz_to_gamma(2.0), sb=123.0)
-
-    def test_valid_record(self):
-        obs = BiphotonObservables(
-            r_g=6.42e5, tau_w=132.0, delta_omega=mhz_to_gamma(1.83),
-            sbr=6.8, h_p=0.799,
-            sb=spectral_brightness(6.42e5, mhz_to_gamma(1.83)),
-            calibrated=True)
-        assert obs.delta_omega_mhz == pytest.approx(1.83)
 
 
 GHZ_GRID_COARSE = np.arange(0.1, 3.05, 0.29)
