@@ -7,8 +7,11 @@ status 0 means success or a partial sweep.  Any package error prints one
 machine-readable line ``error: CODE detail`` to stderr and exits with the
 status its class carries: 2 for usage, config and output (CONFIG_*,
 SERIES_TOO_SHORT, UNCORRECTED_RATES, OUTPUT_UNWRITABLE), 3 for data
-(DATA_PARSE, DATA_NOT_FOUND, DATA_UNREADABLE, INCONSISTENT_RATES), 4 for
-numerical failures (NUMERICAL, SWEEP_ALL_POINTS_FAILED).
+(DATA_PARSE, DATA_NOT_FOUND, DATA_UNREADABLE, DATA_BAD_VALUE,
+INCONSISTENT_RATES), 4 for numerical failures (NUMERICAL,
+SWEEP_ALL_POINTS_FAILED).  A background window set in the config that
+``analyze`` cannot use is CONFIG_BAD_VALUE; the default window failing on
+the histogram is DATA_BAD_VALUE.
 """
 
 import argparse

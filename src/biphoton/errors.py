@@ -25,6 +25,17 @@ class ParameterError(BiphotonError):
     status = 2
 
 
+class DataValueError(ParameterError):
+    """A value the package derived from the input data is unusable.
+
+    The same check refuses a value the user set as a ParameterError; when
+    the package chose the value itself, the fault lies in the data.
+    """
+
+    code = "DATA_BAD_VALUE"
+    status = 3
+
+
 class ConvergenceError(BiphotonError):
     """Adaptive quadrature exhausted its panel budget.
 

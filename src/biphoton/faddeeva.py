@@ -8,6 +8,14 @@ The Faddeeva function w(z) = exp(-z^2) erfc(-iz) is evaluated in-repo:
   depth 13;
 * lower half-plane: the reflection w(z) = 2 exp(-z^2) - w(-z).
 
+The rational's polynomial is summed by Horner's rule in the operation
+order of numpy's polyval, so values are bit-identical to it, but with the
+running product taken out of place (``p = p * zz``): numpy's in-place
+complex multiply rounds differently for 1-element arrays, and a scalar
+w(z) must equal the same point evaluated inside an array.  A branch that
+covers every point of an array is applied to it whole, without a gather
+and scatter; every pole of the kernels lies in one half-plane.
+
 Both upper-half-plane branches were checked against 30-digit arbitrary
 precision references on a dense grid; the worst relative error of the
 complex value is ~3e-13 (near z = 5.75), far inside the 1e-10 budget the
@@ -59,9 +67,14 @@ _L, _COEFFS = _weideman_coefficients(_WEIDEMAN_N)
 
 def _w_rational(z):
     iz = 1j * z
-    zz = (_L + iz) / (_L - iz)
-    p = np.polyval(_COEFFS, zz)
-    return 2.0 * p / (_L - iz) ** 2 + (1.0 / SQRT_PI) / (_L - iz)
+    den = _L - iz
+    zz = (_L + iz) / den
+    # Horner's rule, out of place (see the module docstring)
+    p = np.full_like(zz, _COEFFS[0])
+    for c in _COEFFS[1:]:
+        p = p * zz
+        p += c
+    return 2.0 * p / den ** 2 + (1.0 / SQRT_PI) / den
 
 
 def _w_continued_fraction(z):
@@ -71,19 +84,31 @@ def _w_continued_fraction(z):
     return (1j / SQRT_PI) / f
 
 
-def _w_upper(z):
+def split_apply(z, mask, f_in, f_out):
+    """f_in(z) where ``mask`` holds and f_out(z) elsewhere, for a 1-d array.
+
+    When one branch covers every point it is applied to ``z`` whole,
+    without the gather and scatter.
+    """
+    if mask.all():
+        return f_in(z)
+    if not mask.any():
+        return f_out(z)
     out = np.empty_like(z)
-    r2 = z.real**2 + z.imag**2
-    huge = r2 > _HUGE_RADIUS**2
-    big = (r2 >= _CF_RADIUS**2) & ~huge
-    small = ~big & ~huge
-    if np.any(small):
-        out[small] = _w_rational(z[small])
-    if np.any(big):
-        out[big] = _w_continued_fraction(z[big])
-    if np.any(huge):
-        out[huge] = (1j / SQRT_PI) / z[huge]
+    out[mask] = f_in(z[mask])
+    out[~mask] = f_out(z[~mask])
     return out
+
+
+def _w_far(z):
+    r2 = z.real**2 + z.imag**2
+    return split_apply(z, r2 > _HUGE_RADIUS**2,
+                       lambda zh: (1j / SQRT_PI) / zh, _w_continued_fraction)
+
+
+def _w_upper(z):
+    r2 = z.real**2 + z.imag**2
+    return split_apply(z, ~(r2 >= _CF_RADIUS**2), _w_rational, _w_far)
 
 
 def faddeeva_w(z):
@@ -97,13 +122,8 @@ def faddeeva_w(z):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    lower = z.imag < 0.0
-    if np.any(~lower):
-        out[~lower] = _w_upper(z[~lower])
-    if np.any(lower):
-        zl = z[lower]
-        out[lower] = 2.0 * np.exp(-zl**2) - _w_upper(-zl)
+    out = split_apply(z, ~(z.imag < 0.0), _w_upper,
+                      lambda zl: 2.0 * np.exp(-zl**2) - _w_upper(-zl))
     return out[0] if scalar else out
 
 
@@ -124,12 +144,9 @@ def gaussian_pole_integral(zeta):
     zeta = np.atleast_1d(zeta)
     if np.any(zeta.imag == 0.0):
         raise ValueError("gaussian_pole_integral requires Im(zeta) != 0")
-    out = np.empty_like(zeta)
-    up = zeta.imag > 0.0
-    if np.any(up):
-        out[up] = 1j * SQRT_PI * _w_upper(zeta[up])
-    if np.any(~up):
-        out[~up] = -1j * SQRT_PI * _w_upper(-zeta[~up])
+    out = split_apply(zeta, zeta.imag > 0.0,
+                      lambda zu: 1j * SQRT_PI * _w_upper(zu),
+                      lambda zl: -1j * SQRT_PI * _w_upper(-zl))
     return out[0] if scalar else out
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import DataValueError, ParameterError, ParseError
 from .fitting import DetuningSeries
 from .observables import DetectionChain
 
@@ -298,6 +298,14 @@ def default_background_window(h: CoincidenceHistogram) -> tuple[float, float]:
     return (t1 - (t1 - t0) * DEFAULT_BACKGROUND_FRACTION, t1 + h.bin_width)
 
 
+def _background_refusal(detail, defaulted):
+    if not defaulted:
+        return ParameterError(detail)
+    return DataValueError(
+        f"default {detail}; set analyze.background_lo_ns and "
+        "analyze.background_hi_ns to a peak-free window")
+
+
 def estimate_background(h: CoincidenceHistogram,
                         window: tuple[float, float] | None = None
                         ) -> BackgroundEstimate:
@@ -305,29 +313,34 @@ def estimate_background(h: CoincidenceHistogram,
 
     ``window`` is a (tau_lo, tau_hi) interval in ns selecting bins by
     their start time; it defaults to the trailing quarter of the range.
-    The window must hold at least 50 bins and must not overlap the
-    auto-detected wave-packet peak.
+    The window must hold at least 50 bins, must not overlap the
+    auto-detected wave-packet peak and must have a positive mean.  A
+    window given here that fails is a ParameterError; the default window
+    failing is a fault of the data, a DataValueError.
     """
-    if window is None:
+    defaulted = window is None
+    if defaulted:
         window = default_background_window(h)
     lo, hi = window
     mask = (h.bin_start >= lo) & (h.bin_start < hi)
     n = int(np.count_nonzero(mask))
     if n < MIN_BACKGROUND_BINS:
-        raise ParameterError(
-            f"background window holds {n} bins; need >= {MIN_BACKGROUND_BINS}")
+        raise _background_refusal(
+            f"background window holds {n} bins; need >= {MIN_BACKGROUND_BINS}",
+            defaulted)
     region = _peak_region(h.counts)
     if region is not None:
         sel = np.flatnonzero(mask)
         if sel.min() <= region[1] and sel.max() >= region[0]:
-            raise ParameterError(
+            raise _background_refusal(
                 "background window overlaps the detected wave packet "
-                f"(bins {region[0]}..{region[1]})")
+                f"(bins {region[0]}..{region[1]})", defaulted)
     vals = h.counts[mask].astype(float)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     if mean <= 0:
-        raise ParameterError("background mean must be positive")
+        raise _background_refusal("background window mean must be positive",
+                                  defaulted)
     return BackgroundEstimate(mean=mean, stderr=stderr, n_bins=n)
 
 

@@ -8,9 +8,12 @@ The spectral amplitude at two-photon detuning delta is
 and the two-photon correlation function is the squared continuous Fourier
 transform G2(tau) = | (1/2pi) Integral[ A(delta) exp(-i delta tau) ] |^2.
 
-The transform is a trapezoid-weighted DFT with an explicit
-exp(-i delta_min tau) phase factor, not a bare FFT, so the tau = 0 origin
-and the 1/2pi normalization are exact for the sampled amplitude.
+The transform is a trapezoid-weighted, zero-padded DFT scaled by
+d_delta/2pi, so the 1/2pi normalization is exact for the sampled
+amplitude.  Starting the sum at delta_min instead of 0 multiplies G(tau)
+by the unit-modulus factor exp(-i delta_min tau); only |G|^2 is formed,
+so that factor is never applied, and fftshift puts tau in increasing
+order.
 """
 
 import math
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
-from .kernels import (complex_sinc, etalon_response, kappa_bar, rho_c_bar,
-                      rho_m_bar)
+from .kernels import complex_sinc, doppler_responses, etalon_response
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
@@ -98,8 +100,7 @@ class SpectralAmplitude:
 
 def amplitude_at(delta, params: SystemParams):
     """The integrand A(delta) itself, at scalar or array detunings."""
-    rho = rho_c_bar(delta, params) + rho_m_bar(delta, params)
-    kap = kappa_bar(delta, params)
+    rho, kap = doppler_responses(delta, params)
     return (kap * complex_sinc(rho) * np.exp(1j * rho)
             * etalon_response(delta, params.gamma_etalon))
 
@@ -154,25 +155,16 @@ def wave_packet(sa: SpectralAmplitude, oversample: int = 2) -> WavePacket:
     if oversample < 1 or (oversample & (oversample - 1)) != 0:
         raise ParameterError("oversample must be a power of two >= 1")
     grid = sa.grid
-    delta = grid.values
     d_delta = grid.spacing
-    n = grid.n_points
-    m = n * oversample
+    m = grid.n_points * oversample
 
-    weighted = sa.amplitude.astype(complex).copy()
+    weighted = sa.amplitude.astype(complex)
     weighted[0] *= 0.5
     weighted[-1] *= 0.5
-    padded = np.zeros(m, dtype=complex)
-    padded[:n] = weighted
-
-    raw = np.fft.fft(padded)
-    # tau_k = 2 pi k/(M d_delta), wrapped to +-half period; the DFT kernel
-    # exp(-i j d_delta tau_k) is unchanged by the wrap, the phase factor
-    # below is not and must use the physical tau
-    tau = 2.0 * np.pi * np.fft.fftfreq(m, d=d_delta)
-    g = (d_delta / (2.0 * np.pi)) * np.exp(-1j * grid.delta_min * tau) * raw
-    order = np.argsort(tau, kind="stable")
-    return WavePacket(tau[order], np.abs(g[order]) ** 2, sa.params)
+    # tau_k = 2 pi k/(M d_delta) for k = -M/2 .. M/2 - 1
+    tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=d_delta))
+    g = (d_delta / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(weighted, n=m))
+    return WavePacket(tau, np.abs(g) ** 2, sa.params)
 
 
 def biphoton_spectrum(sa: SpectralAmplitude) -> np.ndarray:

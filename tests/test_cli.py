@@ -270,6 +270,23 @@ def _probe_series(*rows, header=SERIES_HEADER):
     return build
 
 
+def _probe_background(config="", pair_rate=2e5, background=20.0, **kwargs):
+    # a synthetic histogram whose background window analyze cannot use
+    def build(tmp_path):
+        hist = make_synthetic_histogram(
+            pair_rate, background, DetectionChain(), seed=3,
+            singles_signal=8e5, singles_probe=1e6, **kwargs)
+        save_histogram(hist, tmp_path / "hist.csv")
+        argv = ["analyze", tmp_path / "hist.csv", "--out", tmp_path / "out"]
+        if config:
+            argv += ["--config", write_config(tmp_path, config)]
+        return argv
+    return build
+
+
+USER_WINDOW = ("analyze.background_lo_ns = 1100.0\n"
+               "analyze.background_hi_ns = 1300.0\n")
+
 # (input, exit status, error code, text the error line must contain)
 PROBES = [
     pytest.param(_probe_out_is_file, 2, "OUTPUT_UNWRITABLE", "afile",
@@ -307,6 +324,19 @@ PROBES = [
                  "got 3", id="series_too_short"),
     pytest.param(_probe_series(*SERIES_ROWS[:3], SERIES_ROWS[0]), 3,
                  "DATA_PARSE", "distinct", id="series_repeated_detuning"),
+    pytest.param(_probe_background(n_bins=2048, tau_peak_ns=1200.0), 3,
+                 "DATA_BAD_VALUE", "overlaps the detected wave packet",
+                 id="default_background_window_overlaps_peak"),
+    pytest.param(_probe_background(n_bins=150), 3, "DATA_BAD_VALUE",
+                 "need >= 50", id="default_background_window_too_short"),
+    pytest.param(_probe_background(background=0.0, tau_peak_ns=100.0,
+                                   noiseless=True),
+                 3, "DATA_BAD_VALUE", "mean must be positive",
+                 id="default_background_window_empty"),
+    pytest.param(_probe_background(USER_WINDOW, n_bins=2048,
+                                   tau_peak_ns=1200.0),
+                 2, "CONFIG_BAD_VALUE", "overlaps the detected wave packet",
+                 id="set_background_window_overlaps_peak"),
 ]
 
 
@@ -318,6 +348,10 @@ class TestProbeInputs:
         assert got == status
         assert_one_error_line(err, code)
         assert text in err[-1]
+        # the remedy for an unusable default background window
+        remedy = code == "DATA_BAD_VALUE"
+        assert ("set analyze.background_lo_ns and analyze.background_hi_ns"
+                in err[-1]) == remedy
 
 
 def _error_classes():

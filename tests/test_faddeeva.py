@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.faddeeva import (SQRT_PI, faddeeva_w, gaussian_pole_difference,
+from biphoton.faddeeva import (_COEFFS, _L, SQRT_PI, _w_rational, faddeeva_w,
+                               gaussian_pole_difference,
                                gaussian_pole_integral)
 
 
@@ -70,6 +71,16 @@ def test_vectorized_matches_scalar():
     vec = faddeeva_w(zs)
     for i, z in enumerate(zs):
         assert vec[i] == faddeeva_w(complex(z))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 65536])
+def test_horner_is_bit_identical_to_polyval(size):
+    rng = np.random.default_rng(size)
+    z = rng.uniform(-8.0, 8.0, size) + 1j * rng.uniform(0.0, 8.0, size)
+    iz = 1j * z
+    p = np.polyval(_COEFFS, (_L + iz) / (_L - iz))
+    want = 2.0 * p / (_L - iz) ** 2 + (1.0 / SQRT_PI) / (_L - iz)
+    assert np.array_equal(_w_rational(z), want)
 
 
 @settings(max_examples=60, deadline=None)

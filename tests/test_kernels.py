@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from biphoton import kernels as K
 from biphoton.errors import ConvergenceError, ParameterError
+from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
+from biphoton.wavepacket import auto_grid
 
 from conftest import rel_err
 
@@ -281,6 +283,47 @@ class TestMergedPoles:
         assert np.all(np.isfinite(vals))
         for d in (*roots, *(roots * (1.0 + 1e-9))):
             assert vals[np.searchsorted(deltas, d)] == K.kappa_bar(d, p)
+
+
+class TestDopplerResponses:
+    """The fused pass equals the public kernels bit for bit."""
+
+    @staticmethod
+    def assert_fused_equals_kernels(delta, p):
+        rho, kap = K.doppler_responses(delta, p)
+        want_rho = K.rho_c_bar(delta, p) + K.rho_m_bar(delta, p)
+        want_kap = K.kappa_bar(delta, p)
+        assert np.array_equal(rho, want_rho)
+        assert np.array_equal(kap, want_kap)
+        assert np.ndim(rho) == np.ndim(want_rho)
+
+    def test_random_params_on_their_auto_grids(self, random_valid_params):
+        for draw in random_valid_params(20):
+            dc = ghz_to_gamma(draw.pop("delta_c_ghz"))
+            p = SystemParams(delta_c=dc, **draw)
+            self.assert_fused_equals_kernels(auto_grid(p).values, p)
+
+    def test_degenerate_resonance(self, params_15mw):
+        p = params_15mw.replace(gamma_dec=0.0)
+        self.assert_fused_equals_kernels(0.0, p)
+        self.assert_fused_equals_kernels(np.array([-0.5, 0.0, 0.5]), p)
+
+    @pytest.mark.parametrize("off", ["omega_c", "omega_p"])
+    def test_field_off(self, params_15mw, off):
+        deltas = np.array([-3.0, 0.0, 0.25, 40.0])
+        for p in (params_15mw, params_15mw.replace(gamma_dec=0.0)):
+            self.assert_fused_equals_kernels(deltas, p.replace(**{off: 0.0}))
+            self.assert_fused_equals_kernels(0.0, p.replace(**{off: 0.0}))
+
+    @pytest.mark.parametrize("gamma_doppler", [54.0, 2.0])
+    def test_merged_pole_roots(self, params_15mw, gamma_doppler):
+        p = params_15mw.replace(gamma_dec=0.0, gamma_doppler=gamma_doppler)
+        roots = np.array(TestMergedPoles.roots(p))
+        deltas = np.concatenate([roots, roots * (1.0 + 1e-9),
+                                 roots * (1.0 - 1e-4)])
+        self.assert_fused_equals_kernels(deltas, p)
+        for d in deltas:
+            self.assert_fused_equals_kernels(float(d), p)
 
 
 def test_quadrature_spec_validation():

@@ -139,6 +139,30 @@ class TestWavePacket:
             narrow = predict(p.replace(gamma_etalon=p.gamma_etalon / 2.0))
             assert narrow.tau_w >= wide.tau_w
 
+    @pytest.mark.parametrize("oversample", [1, 2, 4])
+    def test_matches_the_phased_argsort_transform(self, params_15mw,
+                                                  oversample):
+        # reference: the DFT with the exp(-i delta_min tau) phase applied
+        # and tau sorted by argsort
+        sa = sample_spectral_amplitude(params_15mw.replace(
+            delta_c=ghz_to_gamma(1.0)))
+        grid = sa.grid
+        m = grid.n_points * oversample
+        padded = np.zeros(m, dtype=complex)
+        padded[:grid.n_points] = sa.amplitude
+        padded[0] *= 0.5
+        padded[grid.n_points - 1] *= 0.5
+        tau = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+        g = (grid.spacing / (2.0 * np.pi)) * np.exp(
+            -1j * grid.delta_min * tau) * np.fft.fft(padded)
+        order = np.argsort(tau, kind="stable")
+        want_g2 = np.abs(g[order]) ** 2
+
+        wp = wave_packet(sa, oversample=oversample)
+        assert np.array_equal(wp.tau, tau[order])
+        assert np.all(np.diff(wp.tau) > 0.0)
+        assert np.max(np.abs(wp.g2 - want_g2)) <= 1e-14 * np.max(want_g2)
+
     def test_full_pipeline_regressions(self, params_15mw):
         pr0 = predict(params_15mw)
         assert pr0.rg_arb == pytest.approx(RG_15MW_DC0, rel=1e-9)
