@@ -11,7 +11,8 @@ SERIES_TOO_SHORT, UNCORRECTED_RATES, OUTPUT_UNWRITABLE), 3 for data
 INCONSISTENT_RATES), 4 for numerical failures (NUMERICAL,
 SWEEP_ALL_POINTS_FAILED).  A background window set in the config that
 ``analyze`` cannot use is CONFIG_BAD_VALUE; the default window failing on
-the histogram is DATA_BAD_VALUE.
+the histogram is DATA_BAD_VALUE.  A key group set in part (``grid.*``,
+the background window, ``fit.init_*``) is CONFIG_BAD_VALUE.
 """
 
 import argparse
@@ -22,7 +23,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .errors import BiphotonError, ParameterError
-from .fitting import FitOptions, Theta, fit_series, format_fit_report
+from .fitting import (PARAM_NAMES, FitOptions, Theta, fit_series,
+                      format_fit_report)
 from .forward import detuning_sweep, predict
 from .ingest import (detected_pair_rate, estimate_background, load_histogram,
                      load_series, region_above, to_g2)
@@ -96,16 +98,10 @@ def _wavepacket_window(wp, tau_w):
     return max(lo, 0), min(hi, wp.g2.size - 1)
 
 
-def _run_forward(cfg):
-    params = cfg.system_params()
-    return predict(params, grid_hint=cfg.grid_hint(),
-                   oversample=cfg.oversample())
-
-
 def cmd_simulate(args):
     cfg = _load_config(args)
     out = _out_dir(args)
-    pred = _run_forward(cfg)
+    pred = predict(cfg.system_params(), grid_hint=cfg.grid_hint())
     wp = pred.wavepacket
 
     if pred.rg_arb == 0.0:
@@ -129,16 +125,11 @@ def cmd_simulate(args):
 
 def _write_spectrum(out, pred):
     sa = pred.amplitude
-    if pred.rg_arb == 0.0:
-        delta_mhz = gamma_to_mhz(sa.grid.values)
-        keep = _decimate(delta_mhz.size, 4000)
-        _write_rows(out / "spectrum.csv", "delta_mhz,intensity_norm",
-                    zip(delta_mhz[keep], np.zeros_like(delta_mhz[keep])))
-        return
-    spec = biphoton_spectrum(sa)
-    mask = spec >= 1e-9
-    delta_mhz = gamma_to_mhz(sa.grid.values[mask])
-    spec = spec[mask]
+    delta, spec = sa.grid.values, np.zeros(sa.grid.n_points)
+    if pred.rg_arb != 0.0:
+        spec = biphoton_spectrum(sa)
+        delta, spec = delta[spec >= 1e-9], spec[spec >= 1e-9]
+    delta_mhz = gamma_to_mhz(delta)
     keep = _decimate(delta_mhz.size, 4000)
     _write_rows(out / "spectrum.csv", "delta_mhz,intensity_norm",
                 zip(delta_mhz[keep], spec[keep]))
@@ -147,7 +138,7 @@ def _write_spectrum(out, pred):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     out = _out_dir(args)
-    pred = _run_forward(cfg)
+    pred = predict(cfg.system_params(), grid_hint=cfg.grid_hint())
     _write_spectrum(out, pred)
     _write_observables(
         out, [("delta_omega", gamma_to_mhz(pred.delta_omega), "MHz", True)])
@@ -159,8 +150,7 @@ def cmd_sweep(args):
     out = _out_dir(args)
     detunings = cfg.sweep_detunings()
     results = detuning_sweep(cfg.system_params(), ghz_to_gamma(detunings),
-                             grid_hint=cfg.grid_hint(),
-                             oversample=cfg.oversample())
+                             grid_hint=cfg.grid_hint())
     rows = []
     for dcg, pred in zip(detunings, results):
         if isinstance(pred, BiphotonError):  # a failed point is a marker row
@@ -172,7 +162,7 @@ def cmd_sweep(args):
                          gamma_to_mhz(pred.delta_omega)))
     _write_rows(out / "sweep.csv", "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz",
                 rows)
-    if all(isinstance(pred, BiphotonError) for pred in results):
+    if all(row[1] == "ERROR" for row in rows):
         raise BiphotonError("no point succeeded",
                             code="SWEEP_ALL_POINTS_FAILED")
     return 0
@@ -190,11 +180,8 @@ def cmd_analyze(args):
                              "absolute rates would be biased",
                              code="UNCORRECTED_RATES")
 
-    window = None
-    lo = cfg.get_float("analyze.background_lo_ns")
-    hi = cfg.get_float("analyze.background_hi_ns")
-    if lo is not None and hi is not None:
-        window = (lo, hi)
+    window = cfg.get_group({"analyze.background_lo_ns": float,
+                            "analyze.background_hi_ns": float})
     background = estimate_background(hist, window=window)
     curve = to_g2(hist, background)
     _write_rows(out / "g2.csv", "tau_ns,g2", zip(curve.tau, curve.g2))
@@ -227,9 +214,9 @@ def cmd_fit(args):
     series = load_series(cfg.get_str("fit.series"),
                          cfg.system_params(require=False))
 
-    init_vals = [cfg.get_float(f"fit.init_{name}")
-                 for name in ("b", "omega_c", "gamma_dec", "scale")]
-    init = None if None in init_vals else Theta(*init_vals)
+    init = cfg.get_group({f"fit.init_{name}": float for name in PARAM_NAMES})
+    if init is not None:
+        init = Theta(*init)
     freeze = cfg.get_str("fit.freeze", "")
     options = FitOptions(
         max_iterations=cfg.get_int("fit.max_iterations",

@@ -3,6 +3,7 @@
 The format is deliberately trivial (diff-friendly, parseable anywhere):
 one ``section.key = value`` per line, '#' comments, blank lines ignored.
 Unknown keys are rejected in strict mode and warned about otherwise.
+Key groups (the grid, the background window, fit.init_*) are all or none.
 All user-facing frequencies are MHz/GHz and times ns; Rabi frequencies
 and atomic widths are in units of Gamma, matching how the source is
 characterized.
@@ -37,7 +38,6 @@ KNOWN_KEYS = {
     "fit.series", "fit.init_b", "fit.init_omega_c", "fit.init_gamma_dec",
     "fit.init_scale", "fit.max_iterations", "fit.freeze",
     "analyze.histogram", "analyze.background_lo_ns", "analyze.background_hi_ns",
-    "output.oversample",
 }
 
 # keys that must be present for the physics commands; everything else has
@@ -98,6 +98,17 @@ class RunConfig:
     def get_str(self, key, default=None):
         return self._get(key, str, default)
 
+    def get_group(self, casts: dict):
+        """Values of a {key: cast} group in order; None if none is set."""
+        missing = [key for key in casts if key not in self.values]
+        if len(missing) == len(casts):
+            return None
+        if missing:
+            raise ConfigError("CONFIG_BAD_VALUE",
+                              f"{', '.join(missing)} missing: "
+                              f"set all of {', '.join(casts)} or none")
+        return [self._get(key, cast, None) for key, cast in casts.items()]
+
     def get_float_list(self, key, default=None):
         def cast(raw):
             return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -129,22 +140,17 @@ class RunConfig:
             raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
 
     def grid_hint(self) -> DetuningGrid | None:
-        dmax_mhz = self.get_float("grid.delta_max_mhz")
-        n = self.get_int("grid.n_points")
-        if dmax_mhz is None and n is None:
+        group = self.get_group({"grid.delta_max_mhz": float,
+                                "grid.n_points": int})
+        if group is None:
             return None
-        if dmax_mhz is None or n is None:
-            raise ConfigError(
-                "CONFIG_BAD_VALUE",
-                "grid.delta_max_mhz and grid.n_points must be given together")
+        dmax_mhz, n = group
         dmax = mhz_to_gamma(dmax_mhz)
         try:
             return DetuningGrid(-dmax, dmax, n)
         except BiphotonError as exc:
-            raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
-
-    def oversample(self) -> int:
-        return self.get_int("output.oversample", 2)
+            detail = f"grid.delta_max_mhz = {dmax_mhz!r}, grid.n_points = {n}"
+            raise ConfigError("CONFIG_BAD_VALUE", f"{detail}: {exc}") from exc
 
     def sweep_detunings(self) -> np.ndarray:
         self.require("sweep.delta_c_ghz")

@@ -49,7 +49,7 @@ class ConvergenceError(BiphotonError):
 
 
 class GridOverflowError(BiphotonError):
-    """The spectral grid could not satisfy the edge-decay requirement."""
+    """A spectral grid passes MAX_GRID_POINTS or its edges do not decay."""
 
 
 class ExtractionError(BiphotonError):

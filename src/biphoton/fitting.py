@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BiphotonError, ParameterError
-from .forward import predict
+from .errors import BiphotonError, GridOverflowError, ParameterError
+from .forward import detuning_sweep
 from .params import SystemParams
 from .units import ghz_to_gamma
 from .wavepacket import DetuningGrid, auto_grid
@@ -121,22 +121,25 @@ class FitResult:
 
 
 class _ForwardModel:
-    """Cached pipeline evaluations keyed on (theta-triple, delta_c).
+    """Cached forward-model series, one entry per (b, omega_c, gamma_dec).
 
     The detuning grid is frozen once per fit (one widening beyond the
-    auto-sized grid of the initial parameters) so the model stays a smooth
-    function of theta: letting the grid re-size itself as gamma_dec moves
-    would step the discretization under the finite-difference Jacobian.
-    The series generator uses the same policy, so a residual evaluated at
-    the generating theta is exactly zero for noiseless data.
+    auto-sized grid of the initial gamma_dec, the only fitted parameter
+    the grid depends on) so the model stays a smooth function of theta:
+    letting the grid re-size itself as gamma_dec moves would step the
+    discretization under the finite-difference Jacobian.  The series
+    generator uses the same policy, so a residual evaluated at the
+    generating theta is exactly zero for noiseless data.
     """
 
-    def __init__(self, fixed: SystemParams, delta_c_ghz, init: Theta):
+    def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
         self.fixed = fixed
-        base = fixed.replace(
-            b=init.b, omega_c=init.omega_c,
-            gamma_dec=max(init.gamma_dec, 1e-6))
-        self.grid: DetuningGrid = auto_grid(base).widened()
+        try:
+            self.grid: DetuningGrid = auto_grid(
+                fixed.replace(gamma_dec=gamma_dec)).widened()
+        except GridOverflowError as exc:
+            exc.args = (f"fit grid at gamma_dec = {gamma_dec:g}: {exc}",)
+            raise
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
         self.delta_c = ghz_to_gamma(self.delta_c_ghz)
         self._cache: dict = {}
@@ -144,29 +147,26 @@ class _ForwardModel:
     def rates_and_widths(self, theta):
         """Uncalibrated model (rg_arb, tau_w_ns) at every detuning.
 
-        A pipeline failure propagates with its class and attributes kept
-        and the failing detuning appended to its message.
+        One ``detuning_sweep`` per new (b, omega_c, gamma_dec).  It stops
+        at the first failing point, whose error propagates as the same
+        object with the detuning (GHz) at which it failed appended to its
+        message.
         """
-        b, omega_c, gamma_dec = theta[0], theta[1], theta[2]
-        rg = np.empty(self.delta_c.size)
-        tw = np.empty(self.delta_c.size)
-        for i, dc in enumerate(self.delta_c):
-            key = (b, omega_c, gamma_dec, float(dc))
-            hit = self._cache.get(key)
-            if hit is None:
-                params = self.fixed.replace(
-                    b=b, omega_c=omega_c, gamma_dec=gamma_dec,
-                    delta_c=float(dc))
-                try:
-                    pred = predict(params, grid_hint=self.grid)
-                except BiphotonError as exc:
-                    exc.args = (f"{exc} (at delta_c = "
-                                f"{float(self.delta_c_ghz[i])!r} GHz)",)
-                    raise
-                hit = (pred.rg_arb, pred.tau_w_ns)
-                self._cache[key] = hit
-            rg[i], tw[i] = hit
-        return rg, tw
+        key = (theta[0], theta[1], theta[2])
+        if key not in self._cache:
+            params = self.fixed.replace(b=key[0], omega_c=key[1],
+                                        gamma_dec=key[2])
+            rg, tw = [], []
+            for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
+                    params, self.delta_c, grid_hint=self.grid)):
+                if isinstance(pred, BiphotonError):
+                    pred.args = (f"{pred} (at delta_c = "
+                                 f"{float(dc_ghz)!r} GHz)",)
+                    raise pred
+                rg.append(pred.rg_arb)
+                tw.append(pred.tau_w_ns)
+            self._cache[key] = (np.array(rg), np.array(tw))
+        return self._cache[key]
 
 
 def _residual_vector(theta, series, model):
@@ -185,7 +185,7 @@ def residuals(theta, series: DetuningSeries) -> np.ndarray:
     which it failed named in its message.
     """
     theta = _as_theta_array(theta)
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*theta))
+    model = _ForwardModel(series.fixed, series.delta_c_ghz, theta[2])
     return _residual_vector(theta, series, model)
 
 
@@ -237,11 +237,10 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     if not free_idx:
         raise ParameterError("all parameters are frozen; nothing to fit")
 
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, Theta(*x))
+    model = _ForwardModel(series.fixed, series.delta_c_ghz, x[2])
     r = _residual_vector(x, series, model)
     chi2 = _chi2(r)
     lam = _LAMBDA_INIT
-    converged = False
     iterations = 0
 
     def projected_gradient(jac_now):
@@ -258,7 +257,6 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         jac = _jacobian(x, r, series, model, free_idx)
         grad, proj = projected_gradient(jac)
         if np.max(np.abs(proj)) < _GRADIENT_TOL:
-            converged = True
             break
 
         jtj = jac.T @ jac
@@ -287,26 +285,23 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         if not improved or rel_drop < _CHI2_REL_TOL:
             break
 
-    if not converged:
-        # the loop may have stopped on stalled chi2; converged must mean
-        # the projected gradient itself cleared the tolerance
-        jac = _jacobian(x, r, series, model, free_idx)
-        _, proj = projected_gradient(jac)
-        converged = bool(np.max(np.abs(proj)) < _GRADIENT_TOL)
-
-    errs = _standard_errors(x, r, series, model, free_idx)
+    # one Jacobian at the final x; the loop may have stopped on stalled
+    # chi2, so converged means the projected gradient cleared the tolerance
+    jac = _jacobian(x, r, series, model, free_idx)
+    _, proj = projected_gradient(jac)
+    converged = bool(np.max(np.abs(proj)) < _GRADIENT_TOL)
+    errs = _standard_errors(jac, r, free_idx)
     rg_model, tw_model = model.rates_and_widths(x)
     per_point = np.column_stack(
         [series.delta_c_ghz, x[3] * rg_model, tw_model])
     return FitResult(theta=Theta(*x), theta_err=Theta(*errs), chi2=chi2,
-                     per_point=per_point, converged=bool(converged),
+                     per_point=per_point, converged=converged,
                      iterations=iterations)
 
 
-def _standard_errors(x, r, series, model, free_idx):
+def _standard_errors(jac, r, free_idx):
     errs = np.zeros(4)
     try:
-        jac = _jacobian(x, r, series, model, free_idx)
         dof = max(r.size - len(free_idx), 1)
         cov = np.linalg.pinv(jac.T @ jac) * (_chi2(r) / dof)
         for col, i in enumerate(free_idx):
@@ -323,15 +318,15 @@ def default_init(series: DetuningSeries) -> Theta:
     weighted residual over a logarithmic scan, and the scale matches the
     measured rate at the first point.
     """
+    model = _ForwardModel(series.fixed, series.delta_c_ghz, 0.01)
     best = None
     for omega_c in np.geomspace(4.0, 30.0, 9):
         theta = Theta(b=0.3, omega_c=float(omega_c), gamma_dec=0.01, scale=1.0)
-        model = _ForwardModel(series.fixed, series.delta_c_ghz, theta)
         _, tw = model.rates_and_widths(np.asarray(theta))
         cost = _chi2((tw - series.tau_w_ns) / series.tau_w_err)
         if best is None or cost < best[0]:
-            best = (cost, theta, model)
-    _, theta, model = best
+            best = (cost, theta)
+    _, theta = best
     rg_model, _ = model.rates_and_widths(np.asarray(theta))
     scale = float(series.rg[0] / rg_model[0]) if rg_model[0] > 0 else 1.0
     return Theta(theta.b, theta.omega_c, theta.gamma_dec, max(scale, 1e-300))
@@ -358,7 +353,7 @@ def synthesize_series(theta: Theta, detunings_ghz, noise: float, seed: int,
     if fixed is None:
         fixed = SystemParams()
     detunings_ghz = np.asarray(detunings_ghz, dtype=float)
-    model = _ForwardModel(fixed, detunings_ghz, theta)
+    model = _ForwardModel(fixed, detunings_ghz, theta.gamma_dec)
     rg_model, tw = model.rates_and_widths(np.asarray(theta))
     rg = theta.scale * rg_model
     rng = np.random.default_rng(seed)

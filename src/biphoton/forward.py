@@ -1,5 +1,9 @@
-"""End-to-end forward model: params -> wave packet -> scalar observables."""
+"""End-to-end forward model: params -> wave packet -> scalar observables.
 
+``detuning_sweep`` is the one loop over detunings (CLI sweep and fitter).
+"""
+
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +39,14 @@ class ModelPrediction:
 
 
 def predict(params: SystemParams,
-            grid_hint: DetuningGrid | None = None,
-            oversample: int = 2) -> ModelPrediction:
+            grid_hint: DetuningGrid | None = None) -> ModelPrediction:
     """Run the pipeline and extract (R_g, tau_w, delta_omega).
 
     A zero amplitude (pump off) yields rg_arb = 0 with NaN widths rather
     than an extraction error, so sweeps can record the degenerate point.
     """
     sa = sample_spectral_amplitude(params, grid_hint=grid_hint)
-    wp = wave_packet(sa, oversample=oversample)
+    wp = wave_packet(sa)
     rg = generation_rate(wp)
     if sa.peak_magnitude == 0.0:
         return ModelPrediction(params, 0.0, float("nan"), float("nan"), sa, wp)
@@ -54,18 +57,16 @@ def predict(params: SystemParams,
 
 
 def detuning_sweep(params: SystemParams, delta_c_values,
-                   grid_hint: DetuningGrid | None = None,
-                   oversample: int = 2
-                   ) -> list[ModelPrediction | BiphotonError]:
-    """Forward model across coupling detunings (units of Gamma), in order.
+                   grid_hint: DetuningGrid | None = None
+                   ) -> Iterator[ModelPrediction | BiphotonError]:
+    """Yield the forward model at each coupling detuning (units of Gamma).
 
-    A point whose pipeline fails yields its BiphotonError in its place.
+    Points run in order as they are consumed, all from ``grid_hint``; a
+    point whose pipeline fails yields its BiphotonError in its place.
     """
-    results = []
     for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float)):
         try:
-            results.append(predict(params.replace(delta_c=float(dc)),
-                                   grid_hint=grid_hint, oversample=oversample))
+            yield predict(params.replace(delta_c=float(dc)),
+                          grid_hint=grid_hint)
         except BiphotonError as exc:
-            results.append(exc)
-    return results
+            yield exc

@@ -389,7 +389,7 @@ def make_synthetic_histogram(pair_rate_true: float, background_mean: float,
                              chain: DetectionChain, *, n_bins: int = 2048,
                              bin_width: float = 0.8,
                              accumulation: float = 120.0,
-                             shape: str = "model", seed: int = 0,
+                             seed: int = 0,
                              tau_peak_ns: float | None = None,
                              width_ns: float = 60.0,
                              singles_signal: float | None = None,
@@ -404,8 +404,6 @@ def make_synthetic_histogram(pair_rate_true: float, background_mean: float,
     skips the Poisson step (and rounds to integers) for exact-arithmetic
     tests.  Fixed ``seed`` makes the output bit-identical across runs.
     """
-    if shape != "model":
-        raise ParameterError(f"unknown synthetic shape {shape!r}")
     tau = np.arange(n_bins, dtype=float) * bin_width
     if tau_peak_ns is None:
         tau_peak_ns = tau[n_bins // 4]

@@ -8,12 +8,12 @@ The spectral amplitude at two-photon detuning delta is
 and the two-photon correlation function is the squared continuous Fourier
 transform G2(tau) = | (1/2pi) Integral[ A(delta) exp(-i delta tau) ] |^2.
 
-The transform is a trapezoid-weighted, zero-padded DFT scaled by
-d_delta/2pi, so the 1/2pi normalization is exact for the sampled
-amplitude.  Starting the sum at delta_min instead of 0 multiplies G(tau)
-by the unit-modulus factor exp(-i delta_min tau); only |G|^2 is formed,
-so that factor is never applied, and fftshift puts tau in increasing
-order.
+The transform is a trapezoid-weighted DFT, zero-padded to OVERSAMPLE
+times the grid size and scaled by d_delta/2pi, so the 1/2pi
+normalization is exact for the sampled amplitude.  Starting the sum at
+delta_min instead of 0 multiplies G(tau) by the unit-modulus factor
+exp(-i delta_min tau); only |G|^2 is formed, so that factor is never
+applied, and fftshift puts tau in increasing order.
 """
 
 import math
@@ -26,9 +26,13 @@ from .kernels import complex_sinc, doppler_responses, etalon_response
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
+# 64 MiB of complex amplitude, 16x the widest grid the tests and benchmark use
+MAX_GRID_POINTS = 2**22
 # |A| at the grid edge must fall below this fraction of the peak |A|
 EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
+# zero-padding factor of the DFT: halves the tau step below pi/delta_max
+OVERSAMPLE = 2
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,9 @@ class DetuningGrid:
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
             raise ParameterError(
                 f"n_points must be a power of two >= {MIN_GRID_POINTS}")
+        if n > MAX_GRID_POINTS:
+            raise GridOverflowError(
+                f"a {n}-point grid passes the {MAX_GRID_POINTS}-point limit")
 
     @property
     def values(self) -> np.ndarray:
@@ -74,14 +81,20 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
     structure in A(delta) sits on the ground-state-decoherence scale,
     two orders below Gamma, and a grid tied to Gamma alone would alias it.
     A gamma_dec of exactly 0 is excluded from the minimum (the etalon
-    scale then rules).
+    scale then rules).  A scale so narrow that the grid would pass
+    MAX_GRID_POINTS raises GridOverflowError naming it.
     """
     delta_max = max(20.0 * params.gamma_natural, 5.0 * params.gamma_etalon)
-    candidates = [params.gamma_etalon / 100.0]
+    scales = {"gamma_etalon": params.gamma_etalon / 100.0}
     if params.gamma_dec > 0.0:
-        candidates.append(params.gamma_dec)
-    spacing = min(candidates) / 4.0
+        scales["gamma_dec"] = params.gamma_dec
+    narrowest = min(scales, key=scales.get)
+    spacing = scales[narrowest] / 4.0
     n = max(MIN_GRID_POINTS, _next_pow2(math.ceil(2.0 * delta_max / spacing)))
+    if n > MAX_GRID_POINTS:
+        raise GridOverflowError(
+            f"{narrowest} = {getattr(params, narrowest):g} needs a {n}-point "
+            f"grid; the limit is {MAX_GRID_POINTS}")
     return DetuningGrid(-delta_max, delta_max, n)
 
 
@@ -144,19 +157,17 @@ class WavePacket:
         return float(self.tau[1] - self.tau[0])
 
 
-def wave_packet(sa: SpectralAmplitude, oversample: int = 2) -> WavePacket:
+def wave_packet(sa: SpectralAmplitude) -> WavePacket:
     """Transform the spectral amplitude to the delay-time domain.
 
-    ``oversample`` zero-pads the DFT by that factor to refine the tau
-    sampling below the Nyquist step pi/delta_max.  The tau grid spans one
-    full period 2 pi/spacing, which exceeds any wave-packet support by
-    orders of magnitude, so Parseval holds on it to rounding error.
+    The DFT is zero-padded by OVERSAMPLE, so the tau step is half the
+    Nyquist step pi/delta_max.  The tau grid spans one full period
+    2 pi/spacing, which exceeds any wave-packet support by orders of
+    magnitude, so Parseval holds on it to rounding error.
     """
-    if oversample < 1 or (oversample & (oversample - 1)) != 0:
-        raise ParameterError("oversample must be a power of two >= 1")
     grid = sa.grid
     d_delta = grid.spacing
-    m = grid.n_points * oversample
+    m = grid.n_points * OVERSAMPLE
 
     weighted = sa.amplitude.astype(complex)
     weighted[0] *= 0.5

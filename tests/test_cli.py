@@ -284,6 +284,22 @@ def _probe_background(config="", pair_rate=2e5, background=20.0, **kwargs):
     return build
 
 
+def _probe_config(command, config):
+    def build(tmp_path):
+        return [command, "--config", write_config(tmp_path, config),
+                "--out", tmp_path / "out"]
+    return build
+
+
+def _probe_fit_init(config):
+    def build(tmp_path):
+        cfg = write_series(tmp_path, SERIES_ROWS)
+        with open(cfg, "a") as f:
+            f.write(config)
+        return ["fit", "--config", cfg, "--out", tmp_path / "out"]
+    return build
+
+
 USER_WINDOW = ("analyze.background_lo_ns = 1100.0\n"
                "analyze.background_hi_ns = 1300.0\n")
 
@@ -337,6 +353,24 @@ PROBES = [
                                    tau_peak_ns=1200.0),
                  2, "CONFIG_BAD_VALUE", "overlaps the detected wave packet",
                  id="set_background_window_overlaps_peak"),
+    pytest.param(_probe_background("analyze.background_lo_ns = 1100.0\n"),
+                 2, "CONFIG_BAD_VALUE", "analyze.background_hi_ns missing",
+                 id="background_window_half_set"),
+    pytest.param(_probe_fit_init("fit.init_b = 0.3\nfit.init_omega_c = 11\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "fit.init_gamma_dec, fit.init_scale missing",
+                 id="fit_init_half_set"),
+    pytest.param(_probe_config("simulate",
+                               SYSTEM_15MW + "grid.n_points = 16384\n"),
+                 2, "CONFIG_BAD_VALUE", "grid.delta_max_mhz missing",
+                 id="grid_half_set"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW + (
+        "grid.delta_max_mhz = 600\ngrid.n_points = 8388608\n")),
+                 2, "CONFIG_BAD_VALUE", "grid.n_points = 8388608",
+                 id="grid_above_the_cap"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
+        "0.013", "1e-9")), 4, "NUMERICAL", "gamma_dec = 1e-09",
+                 id="auto_grid_above_the_cap"),
 ]
 
 
@@ -402,8 +436,8 @@ class TestSweepFailures:
                                                      params_15mw):
         exc = ParameterError("no good")
         failing_at_1ghz(exc)
-        results = biphoton.forward.detuning_sweep(
-            params_15mw, ghz_to_gamma(np.array([0.5, 1.0, 0.5])))
+        results = list(biphoton.forward.detuning_sweep(
+            params_15mw, ghz_to_gamma(np.array([0.5, 1.0, 0.5]))))
         assert results[1] is exc
         assert results[0].rg_arb == results[2].rg_arb > 0
 

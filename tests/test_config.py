@@ -17,8 +17,8 @@ def load(tmp_path, text, strict=False):
 class TestLoad:
     def test_comments_blank_lines_and_whitespace(self, tmp_path):
         cfg = load(tmp_path, "# header\n\n  system.b =  0.375  # inline\n"
-                             "output.oversample=4\n")
-        assert cfg.values == {"system.b": "0.375", "output.oversample": "4"}
+                             "fit.max_iterations=4\n")
+        assert cfg.values == {"system.b": "0.375", "fit.max_iterations": "4"}
         assert cfg.warnings == []
 
     def test_missing_file(self, tmp_path):
@@ -35,7 +35,7 @@ class TestLoad:
     @pytest.mark.parametrize("key", [
         "quadrature.method", "quadrature.trapezoid_points",
         "quadrature.panel_tolerance", "quadrature.support_halfwidth",
-        "system.typo"])
+        "output.oversample", "system.typo"])
     def test_unknown_keys(self, tmp_path, key):
         with pytest.raises(ConfigError) as excinfo:
             load(tmp_path, f"{key} = 1\n", strict=True)
@@ -53,8 +53,21 @@ class TestAccessors:
         assert cfg.get_int("fit.max_iterations") == 7
         assert cfg.get_float("fit.init_b", 0.3) == 0.3
         assert cfg.get_float_list("sweep.delta_c_ghz") == [0.5, 1.0, 2.0]
-        assert cfg.oversample() == 2
         assert cfg.grid_hint() is None
+
+    def test_group_all_or_none(self, tmp_path):
+        casts = {"analyze.background_lo_ns": float,
+                 "analyze.background_hi_ns": float}
+        assert load(tmp_path, "system.b = 0.3\n").get_group(casts) is None
+        cfg = load(tmp_path, "analyze.background_hi_ns = 2\n"
+                             "analyze.background_lo_ns = 1\n")
+        assert cfg.get_group(casts) == [1.0, 2.0]
+        cfg = load(tmp_path, "analyze.background_lo_ns = 1\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.get_group(casts)
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail.startswith(
+            "analyze.background_hi_ns missing")
 
     def test_bad_value(self, tmp_path):
         cfg = load(tmp_path, "fit.max_iterations = many\n")
@@ -104,11 +117,13 @@ class TestGridAndSweep:
 
     @pytest.mark.parametrize("text", [
         "grid.delta_max_mhz = 600\n",
-        "grid.delta_max_mhz = 600\ngrid.n_points = 1000\n"])
+        "grid.delta_max_mhz = 600\ngrid.n_points = 1000\n",
+        "grid.delta_max_mhz = 600\ngrid.n_points = 8388608\n"])
     def test_grid_hint_errors(self, tmp_path, text):
         with pytest.raises(ConfigError) as excinfo:
             load(tmp_path, text).grid_hint()
         assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert "grid.n_points" in excinfo.value.detail
 
     def test_sweep_detunings(self, tmp_path):
         cfg = load(tmp_path, "sweep.delta_c_ghz = 0.0, 1.5\n")

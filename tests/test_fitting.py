@@ -8,13 +8,14 @@ short iteration budgets where convergence is not the point.
 import numpy as np
 import pytest
 
-import biphoton.fitting
+import biphoton.forward
 from biphoton.config import ConfigError
 from biphoton.errors import GridOverflowError, ParameterError
 from biphoton.fitting import (DetuningSeries, FitOptions, Theta,
-                              apply_multiplicative_noise, default_init,
-                              fit_series, format_fit_report, residuals,
-                              synthesize_series)
+                              _ForwardModel, apply_multiplicative_noise,
+                              default_init, fit_series, format_fit_report,
+                              residuals, synthesize_series)
+from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
@@ -108,7 +109,7 @@ class TestResiduals:
         ConfigError("CONFIG_BAD_VALUE", "two-argument constructor")])
     def test_failure_names_the_failing_detuning(self, clean_series,
                                                 monkeypatch, exc):
-        real_predict = biphoton.fitting.predict
+        real_predict = biphoton.forward.predict
         bad_delta_c = ghz_to_gamma(1.5)
 
         def predict(params, **kwargs):
@@ -116,7 +117,7 @@ class TestResiduals:
                 raise exc
             return real_predict(params, **kwargs)
 
-        monkeypatch.setattr(biphoton.fitting, "predict", predict)
+        monkeypatch.setattr(biphoton.forward, "predict", predict)
         with pytest.raises(type(exc)) as excinfo:
             residuals(THETA_TRUE, clean_series)
         assert excinfo.value is exc
@@ -124,9 +125,44 @@ class TestResiduals:
         for other in (0.2, 0.6, 1.0, 2.2):
             assert f"{other} GHz" not in str(excinfo.value)
 
+    def test_first_failure_in_detuning_order_propagates(self, clean_series,
+                                                        monkeypatch):
+        real_predict = biphoton.forward.predict
+        failures = {ghz_to_gamma(2.2): ParameterError("late"),
+                    ghz_to_gamma(0.6): ParameterError("early")}
+        calls = []
+
+        def predict(params, **kwargs):
+            calls.append(params.delta_c)
+            if params.delta_c in failures:
+                raise failures[params.delta_c]
+            return real_predict(params, **kwargs)
+
+        monkeypatch.setattr(biphoton.forward, "predict", predict)
+        with pytest.raises(ParameterError) as excinfo:
+            residuals(THETA_TRUE, clean_series)
+        assert str(excinfo.value) == "early (at delta_c = 0.6 GHz)"
+        assert calls == list(ghz_to_gamma(np.array([0.2, 0.6])))
+
     def test_bounds_enforced(self, clean_series):
         with pytest.raises(ParameterError, match="bounds"):
             residuals(Theta(-0.1, 11.4, 0.013, 1.0), clean_series)
+
+
+class TestForwardModel:
+    # building the model sizes its grid without sampling anything
+    @pytest.mark.parametrize("gamma_dec, n_points", [(0.0, 2**15),
+                                                     (0.013, 2**16)])
+    def test_grid_from_the_initial_gamma_dec(self, gamma_dec, n_points):
+        model = _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
+        assert model.grid.n_points == n_points
+
+    @pytest.mark.parametrize("gamma_dec", [1e-4, 1e-5])
+    def test_too_narrow_initial_gamma_dec(self, gamma_dec):
+        # 1e-4 sizes a grid at the cap, which the fit widens past it
+        with pytest.raises(GridOverflowError,
+                           match=f"^fit grid at gamma_dec = {gamma_dec:g}: "):
+            _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
 
 
 class TestFit:

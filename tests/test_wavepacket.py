@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from biphoton import kernels as K
-from biphoton.errors import ParameterError
+from biphoton.errors import GridOverflowError, ParameterError
 from biphoton.forward import predict
 from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import (DetuningGrid, SpectralAmplitude,
-                                 amplitude_at, auto_grid, biphoton_spectrum,
-                                 sample_spectral_amplitude, wave_packet)
+from biphoton.wavepacket import (MAX_GRID_POINTS, DetuningGrid,
+                                 SpectralAmplitude, amplitude_at, auto_grid,
+                                 biphoton_spectrum, sample_spectral_amplitude,
+                                 wave_packet)
 
 # frozen full-pipeline regression values (analytic kernels, auto grid)
 RG_15MW_DC0 = 3.524736636384084e-05
@@ -43,6 +44,20 @@ class TestGrid:
             DetuningGrid(-2.0, 2.0, 2**14 + 1)
         with pytest.raises(ParameterError):
             DetuningGrid(-2.0, 2.0, 2**10)
+
+    def test_grid_size_is_capped(self):
+        # every case raises before any grid array exists
+        with pytest.raises(GridOverflowError, match=str(MAX_GRID_POINTS)):
+            DetuningGrid(-2.0, 2.0, 2 * MAX_GRID_POINTS)
+        with pytest.raises(GridOverflowError, match="limit"):
+            DetuningGrid(-2.0, 2.0, MAX_GRID_POINTS).widened()
+
+    @pytest.mark.parametrize("field, value", [("gamma_dec", 1e-9),
+                                              ("gamma_etalon", 1e-4)])
+    def test_auto_grid_names_the_scale_that_overflows(self, params_15mw,
+                                                      field, value):
+        with pytest.raises(GridOverflowError, match=f"^{field} = {value:g} "):
+            auto_grid(params_15mw.replace(**{field: value}))
 
     def test_grid_symmetric_values(self):
         g = DetuningGrid(-30.0, 30.0, 2**14)
@@ -103,7 +118,7 @@ class TestWavePacket:
         grid = DetuningGrid(-40.0, 40.0, 2**15)
         amp = np.exp(-grid.values**2 / (2.0 * sigma**2)).astype(complex)
         sa = SpectralAmplitude(grid, amp, SystemParams())
-        wp = wave_packet(sa, oversample=4)
+        wp = wave_packet(sa)
         measured = fwhm(wp.tau, wp.g2)
         expected = 2.0 * np.sqrt(np.log(2.0)) / sigma
         assert measured == pytest.approx(expected, rel=1e-3)
@@ -139,15 +154,13 @@ class TestWavePacket:
             narrow = predict(p.replace(gamma_etalon=p.gamma_etalon / 2.0))
             assert narrow.tau_w >= wide.tau_w
 
-    @pytest.mark.parametrize("oversample", [1, 2, 4])
-    def test_matches_the_phased_argsort_transform(self, params_15mw,
-                                                  oversample):
-        # reference: the DFT with the exp(-i delta_min tau) phase applied
-        # and tau sorted by argsort
+    def test_matches_the_phased_argsort_transform(self, params_15mw):
+        # reference: the twofold zero-padded DFT with the
+        # exp(-i delta_min tau) phase applied and tau sorted by argsort
         sa = sample_spectral_amplitude(params_15mw.replace(
             delta_c=ghz_to_gamma(1.0)))
         grid = sa.grid
-        m = grid.n_points * oversample
+        m = 2 * grid.n_points
         padded = np.zeros(m, dtype=complex)
         padded[:grid.n_points] = sa.amplitude
         padded[0] *= 0.5
@@ -158,7 +171,7 @@ class TestWavePacket:
         order = np.argsort(tau, kind="stable")
         want_g2 = np.abs(g[order]) ** 2
 
-        wp = wave_packet(sa, oversample=oversample)
+        wp = wave_packet(sa)
         assert np.array_equal(wp.tau, tau[order])
         assert np.all(np.diff(wp.tau) > 0.0)
         assert np.max(np.abs(wp.g2 - want_g2)) <= 1e-14 * np.max(want_g2)
