@@ -39,13 +39,17 @@ class ModelPrediction:
 
 
 def predict(params: SystemParams,
-            grid_hint: DetuningGrid | None = None) -> ModelPrediction:
+            grid_hint: DetuningGrid | None = None,
+            impurity_lines: dict | None = None) -> ModelPrediction:
     """Run the pipeline and extract (R_g, tau_w, delta_omega).
 
     A zero amplitude (pump off) yields rg_arb = 0 with NaN widths rather
     than an extraction error, so sweeps can record the degenerate point.
+    ``impurity_lines`` is the optional cache of
+    :func:`~biphoton.wavepacket.sample_spectral_amplitude`.
     """
-    sa = sample_spectral_amplitude(params, grid_hint=grid_hint)
+    sa = sample_spectral_amplitude(params, grid_hint=grid_hint,
+                                   impurity_lines=impurity_lines)
     wp = wave_packet(sa)
     rg = generation_rate(wp)
     if sa.peak_magnitude == 0.0:
@@ -57,16 +61,18 @@ def predict(params: SystemParams,
 
 
 def detuning_sweep(params: SystemParams, delta_c_values,
-                   grid_hint: DetuningGrid | None = None
+                   grid_hint: DetuningGrid | None = None,
+                   impurity_lines: dict | None = None
                    ) -> Iterator[ModelPrediction | BiphotonError]:
     """Yield the forward model at each coupling detuning (units of Gamma).
 
     Points run in order as they are consumed, all from ``grid_hint``; a
     point whose pipeline fails yields its BiphotonError in its place.
+    ``impurity_lines`` is passed on to every :func:`predict`.
     """
     for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float)):
         try:
             yield predict(params.replace(delta_c=float(dc)),
-                          grid_hint=grid_hint)
+                          grid_hint=grid_hint, impurity_lines=impurity_lines)
         except BiphotonError as exc:
             yield exc

@@ -18,8 +18,12 @@ pole integral J, which is the only way the package evaluates the kernels.
 rho_c_bar and kappa_bar share the coupling-dressed pole omega_0(delta),
 so ``doppler_responses`` gives (rho_c_bar + rho_m_bar, kappa_bar) with
 J(omega_0/Gamma_D) evaluated once: two array Faddeeva evaluations per
-amplitude instead of three.  Each formula is written once, in private
-pieces that the three public kernels and ``doppler_responses`` build from.
+amplitude instead of three.  The other one, the impurity line
+J(-P/Gamma_D), moves with neither b, Omega_c nor gamma_dec;
+``impurity_line_integral`` gives it alone, and ``doppler_responses``
+takes it precomputed, so a fit evaluates it once per detuning.  Each
+formula is written once, in private pieces that the three public kernels
+and ``doppler_responses`` build from.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson
@@ -253,11 +257,18 @@ def _as_scalar_or_array(out, scalar):
     return complex(out[0]) if scalar else out
 
 
-def _rho_m(p_pole, params: SystemParams):
+def _probe_pole(d, params: SystemParams):
+    return d + params.delta_c + 0.5j * params.gamma_natural
+
+
+def _impurity_line(p_pole, params: SystemParams):
+    return gaussian_pole_integral(-p_pole / params.gamma_doppler)
+
+
+def _rho_m(line, params: SystemParams):
     g = params.gamma_natural
     pref = params.b * params.alpha / 2.0
-    return -pref * g / (4.0 * params.gamma_doppler) * \
-        gaussian_pole_integral(-p_pole / params.gamma_doppler)
+    return -pref * g / (4.0 * params.gamma_doppler) * line
 
 
 class _DressedPole(NamedTuple):
@@ -274,7 +285,7 @@ class _DressedPole(NamedTuple):
 
 def _dressed_pole(d, params: SystemParams) -> _DressedPole:
     q = d + 1j * params.gamma_dec
-    p_pole = d + params.delta_c + 0.5j * params.gamma_natural
+    p_pole = _probe_pole(d, params)
     degenerate = np.abs(q) <= _Q_FLOOR
     regular = ~degenerate if degenerate.any() else slice(None)
     omega0 = params.omega_c**2 / (4.0 * q[regular]) - p_pole[regular]
@@ -332,8 +343,21 @@ def rho_m_bar(delta, params: SystemParams):
     is strictly positive (pure absorber).  Accepts scalars or arrays.
     """
     scalar, d = _as_delta_array(delta)
-    p_pole = d + params.delta_c + 0.5j * params.gamma_natural
-    return _as_scalar_or_array(_rho_m(p_pole, params), scalar)
+    return _as_scalar_or_array(
+        _rho_m(impurity_line_integral(d, params), params), scalar)
+
+
+def impurity_line_integral(delta, params: SystemParams):
+    """J(-P/Gamma_D) with P = delta + Delta_c + i Gamma/2: the Doppler-
+    averaged impurity line that rho_m_bar scales by b alpha/2.
+
+    It depends on delta, Delta_c, Gamma and Gamma_D only, not on b,
+    Omega_c or gamma_dec, so a caller that varies those can evaluate it
+    once and hand it to :func:`doppler_responses`.
+    """
+    scalar, d = _as_delta_array(delta)
+    return _as_scalar_or_array(
+        _impurity_line(_probe_pole(d, params), params), scalar)
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -366,17 +390,21 @@ def kappa_bar(delta, params: SystemParams):
                                scalar)
 
 
-def doppler_responses(delta, params: SystemParams):
+def doppler_responses(delta, params: SystemParams, impurity_line=None):
     """(rho_c_bar + rho_m_bar, kappa_bar) at ``delta`` in one pass.
 
     The values equal the three public kernels bit for bit, but the
     dressed-pole integral J(omega_0/Gamma_D) is evaluated once and shared
     by rho_c_bar and kappa_bar: two array Faddeeva evaluations instead of
-    three.
+    three.  ``impurity_line``, if given, is
+    ``impurity_line_integral(delta, params)`` computed earlier, and saves
+    the second evaluation.
     """
     scalar, d = _as_delta_array(delta)
     dp = _dressed_pole(d, params)
-    rho = _rho_c(dp, params) + _rho_m(dp.p_pole, params)
+    if impurity_line is None:
+        impurity_line = _impurity_line(dp.p_pole, params)
+    rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
     kap = _kappa(dp, params)
     return (_as_scalar_or_array(rho, scalar),
             _as_scalar_or_array(kap, scalar))

@@ -71,16 +71,14 @@ def fwhm(x, y) -> float:
     return float(right - left)
 
 
-def generation_rate(wp: WavePacket, scale: float = 1.0) -> float:
-    """Pair generation rate: scale times the wave-packet area over tau.
+def generation_rate(wp: WavePacket) -> float:
+    """Pair generation rate: the wave-packet area over tau.
 
-    With scale = 1 the result is in arbitrary units; a fitted calibration
-    scale makes it pairs/s.  Equals the frequency-domain (Parseval) value
-    of the generating amplitude to rounding error.
+    The result is in arbitrary units; the fitter's calibration scale
+    makes it pairs/s.  Equals the frequency-domain (Parseval) value of the
+    generating amplitude to rounding error.
     """
-    if not scale > 0:
-        raise ParameterError("scale must be positive")
-    return scale * float(np.trapezoid(wp.g2, wp.tau))
+    return float(np.trapezoid(wp.g2, wp.tau))
 
 
 def heralding_probability(r_g: float, singles_rate: float) -> float:

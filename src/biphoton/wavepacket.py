@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
-from .kernels import complex_sinc, doppler_responses, etalon_response
+from .kernels import (complex_sinc, doppler_responses, etalon_response,
+                      impurity_line_integral)
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
@@ -111,15 +112,29 @@ class SpectralAmplitude:
         return float(np.max(np.abs(self.amplitude)))
 
 
-def amplitude_at(delta, params: SystemParams):
-    """The integrand A(delta) itself, at scalar or array detunings."""
-    rho, kap = doppler_responses(delta, params)
+def amplitude_at(delta, params: SystemParams, impurity_line=None):
+    """The integrand A(delta) itself, at scalar or array detunings.
+
+    ``impurity_line`` is an optional precomputed
+    ``kernels.impurity_line_integral(delta, params)``.
+    """
+    rho, kap = doppler_responses(delta, params, impurity_line=impurity_line)
     return (kap * complex_sinc(rho) * np.exp(1j * rho)
             * etalon_response(delta, params.gamma_etalon))
 
 
+def _cached_impurity_line(impurity_lines, grid, delta, params):
+    if impurity_lines is None:
+        return None
+    key = (grid, params.delta_c, params.gamma_doppler, params.gamma_natural)
+    if key not in impurity_lines:
+        impurity_lines[key] = impurity_line_integral(delta, params)
+    return impurity_lines[key]
+
+
 def sample_spectral_amplitude(params: SystemParams,
-                              grid_hint: DetuningGrid | None = None
+                              grid_hint: DetuningGrid | None = None,
+                              impurity_lines: dict | None = None
                               ) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
@@ -127,11 +142,18 @@ def sample_spectral_amplitude(params: SystemParams,
     (keeping the spacing class) until |A| at both edges is below 1e-6 of
     the peak, giving up after 3 widenings.  A pump-free amplitude is
     identically zero and returned as-is.
+
+    ``impurity_lines``, if given, is a dict that keeps the impurity-line
+    integral of each (grid, delta_c, gamma_doppler, gamma_natural) it has
+    seen: a caller that varies only b, Omega_c or gamma_dec between calls
+    then evaluates it once per grid and detuning.  The amplitude is the
+    same, bit for bit, with or without it.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     for _ in range(MAX_WIDENINGS + 1):
         delta = grid.values
-        amp = amplitude_at(delta, params)
+        amp = amplitude_at(delta, params, impurity_line=_cached_impurity_line(
+            impurity_lines, grid, delta, params))
         peak = float(np.max(np.abs(amp)))
         if peak == 0.0:
             return SpectralAmplitude(grid, amp, params)

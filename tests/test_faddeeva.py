@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.faddeeva import (_COEFFS, _L, SQRT_PI, _w_rational, faddeeva_w,
+from biphoton.faddeeva import (_BLOCK, _COEFFS, _CF_RADIUS, _L, SQRT_PI,
+                               _w_continued_fraction, _w_rational, faddeeva_w,
                                gaussian_pole_difference,
                                gaussian_pole_integral)
 
@@ -73,14 +74,49 @@ def test_vectorized_matches_scalar():
         assert vec[i] == faddeeva_w(complex(z))
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 65536])
-def test_horner_is_bit_identical_to_polyval(size):
-    rng = np.random.default_rng(size)
-    z = rng.uniform(-8.0, 8.0, size) + 1j * rng.uniform(0.0, 8.0, size)
+def rational_single_pass(z):
+    # Weideman's rational over the whole array at once, through polyval
     iz = 1j * z
     p = np.polyval(_COEFFS, (_L + iz) / (_L - iz))
-    want = 2.0 * p / (_L - iz) ** 2 + (1.0 / SQRT_PI) / (_L - iz)
-    assert np.array_equal(_w_rational(z), want)
+    return 2.0 * p / (_L - iz) ** 2 + (1.0 / SQRT_PI) / (_L - iz)
+
+
+def upper_half_plane_points(size, seed, radius=8.0):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-radius, radius, size)
+            + 1j * rng.uniform(0.0, radius, size))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 65536])
+def test_horner_is_bit_identical_to_polyval(size):
+    z = upper_half_plane_points(size, seed=size)
+    assert np.array_equal(_w_rational(z), rational_single_pass(z))
+
+
+@pytest.mark.parametrize("size", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  3 * _BLOCK + 7])
+def test_blocked_rational_is_bit_identical_to_one_pass(size):
+    z = upper_half_plane_points(size, seed=size + 1)
+    assert np.array_equal(_w_rational(z), rational_single_pass(z))
+
+
+def test_blocked_rational_keeps_the_shape_of_its_input():
+    z = upper_half_plane_points(2 * _BLOCK + 6, seed=3).reshape(2, -1)
+    got = _w_rational(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got.ravel(), rational_single_pass(z.ravel()))
+
+
+def test_blocked_rational_in_a_gathered_mixed_branch_array():
+    # about two thirds of the points lie past the continued-fraction radius,
+    # so the rational runs, blocked, on a gathered copy of the rest
+    z = upper_half_plane_points(3 * _BLOCK + 7, seed=5, radius=12.0)
+    far = np.abs(z) >= _CF_RADIUS
+    assert 0 < np.count_nonzero(far) and np.count_nonzero(~far) > _BLOCK
+    want = np.empty_like(z)
+    want[~far] = rational_single_pass(z[~far])
+    want[far] = _w_continued_fraction(z[far])
+    assert np.array_equal(faddeeva_w(z), want)
 
 
 @settings(max_examples=60, deadline=None)

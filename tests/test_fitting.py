@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 import biphoton.forward
+import biphoton.kernels
 from biphoton.config import ConfigError
 from biphoton.errors import GridOverflowError, ParameterError
+from biphoton.forward import predict
 from biphoton.fitting import (DetuningSeries, FitOptions, Theta,
                               _ForwardModel, apply_multiplicative_noise,
                               default_init, fit_series, format_fit_report,
                               residuals, synthesize_series)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
+from biphoton.wavepacket import auto_grid, sample_spectral_amplitude
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -163,6 +166,64 @@ class TestForwardModel:
         with pytest.raises(GridOverflowError,
                            match=f"^fit grid at gamma_dec = {gamma_dec:g}: "):
             _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
+
+
+class TestImpurityLineCache:
+    @pytest.fixture
+    def line_evaluations(self, monkeypatch):
+        """The delta_c of every impurity-line evaluation in the package."""
+        real = biphoton.kernels._impurity_line
+        seen = []
+
+        def counted(p_pole, params):
+            seen.append(params.delta_c)
+            return real(p_pole, params)
+
+        monkeypatch.setattr(biphoton.kernels, "_impurity_line", counted)
+        return seen
+
+    def test_evaluated_once_per_detuning_in_a_fit(self, clean_series,
+                                                  line_evaluations):
+        init = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)
+        fit_series(clean_series, init=init,
+                   options=FitOptions(max_iterations=2))
+        assert sorted(line_evaluations) == sorted(ghz_to_gamma(
+            np.asarray(DETUNINGS)))
+
+    def test_cached_model_is_bit_identical_to_a_fresh_one(self):
+        model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        model.rates_and_widths(np.asarray(THETA_TRUE))
+        moved = np.asarray(THETA_TRUE) * np.array([1.1, 0.97, 1.2, 1.0])
+        rg, tw = model.rates_and_widths(moved)
+        fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        rg_fresh, tw_fresh = fresh.rates_and_widths(moved)
+        assert np.array_equal(rg, rg_fresh)
+        assert np.array_equal(tw, tw_fresh)
+        # and equal to a predict that keeps no cache at all
+        params = SystemParams().replace(b=moved[0], omega_c=moved[1],
+                                        gamma_dec=moved[2],
+                                        delta_c=ghz_to_gamma(DETUNINGS[-1]))
+        plain = predict(params, grid_hint=model.grid)
+        assert plain.rg_arb == rg[-1] and plain.tau_w_ns == tw[-1]
+
+    def test_widened_grid_gets_its_own_entry(self, params_15mw,
+                                             line_evaluations):
+        hint = auto_grid(params_15mw)
+        lines = {}
+        sa = sample_spectral_amplitude(params_15mw, grid_hint=hint,
+                                       impurity_lines=lines)
+        # the auto grid of this point is widened once
+        assert sa.grid == hint.widened()
+        rest = (params_15mw.delta_c, params_15mw.gamma_doppler,
+                params_15mw.gamma_natural)
+        assert list(lines) == [(hint, *rest), (sa.grid, *rest)]
+        assert len(line_evaluations) == 2
+        again = sample_spectral_amplitude(params_15mw, grid_hint=hint,
+                                          impurity_lines=lines)
+        assert len(line_evaluations) == 2
+        plain = sample_spectral_amplitude(params_15mw, grid_hint=hint)
+        assert np.array_equal(sa.amplitude, plain.amplitude)
+        assert np.array_equal(again.amplitude, plain.amplitude)
 
 
 class TestFit:

@@ -63,9 +63,13 @@ class TestGenerationRate:
             sample_spectral_amplitude(params_15mw.replace(omega_p=0.0)))
         assert generation_rate(wp) == 0.0
 
-    def test_scale_linearity(self, params_15mw):
-        wp = wave_packet(sample_spectral_amplitude(params_15mw))
-        assert generation_rate(wp, 2.0) == 2.0 * generation_rate(wp)
+    def test_quadratic_in_pump_rabi_frequency(self, params_15mw):
+        # A(delta) is linear in Omega_p through kappa_bar alone, so
+        # doubling the pump quadruples the rate
+        rates = [generation_rate(wave_packet(sample_spectral_amplitude(
+            params_15mw.replace(omega_p=k * params_15mw.omega_p))))
+            for k in (1.0, 2.0)]
+        assert rates[1] == pytest.approx(4.0 * rates[0], rel=1e-12)
 
     def test_matches_parseval_value(self, params_15mw):
         sa = sample_spectral_amplitude(params_15mw)
