@@ -41,7 +41,8 @@ the reflection overflows for Im(z) << -27 at large |Re z|; the package only
 ever evaluates it in the upper half-plane via :func:`gaussian_pole_integral`.
 
 :func:`gaussian_pole_difference` gives the divided difference of J for two
-nearly coincident poles, where subtracting two J values would cancel.
+nearly coincident poles, where subtracting two J values would cancel, and
+:func:`gaussian_pole_difference_dz0` its derivative in the first pole.
 """
 
 import math
@@ -197,6 +198,34 @@ def gaussian_pole_difference(zeta0, zeta1):
 
     Relative accuracy is about 2e-11 or better, limited by J itself.
     """
+    return _near_poles(zeta0, zeta1, _difference_taylor,
+                       _difference_asymptotic)
+
+
+def gaussian_pole_difference_dz0(zeta0, zeta1):
+    """Derivative in zeta0 of :func:`gaussian_pole_difference`.
+
+    Away from merged poles it is (D - J'(zeta0)) / (zeta1 - zeta0), with D
+    the divided difference; for nearly coincident poles both subtractions
+    cancel, so each branch of :func:`gaussian_pole_difference` carries one
+    more term.  With u = h/2:
+
+    * |m| < 8: d/dzeta0 = (d/dm - d/du)/2 of the midpoint series, that is
+      (1/2) sum_n J^(n+2)(m) u^n / n! times 1/(n+1) for even n and
+      -1/(n+2) for odd n, summed to n = 7;
+    * |m| >= 8: the confluent difference D[zeta0, zeta0, zeta1] of
+      zeta^-n is a b^2 g_(n-1) with g_p = h_p(a, b, b) = b g_(p-1) + h_p(a, b),
+      so the derivative is -sum_k c_k a b^2 g_(2k).
+
+    Same domain and accuracy as :func:`gaussian_pole_difference`.
+    """
+    return _near_poles(zeta0, zeta1, _derivative_taylor,
+                       _derivative_asymptotic)
+
+
+def _near_poles(zeta0, zeta1, taylor, asymptotic):
+    """``taylor`` where the pole midpoint is inside _CF_RADIUS, else
+    ``asymptotic``, elementwise over the broadcast pole pairs."""
     z0, z1 = np.broadcast_arrays(np.asarray(zeta0, dtype=complex),
                                  np.asarray(zeta1, dtype=complex))
     scalar = z0.ndim == 0
@@ -204,9 +233,9 @@ def gaussian_pole_difference(zeta0, zeta1):
     out = np.empty(z0.shape, dtype=complex)
     near = np.abs(0.5 * (z0 + z1)) < _CF_RADIUS
     if np.any(near):
-        out[near] = _difference_taylor(z0[near], z1[near])
+        out[near] = taylor(z0[near], z1[near])
     if np.any(~near):
-        out[~near] = _difference_asymptotic(z0[~near], z1[~near])
+        out[~near] = asymptotic(z0[~near], z1[~near])
     return out[0] if scalar else out
 
 
@@ -239,3 +268,36 @@ def _difference_asymptotic(z0, z1):
         c *= (2 * k - 1) / 2.0
         out += c * ab * h_prev
     return out
+
+
+def _derivative_taylor(z0, z1):
+    m = 0.5 * (z0 + z1)
+    u = 0.5 * (z1 - z0)
+    d_prev = gaussian_pole_integral(m)
+    d = -2.0 * m * d_prev - 2.0
+    out = np.zeros_like(m)
+    power = np.ones_like(m)                 # u^n / n!
+    for n in range(2 * _TAYLOR_TERMS):
+        # step (J^(n), J^(n+1)) to (J^(n+1), J^(n+2))
+        d_prev, d = d, -2.0 * m * d - 2.0 * (n + 1) * d_prev
+        out += power * d / ((n + 1) if n % 2 == 0 else -(n + 2))
+        power = power * u / (n + 1)
+    return 0.5 * out
+
+
+def _derivative_asymptotic(z0, z1):
+    a, b = 1.0 / z1, 1.0 / z0
+    ab, s = a * b, a + b
+    h_prev, h = np.ones_like(a), s
+    g = np.ones_like(a)
+    out = g.copy()
+    c = 1.0
+    for k in range(1, _ASYMPTOTIC_TERMS):
+        # g advances from g_(2k-2) to g_(2k); h from h_(2k-1) to h_(2k+1)
+        g = b * g + h
+        h_prev, h = h, s * h - ab * h_prev
+        g = b * g + h
+        h_prev, h = h, s * h - ab * h_prev
+        c *= (2 * k - 1) / 2.0
+        out += c * g
+    return -ab * b * out

@@ -7,24 +7,28 @@ the arbitrary-unit model rate into the measured rate.  tau_w residuals are
 scale-independent by construction.
 
 The optimizer is a damped least-squares (Levenberg-style) loop on the
-normal equations with a central-difference Jacobian and bounds enforced by
-projection; a parameter that sits at a bound its gradient pushes past is
-left out of the damped step (a projected Levenberg-Marquardt step; Kanzow,
-Yamashita and Fukushima, J. Comput. Appl. Math. 172, 375 (2004)).  Four
-smooth parameters need nothing fancier; everything is deterministic for
-fixed inputs.
+normal equations with bounds enforced by projection; a parameter that sits
+at a bound its gradient pushes past is left out of the damped step (a
+projected Levenberg-Marquardt step; Kanzow, Yamashita and Fukushima,
+J. Comput. Appl. Math. 172, 375 (2004)).  The Jacobian is exact: one
+linearized forward pass per detuning (``forward.linearize``) gives the
+derivatives of (R_g, tau_w) in (b, omega_c, gamma_dec), and the scale
+column is the model rate itself.  Four smooth parameters need nothing
+fancier; everything is deterministic for fixed inputs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BiphotonError, GridOverflowError, ParameterError
-from .forward import detuning_sweep
+from .errors import (BiphotonError, ExtractionError, GridOverflowError,
+                     ParameterError)
+from .forward import detuning_sweep, linearize, width_samples
 from .params import SystemParams
-from .units import ghz_to_gamma
+from .units import ghz_to_gamma, tau_to_ns
 from .wavepacket import DetuningGrid, auto_grid
 
 PARAM_NAMES = ("b", "omega_c", "gamma_dec", "scale")
@@ -35,11 +39,12 @@ _UPPER = np.array([1.0, np.inf, np.inf, np.inf])
 # weighted fit stays defined
 _NOISELESS_SIGMA_REL = 0.01
 # optimizer settings: projected-gradient and relative chi2-drop stopping
-# tolerances, relative Jacobian step, initial Levenberg damping
+# tolerances, initial Levenberg damping
 _GRADIENT_TOL = 1e-6
 _CHI2_REL_TOL = 1e-10
-_FD_REL_STEP = 1e-4
 _LAMBDA_INIT = 1e-3
+# gamma_dec of the default starting point, and so of its model's grid
+_DEFAULT_GAMMA_DEC = 0.01
 
 
 class Theta(NamedTuple):
@@ -92,6 +97,11 @@ class FitOptions:
     freeze: tuple[str, ...] = ()
 
     def __post_init__(self):
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+                or n < 1:
+            raise ParameterError("FitOptions.max_iterations must be an "
+                                 f"integer >= 1, got {n!r}")
         unknown = set(self.freeze) - set(PARAM_NAMES)
         if unknown:
             raise ParameterError(f"cannot freeze unknown parameters {unknown}")
@@ -130,17 +140,19 @@ class _ForwardModel:
     auto-sized grid of the initial gamma_dec, the only fitted parameter
     the grid depends on) so the model stays a smooth function of theta:
     letting the grid re-size itself as gamma_dec moves would step the
-    discretization under the finite-difference Jacobian.  The series
-    generator uses the same policy, so a residual evaluated at the
-    generating theta is exactly zero for noiseless data.
+    discretization under the fit.  The series generator uses the same
+    policy, so a residual evaluated at the generating theta is exactly
+    zero for noiseless data.
 
-    Two caches live as long as the model.  One holds the (rg, tw) pair of
-    each theta triple.  The other holds the impurity-line integral of
-    each detuning and grid (see ``sample_spectral_amplitude``), which
-    theta does not move: n_delta_c complex arrays of the grid's size, so
-    5 MB for a 5-point series on a 2^16-point grid, and more only if a
-    point widens its grid.  The values are the same, bit for bit, as
-    without either cache.
+    Three caches live as long as the model.  One holds the (rg, tw) pair
+    of each theta triple, with where each point read its width (its
+    ``forward.WidthSamples``); one holds the derivatives at each triple
+    that ``tangents`` was asked for.  The third holds the impurity-line
+    integral of each detuning and grid (see ``sample_spectral_amplitude``),
+    which theta does not move: n_delta_c complex arrays of the grid's
+    size, so 5 MB for a 5-point series on a 2^16-point grid, and more only
+    if a point widens its grid.  The values are the same, bit for bit, as
+    without any cache.
     """
 
     def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
@@ -154,7 +166,11 @@ class _ForwardModel:
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
         self.delta_c = ghz_to_gamma(self.delta_c_ghz)
         self._cache: dict = {}
+        self._tangents: dict = {}
         self._impurity_lines: dict = {}
+
+    def _params(self, key):
+        return self.fixed.replace(b=key[0], omega_c=key[1], gamma_dec=key[2])
 
     def rates_and_widths(self, theta):
         """Uncalibrated model (rg_arb, tau_w_ns) at every detuning.
@@ -166,20 +182,55 @@ class _ForwardModel:
         """
         key = (theta[0], theta[1], theta[2])
         if key not in self._cache:
-            params = self.fixed.replace(b=key[0], omega_c=key[1],
-                                        gamma_dec=key[2])
-            rg, tw = [], []
+            rg, tw, samples = [], [], []
             for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
-                    params, self.delta_c, grid_hint=self.grid,
+                    self._params(key), self.delta_c, grid_hint=self.grid,
                     impurity_lines=self._impurity_lines)):
                 if isinstance(pred, BiphotonError):
-                    pred.args = (f"{pred} (at delta_c = "
-                                 f"{float(dc_ghz)!r} GHz)",)
-                    raise pred
+                    raise _at_detuning(pred, dc_ghz)
                 rg.append(pred.rg_arb)
                 tw.append(pred.tau_w_ns)
-            self._cache[key] = (np.array(rg), np.array(tw))
-        return self._cache[key]
+                samples.append(width_samples(pred) if pred.rg_arb > 0
+                               else None)
+            self._cache[key] = (np.array(rg), np.array(tw), samples)
+        rg, tw, _ = self._cache[key]
+        return rg, tw
+
+    def tangents(self, theta):
+        """Derivatives of ``rates_and_widths`` in (b, omega_c, gamma_dec).
+
+        Two (n_delta_c, 3) arrays, d rg_arb and d tau_w_ns: one
+        ``forward.linearize`` per detuning, each on the grid and at the
+        width samples of its point of ``rates_and_widths``.  A failure
+        propagates as in ``rates_and_widths``; so does a point whose
+        amplitude is zero, which has no width to differentiate.
+        """
+        key = (theta[0], theta[1], theta[2])
+        if key not in self._tangents:
+            self.rates_and_widths(theta)
+            params = self._params(key)
+            d_rg, d_tw = [], []
+            for dc, dc_ghz, samples in zip(self.delta_c, self.delta_c_ghz,
+                                           self._cache[key][2]):
+                try:
+                    if samples is None:
+                        raise ExtractionError("zero amplitude: no width to "
+                                              "differentiate")
+                    lin = linearize(params.replace(delta_c=float(dc)),
+                                    samples,
+                                    impurity_lines=self._impurity_lines)
+                except BiphotonError as exc:
+                    raise _at_detuning(exc, dc_ghz) from None
+                d_rg.append(lin.d_rg_arb)
+                d_tw.append(tau_to_ns(lin.d_tau_w))
+            self._tangents[key] = (np.array(d_rg), np.array(d_tw))
+        return self._tangents[key]
+
+
+def _at_detuning(exc, dc_ghz):
+    """``exc`` with the detuning (GHz) at which it arose appended."""
+    exc.args = (f"{exc} (at delta_c = {float(dc_ghz)!r} GHz)",)
+    return exc
 
 
 def _residual_vector(theta, series, model):
@@ -216,22 +267,15 @@ def _chi2(r):
     return math.fsum(float(v) * float(v) for v in r)
 
 
-def _jacobian(x, f0, series, model, free_idx):
-    jac = np.zeros((f0.size, len(free_idx)))
-    for col, i in enumerate(free_idx):
-        h = _FD_REL_STEP * max(abs(x[i]), 1e-6)
-        up = min(h, _UPPER[i] - x[i])
-        dn = min(h, x[i] - _LOWER[i])
-        if up + dn == 0.0:
-            continue
-        x_hi = x.copy()
-        x_hi[i] += up
-        x_lo = x.copy()
-        x_lo[i] -= dn
-        r_hi = _residual_vector(x_hi, series, model) if up > 0 else f0
-        r_lo = _residual_vector(x_lo, series, model) if dn > 0 else f0
-        jac[:, col] = (r_hi - r_lo) / (up + dn)
-    return jac
+def _jacobian(x, series, model, free_idx):
+    """d r/d theta over the free columns, from the model's tangents."""
+    rg_model, _ = model.rates_and_widths(x)
+    d_rg, d_tw = model.tangents(x)
+    jac = np.zeros((2 * series.n_points, 4))
+    jac[0::2, :3] = x[3] * d_rg / series.rg_err[:, None]
+    jac[0::2, 3] = rg_model / series.rg_err
+    jac[1::2, :3] = d_tw / series.tau_w_err[:, None]
+    return jac[:, free_idx]
 
 
 def fit_series(series: DetuningSeries, init: Theta | None = None,
@@ -242,15 +286,17 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     theta with ``converged=False`` rather than raising.  Reproducible for
     identical inputs and options.
     """
-    if init is None:
-        init = default_init(series)
-    x = _as_theta_array(init)
     free_idx = [i for i, name in enumerate(PARAM_NAMES)
                 if name not in options.freeze]
     if not free_idx:
         raise ParameterError("all parameters are frozen; nothing to fit")
-
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, x[2])
+    if init is None:
+        model = _ForwardModel(series.fixed, series.delta_c_ghz,
+                              _DEFAULT_GAMMA_DEC)
+        x = _as_theta_array(_default_init(series, model))
+    else:
+        x = _as_theta_array(init)
+        model = _ForwardModel(series.fixed, series.delta_c_ghz, x[2])
     r = _residual_vector(x, series, model)
     chi2 = _chi2(r)
     lam = _LAMBDA_INIT
@@ -268,7 +314,7 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         return np.max(np.abs(np.where(active, 0.0, grad))) < _GRADIENT_TOL
 
     for iterations in range(1, options.max_iterations + 1):
-        jac = _jacobian(x, r, series, model, free_idx)
+        jac = _jacobian(x, series, model, free_idx)
         grad, active = gradient(jac)
         if stationary(grad, active):
             break
@@ -305,7 +351,7 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
 
     # one Jacobian at the final x; the loop may have stopped on stalled
     # chi2, so converged means the projected gradient cleared the tolerance
-    jac = _jacobian(x, r, series, model, free_idx)
+    jac = _jacobian(x, series, model, free_idx)
     converged = bool(stationary(*gradient(jac)))
     errs = _standard_errors(jac, r, free_idx)
     rg_model, tw_model = model.rates_and_widths(x)
@@ -335,10 +381,16 @@ def default_init(series: DetuningSeries) -> Theta:
     weighted residual over a logarithmic scan, and the scale matches the
     measured rate at the first point.
     """
-    model = _ForwardModel(series.fixed, series.delta_c_ghz, 0.01)
+    return _default_init(series, _ForwardModel(
+        series.fixed, series.delta_c_ghz, _DEFAULT_GAMMA_DEC))
+
+
+def _default_init(series: DetuningSeries, model: _ForwardModel) -> Theta:
+    """``default_init`` on ``model``, which the fit from it then reuses."""
     best = None
     for omega_c in np.geomspace(4.0, 30.0, 9):
-        theta = Theta(b=0.3, omega_c=float(omega_c), gamma_dec=0.01, scale=1.0)
+        theta = Theta(b=0.3, omega_c=float(omega_c),
+                      gamma_dec=_DEFAULT_GAMMA_DEC, scale=1.0)
         _, tw = model.rates_and_widths(np.asarray(theta))
         cost = _chi2((tw - series.tau_w_ns) / series.tau_w_err)
         if best is None or cost < best[0]:

@@ -23,7 +23,9 @@ J(-P/Gamma_D), moves with neither b, Omega_c nor gamma_dec;
 ``impurity_line_integral`` gives it alone, and ``doppler_responses``
 takes it precomputed, so a fit evaluates it once per detuning.  Each
 formula is written once, in private pieces that the three public kernels
-and ``doppler_responses`` build from.
+and ``doppler_responses`` build from.  ``response_tangents`` adds the
+derivatives of both responses in (b, Omega_c, gamma_dec), in closed form
+from the same J arrays (J' = -2 zeta J - 2).
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson
@@ -44,7 +46,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .faddeeva import (SQRT_PI, gaussian_pole_difference,
-                       gaussian_pole_integral, split_apply)
+                       gaussian_pole_difference_dz0, gaussian_pole_integral,
+                       split_apply)
 from .params import SystemParams
 
 # |delta + i*gamma_dec| below this is treated as exactly on two-photon
@@ -89,6 +92,25 @@ def complex_sinc(z):
 def _sinc_series(z):
     z2 = z**2
     return 1.0 - z2 / 6.0 + z2**2 / 120.0
+
+
+def sinc_phase_derivative(z, sinc_phase, phase):
+    """d/dz of S(z) = sinc(z) exp(iz) for an array ``z``, given S(z) and
+    exp(iz) there.
+
+    S = (exp(2iz) - 1)/(2iz), so S' = (exp(2iz) - S)/z.  Below the sinc
+    series cutoff |z| = 1e-4 the series i - 4z/3 - iz^2 + 8z^3/15 is used
+    instead; its truncation error there is ~1e-16.
+    """
+    small = np.abs(z) < _SINC_SERIES_CUTOFF
+    if not small.any():
+        return (phase * phase - sinc_phase) / z
+    big = ~small
+    out = np.empty_like(sinc_phase)
+    out[big] = (phase[big] * phase[big] - sinc_phase[big]) / z[big]
+    zs = z[small]
+    out[small] = 1j - zs * (4.0 / 3.0 + zs * (1j - zs * (8.0 / 15.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +329,12 @@ def _rho_c(dp: _DressedPole, params: SystemParams):
     return out
 
 
+def _merged_poles(omega0, omega1, gd):
+    """Where the pump and dressed poles are too close to difference J."""
+    return np.abs(omega1 - omega0) < _POLE_MERGE_RTOL * np.maximum(
+        gd, np.maximum(abs(omega1), np.abs(omega0)))
+
+
 def _kappa(dp: _DressedPole, params: SystemParams):
     g = params.gamma_natural
     gd = params.gamma_doppler
@@ -325,8 +353,7 @@ def _kappa(dp: _DressedPole, params: SystemParams):
     omega0 = dp.omega0
     pref = -(1.0 - params.b) * params.alpha * \
         params.omega_p * params.omega_c * g / (16.0 * dp.q[dp.regular])
-    merged = np.abs(omega1 - omega0) < _POLE_MERGE_RTOL * np.maximum(
-        gd, np.maximum(abs(omega1), np.abs(omega0)))
+    merged = _merged_poles(omega0, omega1, gd)
     sep = np.where(merged, 1.0, omega1 - omega0)
     vals = pref * (j1 - dp.j0) / sep / gd
     if np.any(merged):
@@ -401,10 +428,92 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
     the second evaluation.
     """
     scalar, d = _as_delta_array(delta)
+    _, _, rho, kap = _responses(d, params, impurity_line)
+    return (_as_scalar_or_array(rho, scalar),
+            _as_scalar_or_array(kap, scalar))
+
+
+def _responses(d, params: SystemParams, impurity_line):
+    """The dressed pole, the impurity line, rho and kappa at array ``d``."""
     dp = _dressed_pole(d, params)
     if impurity_line is None:
         impurity_line = _impurity_line(dp.p_pole, params)
     rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
-    kap = _kappa(dp, params)
-    return (_as_scalar_or_array(rho, scalar),
-            _as_scalar_or_array(kap, scalar))
+    return dp, impurity_line, rho, _kappa(dp, params)
+
+
+def response_tangents(delta, params: SystemParams, impurity_line=None):
+    """``doppler_responses`` at array ``delta``, with its derivatives.
+
+    Returns (rho, kappa, tangents): rho and kappa equal
+    ``doppler_responses`` bit for bit, and ``tangents`` yields the pair
+    (d rho, d kappa) with respect to b, Omega_c and gamma_dec in turn, one
+    pair at a time, each from the J arrays already at hand:
+
+    * rho_c and kappa scale with (1 - b) and rho_m with b, so the b pair
+      costs no Faddeeva work at all;
+    * the dressed pole zeta_0 = omega_0/Gamma_D moves with
+      d omega_0/d Omega_c = Omega_c/(2q) and d omega_0/d gamma_dec =
+      -i Omega_c^2/(4q^2), and J' = -2 zeta J - 2;
+    * kappa's divided difference D moves with (D - J'(zeta_0))/(zeta_1 -
+      zeta_0), or with :func:`~biphoton.faddeeva.gaussian_pole_difference_dz0`
+      where the poles merge.
+
+    On exact two-photon resonance with gamma_dec = 0 (q = 0, never a
+    sample of a zero-symmetric grid with an even number of points) only
+    d rho_m/d b is carried; the other derivatives there are zero.
+    """
+    dp, impurity_line, rho, kap = _responses(
+        np.asarray(delta, dtype=float), params, impurity_line)
+    return rho, kap, _tangents(dp, impurity_line, params)
+
+
+def _tangents(dp: _DressedPole, impurity_line, params: SystemParams):
+    g = params.gamma_natural
+    gd = params.gamma_doppler
+    omega_c = params.omega_c
+    keep = 1.0 - params.b
+    inv_q = 1.0 / dp.q[dp.regular]
+    zeta0 = dp.omega0 / gd
+    j0_prime = -2.0 * zeta0 * dp.j0 - 2.0
+    c = params.alpha * g / (8.0 * gd)
+    # d rho/d zeta_0
+    rho_zeta = -keep * c * j0_prime
+    # kappa = (1 - b) Omega_c kap_unit, and (1 - b) Omega_c d kap_unit/d zeta_0
+    kap_unit = kap_zeta = np.zeros_like(inv_q)
+    if params.omega_p != 0.0:
+        omega1 = -params.delta_p - 0.5j * g
+        zeta1 = omega1 / gd
+        merged = _merged_poles(dp.omega0, omega1, gd)
+        sep = np.where(merged, 1.0, zeta1 - zeta0)
+        diff = (complex(gaussian_pole_integral(zeta1)) - dp.j0) / sep
+        diff_zeta = (diff - j0_prime) / sep
+        if np.any(merged):
+            diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)
+            diff_zeta[merged] = gaussian_pole_difference_dz0(
+                zeta0[merged], zeta1)
+        k_unit = -params.alpha * params.omega_p * g / (16.0 * gd**2) * inv_q
+        kap_unit = k_unit * diff
+        kap_zeta = (keep * omega_c) * k_unit * diff_zeta
+        del merged, sep, diff, diff_zeta, k_unit
+    # the generator keeps its locals alive; the columns need none of these
+    del zeta0, j0_prime
+
+    def full(values):
+        if isinstance(dp.regular, slice):
+            return values
+        out = np.zeros(dp.q.shape, dtype=complex)
+        out[dp.regular] = values
+        return out
+
+    # b
+    yield (full(c * dp.j0) - c * impurity_line, full(-omega_c * kap_unit))
+    # Omega_c: d zeta_0 = Omega_c/(2 q Gamma_D)
+    zeta_move = (omega_c / (2.0 * gd)) * inv_q
+    yield (full(rho_zeta * zeta_move),
+           full(keep * kap_unit + kap_zeta * zeta_move))
+    # gamma_dec: d zeta_0 = -i Omega_c^2/(4 q^2 Gamma_D), and d(1/q) = -i/q^2
+    zeta_move = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
+    yield (full(rho_zeta * zeta_move),
+           full((-1j * keep * omega_c) * kap_unit * inv_q
+                + kap_zeta * zeta_move))

@@ -37,14 +37,24 @@ class DetectionChain:
             raise ParameterError("fiber_factor must be >= 1")
 
 
-def fwhm(x, y) -> float:
-    """Full width at half maximum of a sampled non-negative curve.
+class HalfMaximum(NamedTuple):
+    """Where ``fwhm`` reads a curve: the peak sample, and on each side the
+    first sample below half the peak value (the crossing lies between it
+    and its neighbour towards the peak)."""
 
-    The two half-maximum crossings adjacent to the global peak are located
-    by linear interpolation between the bracketing samples.  The peak must
-    be interior; a missing crossing raises naming the failing side.
-    Invariant under positive rescaling of y and translation of x.
-    """
+    peak: int
+    right: int
+    left: int
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The samples the width depends on, each once."""
+        return tuple(dict.fromkeys((self.peak, self.left + 1, self.left,
+                                    self.right - 1, self.right)))
+
+
+def half_maximum(x, y) -> HalfMaximum:
+    """The samples ``fwhm`` interpolates between; raises as ``fwhm`` does."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size < 3:
@@ -54,21 +64,65 @@ def fwhm(x, y) -> float:
         raise ExtractionError("global maximum sits on a curve endpoint")
     half = y[peak] / 2.0
 
-    def crossing(idx_from, idx_to, step, side):
-        prev = idx_from
-        i = idx_from + step
+    def below(idx_to, step, side):
+        i = peak + step
         while i != idx_to + step:
             if y[i] < half:
-                # interpolate between prev (>= half) and i (< half)
-                frac = (half - y[prev]) / (y[i] - y[prev])
-                return x[prev] + frac * (x[i] - x[prev])
-            prev = i
+                return i
             i += step
         raise ExtractionError(f"no half-maximum crossing on the {side} side")
 
-    right = crossing(peak, y.size - 1, +1, "right")
-    left = crossing(peak, 0, -1, "left")
-    return float(right - left)
+    return HalfMaximum(peak, below(y.size - 1, +1, "right"),
+                       below(0, -1, "left"))
+
+
+def fwhm(x, y) -> float:
+    """Full width at half maximum of a sampled non-negative curve.
+
+    The two half-maximum crossings adjacent to the global peak are located
+    by linear interpolation between the bracketing samples.  The peak must
+    be interior; a missing crossing raises naming the failing side.
+    Invariant under positive rescaling of y and translation of x.
+    """
+    hm = half_maximum(x, y)
+    at = list(hm.indices)
+    return width_at_half_maximum(hm, np.asarray(x, dtype=float)[at],
+                                 np.asarray(y, dtype=float)[at])
+
+
+def width_at_half_maximum(hm: HalfMaximum, x, y) -> float:
+    """``fwhm`` from x and y at ``hm.indices`` alone (same order)."""
+    x, y = dict(zip(hm.indices, x)), dict(zip(hm.indices, y))
+    half = y[hm.peak] / 2.0
+
+    def crossing(i, prev):
+        # interpolate between prev (>= half) and i (< half)
+        frac = (half - y[prev]) / (y[i] - y[prev])
+        return x[prev] + frac * (x[i] - x[prev])
+
+    return float(crossing(hm.right, hm.right - 1)
+                 - crossing(hm.left, hm.left + 1))
+
+
+def fwhm_tangent(hm: HalfMaximum, x, y, dy) -> float:
+    """Derivative of ``width_at_half_maximum(hm, x, y)`` along dy.
+
+    x, y and dy are given at ``hm.indices``; x stays fixed.  Exact for the
+    linear interpolation ``fwhm`` does, away from the values of y at which
+    the peak or a bracketing sample changes.
+    """
+    x, y, dy = (dict(zip(hm.indices, v)) for v in (x, y, dy))
+    half = y[hm.peak] / 2.0
+    d_half = dy[hm.peak] / 2.0
+
+    def d_crossing(i, prev):
+        rise = y[i] - y[prev]
+        d_frac = ((d_half - dy[prev]) * rise
+                  - (half - y[prev]) * (dy[i] - dy[prev])) / rise**2
+        return d_frac * (x[i] - x[prev])
+
+    return float(d_crossing(hm.right, hm.right - 1)
+                 - d_crossing(hm.left, hm.left + 1))
 
 
 def generation_rate(wp: WavePacket) -> float:

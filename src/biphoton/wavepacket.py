@@ -14,16 +14,22 @@ normalization is exact for the sampled amplitude.  Starting the sum at
 delta_min instead of 0 multiplies G(tau) by the unit-modulus factor
 exp(-i delta_min tau); only |G|^2 is formed, so that factor is never
 applied, and fftshift puts tau in increasing order.
+
+For the fitter's derivatives, ``amplitude_tangents`` gives dA/d(b,
+Omega_c, gamma_dec) one array at a time, and ``transform_tangents`` a few
+samples of the transform and their derivatives by direct sums.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
 from .kernels import (complex_sinc, doppler_responses, etalon_response,
-                      impurity_line_integral)
+                      impurity_line_integral, response_tangents,
+                      sinc_phase_derivative)
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
@@ -34,6 +40,9 @@ EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
 # zero-padding factor of the DFT: halves the tau step below pi/delta_max
 OVERSAMPLE = 2
+# grid points per step of transform_tangents (a multiple of its row
+# length for every grid up to MAX_GRID_POINTS)
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,37 @@ def amplitude_at(delta, params: SystemParams, impurity_line=None):
             * etalon_response(delta, params.gamma_etalon))
 
 
-def _cached_impurity_line(impurity_lines, grid, delta, params):
+def amplitude_tangents(delta, params: SystemParams, impurity_line=None):
+    """``amplitude_at`` on an array ``delta``, with its derivatives.
+
+    Returns (A, tangents): A equals ``amplitude_at`` bit for bit, and
+    ``tangents`` yields dA with respect to b, Omega_c and gamma_dec in
+    turn, one array at a time.  With S = sinc(rho) exp(i rho),
+    dA = (d kappa S + kappa S'(rho) d rho) B.
+    """
+    rho, kap, responses = response_tangents(delta, params,
+                                            impurity_line=impurity_line)
+    sinc = complex_sinc(rho)
+    phase = np.exp(1j * rho)
+    etalon = etalon_response(delta, params.gamma_etalon)
+    amp = kap * sinc * phase * etalon
+
+    def tangents():
+        s = sinc * phase
+        kap_ds = kap * sinc_phase_derivative(rho, s, phase) * etalon
+        s *= etalon
+        for d_rho, d_kap in responses:
+            d_amp = d_kap * s
+            d_amp += kap_ds * d_rho
+            yield d_amp
+
+    return amp, tangents()
+
+
+def cached_impurity_line(impurity_lines, grid, delta, params):
+    """The impurity line of ``params`` on ``grid`` from the cache dict
+    ``impurity_lines`` (see :func:`sample_spectral_amplitude`), computed
+    and kept on a miss; None when there is no cache."""
     if impurity_lines is None:
         return None
     key = (grid, params.delta_c, params.gamma_doppler, params.gamma_natural)
@@ -152,7 +191,7 @@ def sample_spectral_amplitude(params: SystemParams,
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     for _ in range(MAX_WIDENINGS + 1):
         delta = grid.values
-        amp = amplitude_at(delta, params, impurity_line=_cached_impurity_line(
+        amp = amplitude_at(delta, params, impurity_line=cached_impurity_line(
             impurity_lines, grid, delta, params))
         peak = float(np.max(np.abs(amp)))
         if peak == 0.0:
@@ -198,6 +237,70 @@ def wave_packet(sa: SpectralAmplitude) -> WavePacket:
     tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=d_delta))
     g = (d_delta / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(weighted, n=m))
     return WavePacket(tau, np.abs(g) ** 2, sa.params)
+
+
+class TransformTangents(NamedTuple):
+    """A few samples of the ``wave_packet`` transform, with derivatives.
+
+    ``g`` holds G at the requested tau indices and ``d_g`` (3, K) its
+    derivatives in (b, Omega_c, gamma_dec); ``energy`` is sum |a|^2 over
+    the end-halved amplitude a, and ``d_energy`` (3,) its derivatives
+    2 Re<a, da>.
+    """
+
+    g: np.ndarray
+    d_g: np.ndarray
+    energy: float
+    d_energy: np.ndarray
+
+
+def transform_tangents(params: SystemParams, grid: DetuningGrid, indices,
+                       impurity_line=None) -> TransformTangents:
+    """The transform of A(delta) on ``grid`` at tau ``indices``, to first
+    order in (b, Omega_c, gamma_dec), without an FFT.
+
+    ``indices`` index the increasing tau grid of :func:`wave_packet`; each
+    sample is the direct sum (d_delta/2pi) sum_j a_j exp(-2 pi i j k/M)
+    with k its unshifted DFT index.  The roots of unity factor over
+    j = r B + c, B ~ sqrt(n), into an (n/B, K) and a (B, K) table, so a
+    sum is one small matrix product; the phases are reduced mod M in
+    integers before the exponential.  The grid is taken ``_CHUNK`` points
+    at a time, and within a chunk the three derivative arrays one at a
+    time, so no array of the grid's size is formed.  ``impurity_line`` is
+    an optional precomputed impurity line on the whole grid.
+    """
+    n = grid.n_points
+    m = n * OVERSAMPLE
+    k = (np.asarray(indices, dtype=np.int64) + m // 2) % m
+    block = 1 << (n.bit_length() - 1) // 2
+    c = np.arange(block, dtype=np.int64)[:, None]
+    r = np.arange(n // block, dtype=np.int64)[:, None]
+    inner = np.exp((-2j * np.pi / m) * ((c * k) % m))
+    outer = np.exp((-2j * np.pi / m) * ((r * block * k) % m))
+    delta = grid.values
+    g = np.zeros(k.size, dtype=complex)
+    d_g = np.zeros((3, k.size), dtype=complex)
+    energy = 0.0
+    d_energy = np.zeros(3)
+    for lo in range(0, n, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        line = None if impurity_line is None else impurity_line[part]
+        amp, tangents = amplitude_tangents(delta[part], params,
+                                           impurity_line=line)
+        # trapezoid weights: the grid's two end samples count half
+        ends = [i for i, at_end in ((0, lo == 0), (-1, lo + _CHUNK == n))
+                if at_end]
+        rows = outer[lo // block:(lo + _CHUNK) // block]
+        amp[ends] *= 0.5
+        g += np.sum((amp.reshape(-1, block) @ inner) * rows, axis=0)
+        energy += np.vdot(amp, amp).real
+        for col, d_amp in enumerate(tangents):
+            d_amp[ends] *= 0.5
+            d_g[col] += np.sum((d_amp.reshape(-1, block) @ inner) * rows,
+                               axis=0)
+            d_energy[col] += 2.0 * np.vdot(amp, d_amp).real
+    scale = grid.spacing / (2.0 * np.pi)
+    return TransformTangents(scale * g, scale * d_g, energy, d_energy)
 
 
 def biphoton_spectrum(sa: SpectralAmplitude) -> np.ndarray:

@@ -360,6 +360,9 @@ PROBES = [
                  2, "CONFIG_BAD_VALUE",
                  "fit.init_gamma_dec, fit.init_scale missing",
                  id="fit_init_half_set"),
+    pytest.param(_probe_fit_init("fit.max_iterations = -3\n"), 2,
+                 "CONFIG_BAD_VALUE", "max_iterations must be an integer >= 1",
+                 id="fit_max_iterations_negative"),
     pytest.param(_probe_config("simulate",
                                SYSTEM_15MW + "grid.n_points = 16384\n"),
                  2, "CONFIG_BAD_VALUE", "grid.delta_max_mhz missing",

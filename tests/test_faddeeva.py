@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from biphoton.faddeeva import (_BLOCK, _COEFFS, _CF_RADIUS, _L, SQRT_PI,
                                _w_continued_fraction, _w_rational, faddeeva_w,
                                gaussian_pole_difference,
+                               gaussian_pole_difference_dz0,
                                gaussian_pole_integral)
 
 
@@ -177,3 +178,40 @@ def test_pole_difference_is_the_plain_difference_when_apart():
     assert gaussian_pole_difference(z0, z1) == pytest.approx(plain, rel=1e-9)
     vec = gaussian_pole_difference(np.array([z0, 9.0 - 1j]), z1)
     assert vec[0] == gaussian_pole_difference(z0, z1)
+
+
+class TestPoleDifferenceDerivative:
+    """d/dzeta0 of the divided difference, in the domain of
+    ``gaussian_pole_difference`` and beyond it."""
+
+    # midpoints in both branches (|m| < 8 Taylor, |m| >= 8 asymptotic)
+    @pytest.mark.parametrize("m", [0.3 - 0.2j, -5.864 - 0.00926j,
+                                   7.9 - 1.0j, 8.1 - 0.5j, -40.0 - 0.01j])
+    @pytest.mark.parametrize("rel_sep", [1e-3, 1e-7, 0.0])
+    def test_matches_central_differences(self, m, rel_sep):
+        h = rel_sep * max(1.0, abs(m)) * np.exp(0.4j)
+        z0, z1 = m - h / 2, m + h / 2
+        step = 1e-5 * max(1.0, abs(m))
+        want = (gaussian_pole_difference(z0 + step, z1)
+                - gaussian_pole_difference(z0 - step, z1)) / (2 * step)
+        got = gaussian_pole_difference_dz0(z0, z1)
+        assert abs(got - want) / abs(got) < 1e-8
+
+    # well-separated poles, where (D - J'(zeta0))/(zeta1 - zeta0) does not
+    # cancel; both series still converge there
+    @pytest.mark.parametrize("m", [0.3 - 0.2j, 3.0 + 2.0j, -5.0 - 0.5j,
+                                   9.0 - 0.5j, -20.0 - 3.0j, 40.0 + 1.0j])
+    def test_is_the_closed_form_when_apart(self, m):
+        h = 0.1 * np.exp(0.3j)
+        z0, z1 = m - h / 2, m + h / 2
+        j0, j1 = gaussian_pole_integral(np.array([z0, z1]))
+        closed = ((j1 - j0) / (z1 - z0) - (-2.0 * z0 * j0 - 2.0)) / (z1 - z0)
+        got = gaussian_pole_difference_dz0(z0, z1)
+        assert abs(got - closed) / abs(closed) < 1e-8
+
+    def test_vectorized_matches_scalar(self):
+        z1 = 2.0 - 0.3j
+        z0 = np.array([2.0005 - 0.3j, 9.0 - 1.0j + 1e-3])
+        vec = gaussian_pole_difference_dz0(z0, np.array([z1, 9.0 - 1.0j]))
+        assert vec[0] == gaussian_pole_difference_dz0(z0[0], z1)
+        assert vec[1] == gaussian_pole_difference_dz0(z0[1], 9.0 - 1.0j)

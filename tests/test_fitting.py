@@ -13,16 +13,45 @@ import biphoton.kernels
 from biphoton.config import ConfigError
 from biphoton.errors import GridOverflowError, ParameterError
 from biphoton.forward import predict
-from biphoton.fitting import (DetuningSeries, FitOptions, Theta,
-                              _ForwardModel, apply_multiplicative_noise,
+from biphoton.fitting import (_LOWER, _UPPER, DetuningSeries, FitOptions,
+                              Theta, _ForwardModel, _jacobian,
+                              _residual_vector, apply_multiplicative_noise,
                               default_init, fit_series, format_fit_report,
                               residuals, synthesize_series)
 from biphoton.params import SystemParams
-from biphoton.units import ghz_to_gamma
+from biphoton.units import ghz_to_gamma, tau_to_ns
 from biphoton.wavepacket import auto_grid, sample_spectral_amplitude
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
+# the starting point of most fits below
+INIT = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)
+
+
+def central_difference_jacobian(x, series, model, rel_step=1e-6, floor=1e-4):
+    """The residuals' Jacobian by central differences, the fitter's own
+    method before it had exact derivatives: step rel_step * max(|x|,
+    floor) in each entry, one-sided where a bound is closer.
+
+    The widths come from ``fwhm``'s linear interpolation, which has kinks
+    where the peak or a bracketing sample of the wave packet changes; at
+    gamma_dec = 0 and 0.002 a step of 1e-4 relative already straddles one,
+    hence the small step.  The floor keeps the step at gamma_dec = 0 at
+    1e-10, as the fitter had it.
+    """
+    f0 = _residual_vector(x, series, model)
+    jac = np.zeros((f0.size, x.size))
+    for i in range(x.size):
+        h = rel_step * max(abs(x[i]), floor)
+        up = min(h, _UPPER[i] - x[i])
+        dn = min(h, x[i] - _LOWER[i])
+        x_hi, x_lo = x.copy(), x.copy()
+        x_hi[i] += up
+        x_lo[i] -= dn
+        r_hi = _residual_vector(x_hi, series, model) if up > 0 else f0
+        r_lo = _residual_vector(x_lo, series, model) if dn > 0 else f0
+        jac[:, i] = (r_hi - r_lo) / (up + dn)
+    return jac
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +77,14 @@ class TestSeries:
             DetuningSeries(delta_c_ghz=np.array([0.1, 0.5, 0.9, 1.0]),
                            rg=np.ones(4), rg_err=np.zeros(4),
                            tau_w_ns=np.ones(4), tau_w_err=np.ones(4))
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "5"])
+    def test_max_iterations_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError, match="max_iterations"):
+            FitOptions(max_iterations=n)
+
+    def test_max_iterations_accepts_numpy_integers(self):
+        assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3
 
     def test_nan_error_bar(self):
         with pytest.raises(ParameterError, match="error"):
@@ -168,6 +205,67 @@ class TestForwardModel:
             _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
 
 
+class TestJacobian:
+    """The exact Jacobian against central differences of the residuals."""
+
+    @pytest.fixture
+    def merged_poles(self, monkeypatch):
+        """The sizes of the merged-pole sets kappa's derivative meets."""
+        real = biphoton.kernels.gaussian_pole_difference_dz0
+        sizes = []
+
+        def counted(zeta0, zeta1):
+            sizes.append(np.size(zeta0))
+            return real(zeta0, zeta1)
+
+        monkeypatch.setattr(biphoton.kernels, "gaussian_pole_difference_dz0",
+                            counted)
+        return sizes
+
+    # the generating theta, the tests' init, and gamma_dec at its lower
+    # bound, where the differences in gamma_dec are one-sided
+    @pytest.mark.parametrize("theta", [THETA_TRUE, INIT,
+                                       THETA_TRUE._replace(gamma_dec=0.0)],
+                             ids=["theta_true", "init", "gamma_zero"])
+    def test_matches_central_differences(self, clean_series, theta,
+                                         merged_poles):
+        x = np.asarray(theta, dtype=float)
+        model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
+        exact = _jacobian(x, clean_series, model, [0, 1, 2, 3])
+        # kappa's dressed and pump poles merge on some samples here
+        assert sum(merged_poles) > 0
+        oracle = central_difference_jacobian(x, clean_series, model)
+        rel = (np.linalg.norm(exact - oracle, axis=0)
+               / np.linalg.norm(oracle, axis=0))
+        assert np.all(rel <= 1e-5), rel
+
+    def test_frozen_columns_are_left_out(self, clean_series):
+        x = np.asarray(INIT, dtype=float)
+        model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
+        full = _jacobian(x, clean_series, model, [0, 1, 2, 3])
+        assert np.array_equal(_jacobian(x, clean_series, model, [1, 3]),
+                              full[:, [1, 3]])
+        # the scale moves the rates alone, by the model rate
+        rg, _ = model.rates_and_widths(x)
+        assert np.array_equal(full[0::2, 3], rg / clean_series.rg_err)
+        assert not full[1::2, 3].any()
+
+    @pytest.mark.parametrize("theta", [THETA_TRUE,
+                                       Theta(0.3, 12.5, 0.011, 1.5e9)])
+    def test_linearized_pass_reproduces_the_forward_values(self, theta):
+        model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        rg, tw = model.rates_and_widths(np.asarray(theta))
+        params = SystemParams().replace(b=theta.b, omega_c=theta.omega_c,
+                                        gamma_dec=theta.gamma_dec)
+        for i, dc in enumerate(model.delta_c):
+            at = params.replace(delta_c=float(dc))
+            samples = biphoton.forward.width_samples(
+                predict(at, grid_hint=model.grid))
+            lin = biphoton.forward.linearize(at, samples)
+            assert lin.rg_arb == pytest.approx(rg[i], rel=1e-13)
+            assert tau_to_ns(lin.tau_w) == pytest.approx(tw[i], rel=1e-13)
+
+
 class TestImpurityLineCache:
     @pytest.fixture
     def line_evaluations(self, monkeypatch):
@@ -187,6 +285,13 @@ class TestImpurityLineCache:
         init = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)
         fit_series(clean_series, init=init,
                    options=FitOptions(max_iterations=2))
+        assert sorted(line_evaluations) == sorted(ghz_to_gamma(
+            np.asarray(DETUNINGS)))
+
+    def test_default_init_fit_shares_one_model(self, clean_series,
+                                               line_evaluations):
+        # the starting point's scan and the fit run on the same model
+        fit_series(clean_series, options=FitOptions(max_iterations=1))
         assert sorted(line_evaluations) == sorted(ghz_to_gamma(
             np.asarray(DETUNINGS)))
 

@@ -335,3 +335,90 @@ def test_quadrature_spec_validation():
         K.QuadratureSpec(support_halfwidth=2.0)
     with pytest.raises(ParameterError):
         K.QuadratureSpec(panel_tolerance=0.0)
+
+
+class TestResponseTangents:
+    """Closed-form derivatives of (rho, kappa) against central differences
+    of ``doppler_responses`` in b, Omega_c and gamma_dec."""
+
+    NAMES = ("b", "omega_c", "gamma_dec")
+
+    @classmethod
+    def assert_matches_differences(cls, deltas, p, rel_step=1e-6, tol=1e-6):
+        rho, kap, tangents = K.response_tangents(deltas, p)
+        assert np.array_equal(rho, K.doppler_responses(deltas, p)[0])
+        assert np.array_equal(kap, K.doppler_responses(deltas, p)[1])
+        for name, (d_rho, d_kap) in zip(cls.NAMES, tangents, strict=True):
+            x = getattr(p, name)
+            h = rel_step * max(x, 1e-2)
+            lo = max(x - h, 0.0)
+            hi_rho, hi_kap = K.doppler_responses(
+                deltas, p.replace(**{name: x + h}))
+            lo_rho, lo_kap = K.doppler_responses(
+                deltas, p.replace(**{name: lo}))
+            for got, hi, low, value in ((d_rho, hi_rho, lo_rho, rho),
+                                        (d_kap, hi_kap, lo_kap, kap)):
+                want = (hi - low) / (x + h - lo)
+                # a response that does not move leaves rounding noise
+                scale = max(np.max(np.abs(want)), np.max(np.abs(value)))
+                assert np.max(np.abs(got - want)) <= tol * scale, name
+
+    def test_on_an_auto_grid(self, params_15mw):
+        deltas = auto_grid(params_15mw).values[::64]
+        self.assert_matches_differences(deltas, params_15mw)
+
+    def test_random_params(self, random_valid_params):
+        for draw in random_valid_params(5):
+            dc = ghz_to_gamma(draw.pop("delta_c_ghz"))
+            p = SystemParams(delta_c=dc, **draw)
+            self.assert_matches_differences(np.linspace(-40.0, 40.0, 801), p)
+
+    @pytest.mark.parametrize("gamma_doppler", [54.0, 2.0])
+    def test_through_merged_poles(self, params_15mw, gamma_doppler,
+                                  monkeypatch):
+        merged = []
+        real = K.gaussian_pole_difference_dz0
+
+        def counted(z0, z1):
+            merged.append(np.size(z0))
+            return real(z0, z1)
+
+        monkeypatch.setattr(K, "gaussian_pole_difference_dz0", counted)
+        # gamma_dec = 0 is the lower end: its differences are one-sided
+        p = params_15mw.replace(gamma_dec=0.0, gamma_doppler=gamma_doppler)
+        roots = np.array(TestMergedPoles.roots(p))
+        deltas = np.concatenate([roots * (1.0 + 1e-4), roots * (1.0 - 1e-4),
+                                 np.linspace(-30.5, 30.5, 60)])
+        self.assert_matches_differences(deltas, p, tol=1e-5)
+        assert sum(merged) >= 4
+
+    @pytest.mark.parametrize("off", ["omega_c", "omega_p"])
+    def test_field_off(self, params_15mw, off):
+        p = params_15mw.replace(**{off: 0.0})
+        self.assert_matches_differences(np.linspace(-20.5, 20.5, 40), p)
+
+
+class TestSincPhaseDerivative:
+    @staticmethod
+    def derivative(z):
+        z = np.asarray(z, dtype=complex)
+        phase = np.exp(1j * z)
+        return K.sinc_phase_derivative(z, K.complex_sinc(z) * phase, phase)
+
+    def test_matches_central_differences(self):
+        z = np.array([1e-3 + 2e-3j, 0.3 - 0.1j, 2.0 + 0.5j, -4.0 + 1.0j])
+        h = 1e-6
+
+        def s(v):
+            return K.complex_sinc(v) * np.exp(1j * v)
+
+        want = (s(z + h) - s(z - h)) / (2 * h)
+        assert np.max(np.abs(self.derivative(z) - want)) < 1e-8
+
+    def test_series_direct_agreement_across_cutoff(self):
+        cut = K._SINC_SERIES_CUTOFF
+        for direction in (1.0, 1j, np.exp(0.7j)):
+            below = self.derivative(np.array([cut * (1 - 1e-9) * direction]))
+            above = self.derivative(np.array([cut * (1 + 1e-9) * direction]))
+            assert abs(below[0] - above[0]) < 1e-10
+        assert self.derivative(np.zeros(1))[0] == 1j

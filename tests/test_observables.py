@@ -9,9 +9,10 @@ from biphoton.errors import (ExtractionError, InconsistentRatesError,
                              ParameterError)
 from biphoton.forward import detuning_sweep, predict
 from biphoton.observables import (DetectionChain, detected_to_generated,
-                                  fwhm, generation_rate,
-                                  heralding_probability, sbr_from_g2,
-                                  spectral_brightness)
+                                  fwhm, fwhm_tangent, generation_rate,
+                                  half_maximum, heralding_probability,
+                                  sbr_from_g2, spectral_brightness,
+                                  width_at_half_maximum)
 from biphoton.units import ghz_to_gamma, mhz_to_gamma
 from biphoton.wavepacket import sample_spectral_amplitude, wave_packet
 
@@ -55,6 +56,34 @@ class TestFwhm:
         base = fwhm(t, y)
         assert fwhm(t + shift, y) == pytest.approx(base, rel=1e-12)
         assert fwhm(t, scale * y) == pytest.approx(base, rel=1e-12)
+
+    def test_half_maximum_samples(self):
+        t = np.linspace(-10.0, 10.0, 201)
+        hm = half_maximum(t, np.exp(-((t - 0.31) / 2.0) ** 2))
+        assert hm.peak == 103
+        # first samples below half maximum, the half-width is 2 sqrt(ln 2)
+        assert t[hm.right - 1] <= 0.31 + 2 * np.sqrt(np.log(2)) < t[hm.right]
+        assert t[hm.left] < 0.31 - 2 * np.sqrt(np.log(2)) <= t[hm.left + 1]
+        assert hm.indices == (hm.peak, hm.left + 1, hm.left, hm.right - 1,
+                              hm.right)
+
+    def test_tangent_matches_central_differences(self):
+        # a skewed peak whose width, height and position all move with s
+        t = np.linspace(-10.0, 10.0, 401)
+
+        def curve(s):
+            return (1.0 + s) * np.exp(-(t - 0.2 * s) ** 2 / (2.0 * s**2)
+                                      - 0.1 * s * t)
+
+        s, h = 1.7, 1e-7
+        y = curve(s)
+        hm = half_maximum(t, y)
+        at = list(hm.indices)
+        dy = (curve(s + h) - curve(s - h)) / (2 * h)
+        got = fwhm_tangent(hm, t[at], y[at], dy[at])
+        want = (fwhm(t, curve(s + h)) - fwhm(t, curve(s - h))) / (2 * h)
+        assert got == pytest.approx(want, rel=1e-6)
+        assert width_at_half_maximum(hm, t[at], y[at]) == fwhm(t, y)
 
 
 class TestGenerationRate:
