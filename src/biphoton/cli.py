@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate``, ``sweep``, ``spectrum``, ``analyze``, ``fit``.
 Every command is deterministic: identical inputs produce byte-identical
-output files (floats are written with shortest round-trip repr).  Exit
+output files.  Every CSV goes through ``ingest.write_table``, which holds
+the formatting rule (floats as shortest round-trip repr).  Exit
 status 0 means success or a partial sweep.  Any package error prints one
 machine-readable line ``error: CODE detail`` to stderr and exits with the
 status its class carries: 2 for usage, config and output (CONFIG_*,
@@ -16,6 +17,7 @@ the background window, ``fit.init_*``) is CONFIG_BAD_VALUE.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,31 +29,19 @@ from .fitting import (PARAM_NAMES, FitOptions, Theta, fit_series,
                       format_fit_report)
 from .forward import detuning_sweep, predict
 from .ingest import (detected_pair_rate, estimate_background, load_histogram,
-                     load_series, region_above, to_g2)
+                     load_series, region_above, to_g2, write_table)
 from .observables import (detected_to_generated, heralding_probability,
                           sbr_from_g2)
 from .units import gamma_to_mhz, ghz_to_gamma, tau_to_ns
 from .wavepacket import biphoton_spectrum
 
 
-def _fmt(x):
-    """Shortest round-trip decimal for floats; ints and strings verbatim."""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def _write(path, text):
+def _write(path, write, *args):
+    """``write(path, *args)``; a file-system failure is OUTPUT_UNWRITABLE."""
     try:
-        path.write_text(text)
+        write(path, *args)
     except OSError:
         raise ConfigError("OUTPUT_UNWRITABLE", str(path)) from None
-
-
-def _write_rows(path, header, rows):
-    lines = [header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
 
 
 def _decimate(n_rows, cap):
@@ -61,9 +51,10 @@ def _decimate(n_rows, cap):
 
 def _write_observables(out, entries):
     # entries: (name, value, units, calibrated)
-    _write_rows(out / "observables.csv", "name,value,units,calibrated",
-                [(name, value, units, "true" if calib else "false")
-                 for name, value, units, calib in entries])
+    names, values, units, calibrated = zip(*entries)
+    _write(out / "observables.csv", write_table, "name,value,units,calibrated",
+           [names, values, units,
+            ["true" if calib else "false" for calib in calibrated]])
 
 
 def _load_config(args, required=True):
@@ -111,8 +102,8 @@ def cmd_simulate(args):
     tau_ns = tau_to_ns(wp.tau[lo:hi + 1])
     g2 = wp.g2[lo:hi + 1]
     keep = _decimate(tau_ns.size, 8000)
-    _write_rows(out / "wavepacket.csv", "tau_ns,g2_arb",
-                zip(tau_ns[keep], g2[keep]))
+    _write(out / "wavepacket.csv", write_table, "tau_ns,g2_arb",
+           [tau_ns[keep], g2[keep]])
 
     _write_spectrum(out, pred)
 
@@ -131,8 +122,8 @@ def _write_spectrum(out, pred):
         delta, spec = delta[spec >= 1e-9], spec[spec >= 1e-9]
     delta_mhz = gamma_to_mhz(delta)
     keep = _decimate(delta_mhz.size, 4000)
-    _write_rows(out / "spectrum.csv", "delta_mhz,intensity_norm",
-                zip(delta_mhz[keep], spec[keep]))
+    _write(out / "spectrum.csv", write_table, "delta_mhz,intensity_norm",
+           [delta_mhz[keep], spec[keep]])
 
 
 def cmd_spectrum(args):
@@ -154,15 +145,15 @@ def cmd_sweep(args):
     rows = []
     for dcg, pred in zip(detunings, results):
         if isinstance(pred, BiphotonError):  # a failed point is a marker row
-            rows.append((float(dcg), "ERROR", "ERROR", "ERROR"))
+            rows.append(("ERROR", "ERROR", "ERROR"))
             print(f"warning: point delta_c={dcg} GHz failed: {pred}",
                   file=sys.stderr)
         else:
-            rows.append((float(dcg), pred.rg_arb, pred.tau_w_ns,
+            rows.append((pred.rg_arb, pred.tau_w_ns,
                          gamma_to_mhz(pred.delta_omega)))
-    _write_rows(out / "sweep.csv", "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz",
-                rows)
-    if all(row[1] == "ERROR" for row in rows):
+    _write(out / "sweep.csv", write_table,
+           "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz", [detunings, *zip(*rows)])
+    if all(row[0] == "ERROR" for row in rows):
         raise BiphotonError("no point succeeded",
                             code="SWEEP_ALL_POINTS_FAILED")
     return 0
@@ -184,7 +175,7 @@ def cmd_analyze(args):
                             "analyze.background_hi_ns": float})
     background = estimate_background(hist, window=window)
     curve = to_g2(hist, background)
-    _write_rows(out / "g2.csv", "tau_ns,g2", zip(curve.tau, curve.g2))
+    _write(out / "g2.csv", write_table, "tau_ns,g2", [curve.tau, curve.g2])
 
     pair = detected_pair_rate(hist, background)
     if pair.support is None:
@@ -224,11 +215,12 @@ def cmd_fit(args):
         freeze=tuple(t.strip() for t in freeze.split(",") if t.strip()))
 
     result = fit_series(series, init=init, options=options)
-    _write(out / "fit_report.txt", format_fit_report(result, series))
+    _write(out / "fit_report.txt", Path.write_text,
+           format_fit_report(result, series))
     dc, rg_pred, tw_pred = result.per_point.T
-    _write_rows(out / "fit_curve.csv",
-                "delta_c_ghz,rg_meas,rg_pred,tauw_meas,tauw_pred",
-                zip(dc, series.rg, rg_pred, series.tau_w_ns, tw_pred))
+    _write(out / "fit_curve.csv", write_table,
+           "delta_c_ghz,rg_meas,rg_pred,tauw_meas,tauw_pred",
+           [dc, series.rg, rg_pred, series.tau_w_ns, tw_pred])
     return 0
 
 
@@ -255,8 +247,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BiphotonError as exc:

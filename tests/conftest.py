@@ -54,3 +54,34 @@ def random_valid_params():
         return out
 
     return draw
+
+
+def oracle_cell(v):
+    """One CSV cell as the per-value formatter of record wrote it: a float
+    as ``repr(float(v))``, an integer as ``str(int(v))``, anything else
+    (names, units, flags, ``"ERROR"``) as ``str(v)``."""
+    if isinstance(v, float):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return str(int(v))
+    return str(v)
+
+
+def oracle_table(header, columns):
+    """The text of a CSV table, formatted row by row and cell by cell."""
+    lines = [header]
+    lines += [",".join(oracle_cell(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got, want):
+    """None for equal texts, else (line number, got line, wanted line) of
+    the first line that differs; short where a diff of long texts is not."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            return i + 1, g, w
+    n = min(len(got_lines), len(want_lines))
+    return n + 1, got_lines[n:n + 1], want_lines[n:n + 1]

@@ -1,13 +1,18 @@
 """The command-line front-end, run in-process through ``main``.
 
 Each documented exit status is checked together with its single
-``error: CODE detail`` line on stderr, and every command is rerun to
-check that its output files come out byte-identical.
+``error: CODE detail`` line on stderr, every command is rerun to check
+that its output files come out byte-identical, and every CSV it writes
+must equal the per-value oracle's formatting of the columns it wrote.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import first_difference, oracle_table
 
+import biphoton.cli
 import biphoton.forward
 from biphoton.cli import main
 from biphoton.config import ConfigError
@@ -46,6 +51,32 @@ def read_outputs(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Every table the CLI writes, as (path, header, columns); a test
+    checks them with ``assert_tables_match_oracle``."""
+    written = []
+    real_write_table = biphoton.cli.write_table
+
+    def write_table(path, header, columns):
+        written.append((Path(path), header, columns))
+        real_write_table(path, header, columns)
+
+    monkeypatch.setattr(biphoton.cli, "write_table", write_table)
+    return written
+
+
+def assert_tables_match_oracle(tables, out):
+    """Each CSV in ``out`` was written as a table whose bytes equal the
+    oracle's formatting of its columns."""
+    written = {path: (header, columns) for path, header, columns in tables}
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs and set(csvs) <= set(written)
+    for path in csvs:
+        assert first_difference(path.read_text(),
+                                oracle_table(*written[path])) is None, path
+
+
 @pytest.fixture(scope="module")
 def histogram_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "hist.csv"
@@ -69,11 +100,12 @@ def series_path(tmp_path_factory):
 
 
 class TestSuccess:
-    def test_simulate(self, tmp_path, capsys):
+    def test_simulate(self, tmp_path, capsys, tables):
         cfg = write_config(tmp_path, SYSTEM_15MW)
         status, err = run(capsys, "simulate", "--config", cfg,
                           "--out", tmp_path / "a")
         assert status == 0 and err == []
+        assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         assert set(outputs) == {"observables.csv", "spectrum.csv",
                                 "wavepacket.csv"}
@@ -84,22 +116,24 @@ class TestSuccess:
         run(capsys, "simulate", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_spectrum(self, tmp_path, capsys):
+    def test_spectrum(self, tmp_path, capsys, tables):
         cfg = write_config(tmp_path, SYSTEM_15MW)
         status, _ = run(capsys, "spectrum", "--config", cfg,
                         "--out", tmp_path / "a")
         assert status == 0
+        assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         assert set(outputs) == {"observables.csv", "spectrum.csv"}
         run(capsys, "spectrum", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_sweep(self, tmp_path, capsys):
+    def test_sweep(self, tmp_path, capsys, tables):
         cfg = write_config(tmp_path,
                            SYSTEM_15MW + "sweep.delta_c_ghz = 0.5, 1.0\n")
         status, err = run(capsys, "sweep", "--config", cfg,
                           "--out", tmp_path / "a")
         assert status == 0 and err == []
+        assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         rows = outputs["sweep.csv"].decode().splitlines()
         assert rows[0] == "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz"
@@ -107,17 +141,18 @@ class TestSuccess:
         run(capsys, "sweep", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_analyze(self, tmp_path, capsys, histogram_path):
+    def test_analyze(self, tmp_path, capsys, histogram_path, tables):
         status, err = run(capsys, "analyze", histogram_path,
                           "--out", tmp_path / "a")
         assert status == 0
         assert not any(line.startswith("error:") for line in err)
+        assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         assert set(outputs) == {"g2.csv", "observables.csv"}
         run(capsys, "analyze", histogram_path, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_fit_one_iteration(self, tmp_path, capsys, series_path):
+    def test_fit_one_iteration(self, tmp_path, capsys, series_path, tables):
         cfg = write_config(tmp_path, (
             f"fit.series = {series_path}\n"
             "fit.init_b = 0.375\nfit.init_omega_c = 12.0\n"
@@ -126,6 +161,7 @@ class TestSuccess:
         status, err = run(capsys, "fit", "--config", cfg,
                           "--out", tmp_path / "a")
         assert status == 0 and err == []
+        assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         report = outputs["fit_report.txt"].decode()
         assert "iterations: 1" in report
@@ -423,7 +459,7 @@ class TestSweepFailures:
         return install
 
     def test_package_error_becomes_an_error_row(self, tmp_path, capsys,
-                                                failing_at_1ghz):
+                                                failing_at_1ghz, tables):
         failing_at_1ghz(ParameterError("no good"))
         cfg = write_config(tmp_path,
                            SYSTEM_15MW + "sweep.delta_c_ghz = 0.5, 1.0\n")
@@ -434,6 +470,7 @@ class TestSweepFailures:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert rows[2] == "1.0,ERROR,ERROR,ERROR"
         assert np.isfinite(float(rows[1].split(",")[1]))
+        assert_tables_match_oracle(tables, tmp_path)
 
     def test_detuning_sweep_keeps_failures_in_place(self, failing_at_1ghz,
                                                      params_15mw):

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import first_difference, oracle_table
 
 from biphoton.errors import ParameterError, ParseError
-from biphoton.ingest import (SERIES_HEADER, CoincidenceHistogram,
+from biphoton.ingest import (_BLOCK_ROWS, SERIES_HEADER, CoincidenceHistogram,
                              detected_pair_rate, estimate_background,
                              load_histogram, load_series,
-                             make_synthetic_histogram, save_histogram, to_g2)
+                             make_synthetic_histogram, save_histogram, to_g2,
+                             write_table)
 from biphoton.observables import (DetectionChain, detected_to_generated,
                                   sbr_from_g2)
 from biphoton.params import SystemParams
@@ -84,14 +86,74 @@ class TestLoad:
                                                  32768 // 4 + 50)
 
     def test_round_trip_bit_identical(self, tmp_path):
-        h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3)
+        # longer than two write blocks, so the round trip crosses them
+        h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3,
+                                     n_bins=2 * _BLOCK_ROWS + 3)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         save_histogram(h, p1)
-        save_histogram(load_histogram(p1), p2)
+        back = load_histogram(p1)
+        np.testing.assert_array_equal(back.bin_start, h.bin_start)
+        np.testing.assert_array_equal(back.counts, h.counts)
+        save_histogram(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.with_suffix(".meta").read_bytes() == \
             p2.with_suffix(".meta").read_bytes()
+
+    def test_saved_rows_match_the_oracle(self, tmp_path):
+        h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3,
+                                     n_bins=_BLOCK_ROWS + 1)
+        save_histogram(h, tmp_path / "h.csv")
+        rows = [f"{float(t)!r},{int(c)}" for t, c in zip(h.bin_start,
+                                                            h.counts)]
+        assert first_difference((tmp_path / "h.csv").read_text(),
+                                "\n".join(["tau_ns,counts", *rows]) + "\n"
+                                ) is None
+
+
+# every float whose text a careless formatter could change
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5,
+                  0.1 + 0.2, -np.nan, 1.0, 2.5]
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                        _BLOCK_ROWS + 1])
+    def test_matches_the_per_value_oracle(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        # repeated special values, distinct values, int64 counts with
+        # repeats, and an object column of floats and "ERROR" cells
+        special = rng.choice(np.array(SPECIAL_FLOATS), n_rows)
+        distinct = rng.normal(size=n_rows) * 10.0 ** rng.integers(-9, 9,
+                                                                   n_rows)
+        counts = rng.poisson(30.0, n_rows).astype(np.int64)
+        g2 = counts / 23.7
+        mixed = [("ERROR" if i % 7 == 3 else float(v))
+                 for i, v in enumerate(special)]
+        columns = [special, distinct, counts, g2, mixed]
+        write_table(tmp_path / "t.csv", "a,b,c,d,e", columns)
+        assert first_difference((tmp_path / "t.csv").read_text(),
+                                oracle_table("a,b,c,d,e", columns)) is None
+
+    def test_special_values_keep_their_text(self, tmp_path):
+        values = np.array(SPECIAL_FLOATS)
+        write_table(tmp_path / "t.csv", "v", [values])
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05",
+            "0.30000000000000004", "nan", "1.0", "2.5"]
+
+    def test_strided_columns_and_object_cells(self, tmp_path):
+        tau = np.arange(20) * 0.8
+        names = ("sbr", "r_d")
+        columns = [tau[::10], [np.float64(0.5), 7], names, ["", "1/s"],
+                   ["true", "false"]]
+        write_table(tmp_path / "t.csv", "tau,v,name,units,flag", columns)
+        assert (tmp_path / "t.csv").read_text() == (
+            "tau,v,name,units,flag\n0.0,0.5,sbr,,true\n8.0,7,r_d,1/s,false\n")
+
+    def test_unwritable_path_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            write_table(tmp_path, "a", [np.zeros(3)])
 
 
 def write_series(tmp_path, rows, header=SERIES_HEADER):
