@@ -43,6 +43,49 @@ ever evaluates it in the upper half-plane via :func:`gaussian_pole_integral`.
 :func:`gaussian_pole_difference` gives the divided difference of J for two
 nearly coincident poles, where subtracting two J values would cancel, and
 :func:`gaussian_pole_difference_dz0` its derivative in the first pole.
+
+:func:`gaussian_pole_integral_along` evaluates J on dense samples of a
+path, such as the kernels' poles over a detuning grid, where neighbours
+move zeta by only 1e-5 to 1e-3.  It splits the samples into blocks of
+``_ALONG_BLOCK`` = 32 and evaluates J pointwise at each block's middle
+point zeta_a only.  J is carried to the rest of the block by its Taylor
+series in u = zeta - zeta_a, summed to ``_ALONG_TERMS`` = 6 terms, with
+derivatives from J' = -2 zeta J - 2 and J^(k+1) = -2 zeta J^(k) - 2k J^(k-1)
+(valid in both half-planes).  With r = max |u| over the block:
+
+* truncation.  |J^(n)(zeta)|/n! <= |J(zeta)|/Gamma(n/2 + 1), with equality
+  as zeta -> 0, where w(z) = sum (iz)^n/Gamma(n/2 + 1); the bound was
+  checked against 80-digit values of J^(n), n <= 20, on a grid of
+  |Re zeta| <= 10, 1e-4 <= |Im zeta| <= 8 (J(-zeta) = -J(zeta) and
+  J(conj zeta) = conj J(zeta) cover the rest of the plane).  For
+  r <= ``_ALONG_RADIUS`` = 0.004 the omitted terms are below
+  r^6/6 = 7e-16 relative;
+* rounding.  The forward recurrence grows an error in J^(k) like the
+  Hermite polynomial H_k(zeta_a), about 2|zeta_a|^2/k per order relative
+  to J^(k) itself (see :func:`gaussian_pole_difference`), so the error of
+  the k-th term, relative to J, is about eps (2|zeta_a|^2 r)^k/k!.  Blocks
+  with 2|zeta_a|^2 r <= ``_ALONG_AMPLIFICATION`` = 0.5 keep it within 2 eps;
+* approximation.  The pointwise J carries the error e(zeta) of the
+  rational or continued fraction, up to 3e-13 relative; the carried J
+  carries e(zeta_a) exp(-2 zeta_a u - u^2) instead, the homogeneous
+  solution of J' = -2 zeta J - 2.  The two differ by about
+  r |2 zeta_a e(zeta_a) + e'(zeta_a)|, measured at up to 4.6e-12 r |J|
+  just inside |zeta| = 8, where the rational's error varies fastest
+  (blocks on 0 <= Re zeta <= 12, 1e-3 <= -Im zeta <= 3).  Both rules
+  above hold r below 0.004 and below 0.5/(2|zeta|^2), so that difference
+  stays below 2e-14 (1.8e-14 measured at r = 0.0039).
+
+A block is evaluated pointwise instead when its r exceeds either bound,
+when its disk |zeta - zeta_a| <= r reaches the |zeta| = 8 switch between
+approximants or the real axis (where J jumps by the Gaussian residue),
+or when its points all coincide (r = 0).  So are the last points of an
+array whose length is not a multiple of 32.  Arrays shorter than
+``_BLOCK`` points are evaluated pointwise throughout and equal their
+scalar values bit for bit; longer ones agree with pointwise J within
+5e-14 relative (1.7e-14 measured over the detuning grids of a sweep), and
+equal it bit for bit at the anchors.  Every value depends only on its own block, so an array sliced at
+a multiple of 32 gives the same bits as the whole.  The Taylor sums run
+in place, ``_BLOCK`` points at a time, in cache.
 """
 
 import math
@@ -66,6 +109,13 @@ _HUGE_RADIUS = 1e150
 # pole separations up to 1e-3 max(1, |zeta|)
 _TAYLOR_TERMS = 4
 _ASYMPTOTIC_TERMS = 16
+# gaussian_pole_integral_along: points per block (a power of two dividing
+# _BLOCK), Taylor terms, and the largest block spread r and recurrence
+# amplification 2|zeta_a|^2 r carried (see the module docstring)
+_ALONG_BLOCK = 32
+_ALONG_TERMS = 6
+_ALONG_RADIUS = 0.004
+_ALONG_AMPLIFICATION = 0.5
 
 
 def _weideman_coefficients(n):
@@ -143,10 +193,10 @@ def _w_upper(z):
 def faddeeva_w(z):
     """Faddeeva function w(z) for scalar or array complex argument.
 
-    Relative accuracy of the complex value is better than 1e-13 in the
-    closed upper half-plane.  The lower half-plane uses the exact
-    reflection formula and inherits the intrinsic exp(Im(z)^2 - Re(z)^2)
-    growth of w there.
+    Relative accuracy of the complex value is about 3e-13 or better in
+    the closed upper half-plane (worst near z = 5.75).  The lower
+    half-plane uses the exact reflection formula and inherits the
+    intrinsic exp(Im(z)^2 - Re(z)^2) growth of w there.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -177,6 +227,76 @@ def gaussian_pole_integral(zeta):
                       lambda zu: 1j * SQRT_PI * _w_upper(zu),
                       lambda zl: -1j * SQRT_PI * _w_upper(-zl))
     return out[0] if scalar else out
+
+
+def gaussian_pole_integral_along(zeta):
+    """:func:`gaussian_pole_integral` on dense samples of a path.
+
+    ``zeta`` is a 1-d array of poles off the real axis in path order.  J
+    is evaluated pointwise at the middle point of each block of 32
+    samples and carried to the rest of the block by a Taylor series, where
+    the block is narrow enough (see the module docstring for the rules
+    and the error bound).  Arrays shorter than 2^14 points, and arrays of
+    any other shape, are evaluated pointwise and equal
+    :func:`gaussian_pole_integral` bit for bit; longer ones agree with it
+    within 5e-14 relative.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    if zeta.ndim != 1 or zeta.size < _BLOCK:
+        return gaussian_pole_integral(zeta)
+    n_full = zeta.size - zeta.size % _ALONG_BLOCK
+    out = np.empty_like(zeta)
+    blocks = zeta[:n_full].reshape(-1, _ALONG_BLOCK)
+    out_blocks = out[:n_full].reshape(-1, _ALONG_BLOCK)
+    anchors = blocks[:, _ALONG_BLOCK // 2]
+    j_anchors = gaussian_pole_integral(anchors)
+    # one cache-sized chunk of blocks at a time
+    rows = _BLOCK // _ALONG_BLOCK
+    for lo in range(0, anchors.size, rows):
+        part = slice(lo, lo + rows)
+        _carry(blocks[part], anchors[part], j_anchors[part], out_blocks[part])
+    if n_full < zeta.size:
+        out[n_full:] = gaussian_pole_integral(zeta[n_full:])
+    return out
+
+
+def _carry(blocks, anchors, j_anchors, out):
+    """J on ``blocks`` (one per row) into ``out``: by the Taylor series
+    about ``anchors`` where the rules allow, pointwise elsewhere."""
+    u = blocks - anchors[:, None]
+    spread = np.abs(u).max(axis=1)
+    modulus = np.abs(anchors)
+    # r <= A/(2|zeta_a|^2), written so that it cannot overflow; below
+    # |zeta_a| = 1 the radius rule is the stricter one
+    floor = np.maximum(modulus, 1.0)
+    limit = np.minimum(_ALONG_RADIUS,
+                       (0.5 * _ALONG_AMPLIFICATION / floor) / floor)
+    carried = ((spread > 0.0) & (spread <= limit)
+               & (np.abs(modulus - _CF_RADIUS) > 2.0 * spread)
+               & (np.abs(anchors.imag) > spread))
+    if not carried.all():
+        pointwise = ~carried
+        out[pointwise] = gaussian_pole_integral(
+            blocks[pointwise].ravel()).reshape(-1, _ALONG_BLOCK)
+        if not carried.any():
+            return
+        anchors, j_anchors, u = (
+            anchors[carried], j_anchors[carried], u[carried])
+    # J^(k)(zeta_a)/k! for k = 0 .. _ALONG_TERMS - 1
+    d_prev, d = j_anchors, -2.0 * anchors * j_anchors - 2.0
+    coeffs = [d_prev, d]
+    for k in range(1, _ALONG_TERMS - 1):
+        d_prev, d = d, -2.0 * anchors * d - 2.0 * k * d_prev
+        coeffs.append(d / math.factorial(k + 1))
+    # Horner's rule in place: every array holds 32 or more points, where
+    # numpy's in-place and out-of-place complex multiplies round alike
+    p = out if carried.all() else np.empty_like(u)
+    p[:] = coeffs[-1][:, None]
+    for c in coeffs[-2::-1]:
+        p *= u
+        p += c[:, None]
+    if p is not out:
+        out[carried] = p
 
 
 def gaussian_pole_difference(zeta0, zeta1):

@@ -25,20 +25,46 @@ takes it precomputed, so a fit evaluates it once per detuning.  Each
 formula is written once, in private pieces that the three public kernels
 and ``doppler_responses`` build from.  ``response_tangents`` adds the
 derivatives of both responses in (b, Omega_c, gamma_dec), in closed form
-from the same J arrays (J' = -2 zeta J - 2).
+from the same J arrays (J' = -2 zeta J - 2).  The pump-line integral
+J(omega_1/Gamma_D) does not move with delta: one scalar evaluation per
+pass serves kappa and its tangents.
+
+Both array arguments of J, the impurity line and the dressed pole, are
+dense samples of a path over the detuning grid, and go through
+:func:`~biphoton.faddeeva.gaussian_pole_integral_along`: J is evaluated
+pointwise at the middle of each block of 32 detunings and carried to the
+rest of the block by its Taylor series, where the block is narrow enough
+(the rules and the error bound are in the :mod:`~biphoton.faddeeva`
+docstring).  Arrays shorter than 2^14 detunings are evaluated pointwise,
+so a kernel there equals its scalar values bit for bit.  On 2^14 or more
+detunings, the size of every grid the package samples, each J agrees with
+its scalar value within that bound, 5e-14 relative, not bit for bit.  A
+kernel passes that on as it passes on J's own error of up to 3e-13:
+magnified where its formula cancels, most in kappa's divided difference
+next to the merged-pole band (up to 8e-12 relative measured on auto
+grids, gamma_dec = 0 included).  ``doppler_responses``,
+``response_tangents`` and the three public kernels take the same path,
+so they stay equal to each other bit for bit, and a grid sliced at
+multiples of 2^14 gives the same bits as the whole (the fitter's
+linearized pass relies on that), unless it holds the exact two-photon
+resonance q = 0, which no even grid does.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson
-quadrature, the oracles the tests compare the kernels against.  Nothing
+quadrature, the oracles the tests compare the kernels against, and the
+sin-based ``complex_sinc`` and ``sinc_phase_derivative`` that
+``sinc_phase`` and ``sinc_phase_tangent`` are checked against.  Nothing
 in the package calls it.
 
 Sign convention: all three responses enter the amplitude through
-sinc(rho) * exp(i rho), so a *positive* imaginary part attenuates the
-probe.  rho_m_bar is written in that absorbing convention (its imaginary
-part is strictly positive for all real delta), which is also the two-level
-limit (Omega_c -> 0) of rho_c_bar.
+S(rho) = sinc(rho) * exp(i rho) (``sinc_phase``), so a *positive*
+imaginary part attenuates the probe.  rho_m_bar is written in that
+absorbing convention (its imaginary part is strictly positive for all
+real delta), which is also the two-level limit (Omega_c -> 0) of
+rho_c_bar.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,7 +73,7 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .faddeeva import (SQRT_PI, gaussian_pole_difference,
                        gaussian_pole_difference_dz0, gaussian_pole_integral,
-                       split_apply)
+                       gaussian_pole_integral_along, split_apply)
 from .params import SystemParams
 
 # |delta + i*gamma_dec| below this is treated as exactly on two-photon
@@ -71,6 +97,74 @@ def etalon_response(delta, gamma_etalon):
     return float(out) if out.ndim == 0 else out
 
 
+# Below these |z| the closed forms S = (E - 1)/(2iz) and S' = (E - S)/z,
+# E = exp(2iz), lose about eps/|z| and eps/|z|^2 relative to cancellation,
+# so their Taylor series are summed instead: S = sum (2iz)^k/(k+1)! and
+# S' = sum (k+1) (2i)^(k+1) z^k/(k+2)!, each to below 2e-16.
+_SINC_PHASE_CUTOFF = 0.05
+_SINC_PHASE_SLOPE_CUTOFF = 0.2
+_SINC_PHASE_SERIES = [(2j) ** k / math.factorial(k + 1) for k in range(10)]
+_SINC_PHASE_SLOPE_SERIES = [(k + 1) * (2j) ** (k + 1) / math.factorial(k + 2)
+                            for k in range(14)]
+
+
+def sinc_phase(z):
+    """S(z) = sinc(z) exp(iz) = (exp(2iz) - 1)/(2iz) for scalar or array
+    complex z, from one complex exponential.
+
+    Rounding leaves an absolute error of about eps (1 + |exp(2iz)|)/|2z|.
+    That is within 1e-14 of S relative, and of :func:`complex_sinc`
+    times exp(iz), except close to a zero of sin(z), where S is near
+    zero and the sin-based form keeps more of its relative digits.  With
+    Im(z) large and positive, exp(2iz) underflows to 0 and S = i/(2z)
+    stays exact, where sin(z) itself would overflow.
+    """
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    out = _sinc_phase(z, np.exp(2j * z))
+    return complex(out[0]) if scalar else out
+
+
+def sinc_phase_tangent(z):
+    """(S(z), S'(z)) for an array ``z``: S equals :func:`sinc_phase` bit
+    for bit, and S' = (exp(2iz) - S)/z comes from the same exponential."""
+    e2 = np.exp(2j * z)
+    s = _sinc_phase(z, e2)
+    small = np.abs(z) < _SINC_PHASE_SLOPE_CUTOFF
+    e2 -= s
+    np.divide(e2, z, out=e2, where=~small)
+    return s, _series_below(e2, z, small, _SINC_PHASE_SLOPE_SERIES)
+
+
+def _sinc_phase(z, e2):
+    """S from e2 = exp(2iz), in a new array; the closed form is taken in
+    place in it, with no other complex temporary of the array's size."""
+    small = np.abs(z) < _SINC_PHASE_CUTOFF
+    s = e2 - 1.0
+    np.divide(s, z, out=s, where=~small)
+    s *= -0.5j                  # 1/(2i), exact
+    return _series_below(s, z, small, _SINC_PHASE_SERIES)
+
+
+def _series_below(out, z, small, series):
+    """``out`` with its entries where ``small`` holds replaced by the
+    power series in z with coefficients ``series`` (lowest order first)."""
+    if small.any():
+        zs = z[small]
+        p = np.full_like(zs, series[-1])
+        for c in series[-2::-1]:
+            p = p * zs + c
+        out[small] = p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# test reference: sin-based sinc and S', the integrands and brute-force
+# Doppler averages.  The oracle value of a kernel is
+# doppler_average(<kernel>_integrand(delta, params), params, spec); tests
+# and the benchmark tracer reach these here.
+
 _SINC_SERIES_CUTOFF = 1e-4
 
 
@@ -79,7 +173,8 @@ def complex_sinc(z):
 
     Below |z| = 1e-4 the Taylor series 1 - z^2/6 + z^4/120 is used; its
     truncation error there is ~1e-29, so the two branches agree to well
-    under 1e-12 across the switchover.
+    under 1e-12 across the switchover.  The amplitude takes
+    sinc(z) exp(iz) from :func:`sinc_phase`; this is its reference.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -100,7 +195,9 @@ def sinc_phase_derivative(z, sinc_phase, phase):
 
     S = (exp(2iz) - 1)/(2iz), so S' = (exp(2iz) - S)/z.  Below the sinc
     series cutoff |z| = 1e-4 the series i - 4z/3 - iz^2 + 8z^3/15 is used
-    instead; its truncation error there is ~1e-16.
+    instead; its truncation error there is ~1e-16.  The amplitude's
+    tangents take S' from :func:`sinc_phase_tangent`; this is its
+    reference.
     """
     small = np.abs(z) < _SINC_SERIES_CUTOFF
     if not small.any():
@@ -112,11 +209,6 @@ def sinc_phase_derivative(z, sinc_phase, phase):
     out[small] = 1j - zs * (4.0 / 3.0 + zs * (1j - zs * (8.0 / 15.0)))
     return out
 
-
-# ---------------------------------------------------------------------------
-# test reference: the integrands and brute-force Doppler averages.  The
-# oracle value of a kernel is doppler_average(<kernel>_integrand(delta,
-# params), params, spec); tests and the benchmark tracer reach these here.
 
 METHOD_TRAPEZOID = "dense_trapezoid"
 METHOD_ADAPTIVE = "adaptive_panels"
@@ -284,7 +376,7 @@ def _probe_pole(d, params: SystemParams):
 
 
 def _impurity_line(p_pole, params: SystemParams):
-    return gaussian_pole_integral(-p_pole / params.gamma_doppler)
+    return gaussian_pole_integral_along(-p_pole / params.gamma_doppler)
 
 
 def _rho_m(line, params: SystemParams):
@@ -311,7 +403,7 @@ def _dressed_pole(d, params: SystemParams) -> _DressedPole:
     degenerate = np.abs(q) <= _Q_FLOOR
     regular = ~degenerate if degenerate.any() else slice(None)
     omega0 = params.omega_c**2 / (4.0 * q[regular]) - p_pole[regular]
-    j0 = gaussian_pole_integral(omega0 / params.gamma_doppler)
+    j0 = gaussian_pole_integral_along(omega0 / params.gamma_doppler)
     return _DressedPole(q, p_pole, degenerate, regular, omega0, j0)
 
 
@@ -335,16 +427,30 @@ def _merged_poles(omega0, omega1, gd):
         gd, np.maximum(abs(omega1), np.abs(omega0)))
 
 
-def _kappa(dp: _DressedPole, params: SystemParams):
+def _pump_pole(params: SystemParams):
+    return -params.delta_p - 0.5j * params.gamma_natural
+
+
+def _pump_line(params: SystemParams):
+    """J(omega_1/Gamma_D) at the pump pole, or None with the pump off.
+
+    The pump pole does not move with delta: one scalar evaluation serves
+    a whole pass, kappa and its tangents alike.
+    """
+    if params.omega_p == 0.0:
+        return None
+    return complex(gaussian_pole_integral(
+        _pump_pole(params) / params.gamma_doppler))
+
+
+def _kappa(dp: _DressedPole, params: SystemParams, j1):
     g = params.gamma_natural
     gd = params.gamma_doppler
     out = np.zeros(dp.q.shape, dtype=complex)
     if params.omega_p == 0.0 or params.omega_c == 0.0:
         return out
 
-    omega1 = -params.delta_p - 0.5j * g
-    # the pump pole does not move with delta; one scalar evaluation
-    j1 = complex(gaussian_pole_integral(omega1 / gd))
+    omega1 = _pump_pole(params)
     if np.any(dp.degenerate):
         # coupling factor is the constant Gamma/Omega_c on resonance
         pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
@@ -413,8 +519,8 @@ def kappa_bar(delta, params: SystemParams):
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
     scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(_kappa(_dressed_pole(d, params), params),
-                               scalar)
+    return _as_scalar_or_array(
+        _kappa(_dressed_pole(d, params), params, _pump_line(params)), scalar)
 
 
 def doppler_responses(delta, params: SystemParams, impurity_line=None):
@@ -428,18 +534,20 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
     the second evaluation.
     """
     scalar, d = _as_delta_array(delta)
-    _, _, rho, kap = _responses(d, params, impurity_line)
+    _, _, _, rho, kap = _responses(d, params, impurity_line)
     return (_as_scalar_or_array(rho, scalar),
             _as_scalar_or_array(kap, scalar))
 
 
 def _responses(d, params: SystemParams, impurity_line):
-    """The dressed pole, the impurity line, rho and kappa at array ``d``."""
+    """The dressed pole, the impurity and pump lines, rho and kappa at
+    array ``d``."""
     dp = _dressed_pole(d, params)
     if impurity_line is None:
         impurity_line = _impurity_line(dp.p_pole, params)
+    j1 = _pump_line(params)
     rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
-    return dp, impurity_line, rho, _kappa(dp, params)
+    return dp, impurity_line, j1, rho, _kappa(dp, params, j1)
 
 
 def response_tangents(delta, params: SystemParams, impurity_line=None):
@@ -463,12 +571,12 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
     sample of a zero-symmetric grid with an even number of points) only
     d rho_m/d b is carried; the other derivatives there are zero.
     """
-    dp, impurity_line, rho, kap = _responses(
+    dp, impurity_line, j1, rho, kap = _responses(
         np.asarray(delta, dtype=float), params, impurity_line)
-    return rho, kap, _tangents(dp, impurity_line, params)
+    return rho, kap, _tangents(dp, impurity_line, j1, params)
 
 
-def _tangents(dp: _DressedPole, impurity_line, params: SystemParams):
+def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
     g = params.gamma_natural
     gd = params.gamma_doppler
     omega_c = params.omega_c
@@ -481,12 +589,12 @@ def _tangents(dp: _DressedPole, impurity_line, params: SystemParams):
     rho_zeta = -keep * c * j0_prime
     # kappa = (1 - b) Omega_c kap_unit, and (1 - b) Omega_c d kap_unit/d zeta_0
     kap_unit = kap_zeta = np.zeros_like(inv_q)
-    if params.omega_p != 0.0:
-        omega1 = -params.delta_p - 0.5j * g
+    if j1 is not None:
+        omega1 = _pump_pole(params)
         zeta1 = omega1 / gd
         merged = _merged_poles(dp.omega0, omega1, gd)
         sep = np.where(merged, 1.0, zeta1 - zeta0)
-        diff = (complex(gaussian_pole_integral(zeta1)) - dp.j0) / sep
+        diff = (j1 - dp.j0) / sep
         diff_zeta = (diff - j0_prime) / sep
         if np.any(merged):
             diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)

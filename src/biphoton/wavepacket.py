@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
-from .kernels import (complex_sinc, doppler_responses, etalon_response,
-                      impurity_line_integral, response_tangents,
-                      sinc_phase_derivative)
+from .kernels import (doppler_responses, etalon_response,
+                      impurity_line_integral, response_tangents, sinc_phase,
+                      sinc_phase_tangent)
 from .params import SystemParams
 
 MIN_GRID_POINTS = 2**14
@@ -128,8 +128,7 @@ def amplitude_at(delta, params: SystemParams, impurity_line=None):
     ``kernels.impurity_line_integral(delta, params)``.
     """
     rho, kap = doppler_responses(delta, params, impurity_line=impurity_line)
-    return (kap * complex_sinc(rho) * np.exp(1j * rho)
-            * etalon_response(delta, params.gamma_etalon))
+    return kap * sinc_phase(rho) * etalon_response(delta, params.gamma_etalon)
 
 
 def amplitude_tangents(delta, params: SystemParams, impurity_line=None):
@@ -142,17 +141,15 @@ def amplitude_tangents(delta, params: SystemParams, impurity_line=None):
     """
     rho, kap, responses = response_tangents(delta, params,
                                             impurity_line=impurity_line)
-    sinc = complex_sinc(rho)
-    phase = np.exp(1j * rho)
+    s, ds = sinc_phase_tangent(rho)
     etalon = etalon_response(delta, params.gamma_etalon)
-    amp = kap * sinc * phase * etalon
+    amp = kap * s * etalon
 
     def tangents():
-        s = sinc * phase
-        kap_ds = kap * sinc_phase_derivative(rho, s, phase) * etalon
-        s *= etalon
+        kap_ds = kap * ds * etalon
+        s_etalon = s * etalon
         for d_rho, d_kap in responses:
-            d_amp = d_kap * s
+            d_amp = d_kap * s_etalon
             d_amp += kap_ds * d_rho
             yield d_amp
 
@@ -267,7 +264,9 @@ def transform_tangents(params: SystemParams, grid: DetuningGrid, indices,
     integers before the exponential.  The grid is taken ``_CHUNK`` points
     at a time, and within a chunk the three derivative arrays one at a
     time, so no array of the grid's size is formed.  ``impurity_line`` is
-    an optional precomputed impurity line on the whole grid.
+    an optional precomputed impurity line on the whole grid.  The energy
+    sums are numpy reductions, not BLAS dot products, whose summation
+    order would change with the BLAS thread count.
     """
     n = grid.n_points
     m = n * OVERSAMPLE
@@ -293,12 +292,12 @@ def transform_tangents(params: SystemParams, grid: DetuningGrid, indices,
         rows = outer[lo // block:(lo + _CHUNK) // block]
         amp[ends] *= 0.5
         g += np.sum((amp.reshape(-1, block) @ inner) * rows, axis=0)
-        energy += np.vdot(amp, amp).real
+        energy += np.sum((amp.conj() * amp).real)
         for col, d_amp in enumerate(tangents):
             d_amp[ends] *= 0.5
             d_g[col] += np.sum((d_amp.reshape(-1, block) @ inner) * rows,
                                axis=0)
-            d_energy[col] += 2.0 * np.vdot(amp, d_amp).real
+            d_energy[col] += 2.0 * np.sum((amp.conj() * d_amp).real)
     scale = grid.spacing / (2.0 * np.pi)
     return TransformTangents(scale * g, scale * d_g, energy, d_energy)
 

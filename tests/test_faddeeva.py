@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.faddeeva import (_BLOCK, _COEFFS, _CF_RADIUS, _L, SQRT_PI,
-                               _w_continued_fraction, _w_rational, faddeeva_w,
-                               gaussian_pole_difference,
+import biphoton.faddeeva as F
+from biphoton.faddeeva import (_ALONG_BLOCK, _BLOCK, _COEFFS, _CF_RADIUS, _L,
+                               SQRT_PI, _w_continued_fraction, _w_rational,
+                               faddeeva_w, gaussian_pole_difference,
                                gaussian_pole_difference_dz0,
-                               gaussian_pole_integral)
+                               gaussian_pole_integral,
+                               gaussian_pole_integral_along)
 
 
 def j_oracle(z, half=30.0, n=3_000_001):
@@ -215,3 +217,126 @@ class TestPoleDifferenceDerivative:
         vec = gaussian_pole_difference_dz0(z0, np.array([z1, 9.0 - 1.0j]))
         assert vec[0] == gaussian_pole_difference_dz0(z0[0], z1)
         assert vec[1] == gaussian_pole_difference_dz0(z0[1], 9.0 - 1.0j)
+
+
+# the bound gaussian_pole_integral_along keeps against pointwise J
+ALONG_RTOL = 5e-14
+
+
+def relative_deviation(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestGaussianPoleIntegralAlong:
+    """J on dense samples of a path, carried from one pointwise anchor per
+    block of 32 by a Taylor series, against pointwise J."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the points the path evaluates pointwise."""
+        counted = []
+        real = F.gaussian_pole_integral
+
+        def counted_integral(zeta):
+            counted.append(np.size(zeta))
+            return real(zeta)
+
+        monkeypatch.setattr(F, "gaussian_pole_integral", counted_integral)
+        return counted
+
+    # lines on both sides of the real axis, inside and outside |zeta| = 8,
+    # at the 1e-5 .. 2e-4 spacing of the kernels' grids
+    @pytest.mark.parametrize("start, stop, n", [
+        (-3.0 - 0.01j, 3.0 - 0.01j, 2**16),
+        (-2.0 + 0.3j, 2.5 + 0.1j, 2**15),
+        (5.0 - 0.02j, 7.9 - 0.02j, 2**14),
+        (8.5 - 0.02j, 12.0 - 0.02j, 2**16),
+        (-12.0 - 1.0j, -9.0 - 1.0j, 2**17),
+    ])
+    def test_within_the_bound_of_pointwise(self, monkeypatch, start, stop, n):
+        zeta = np.linspace(start, stop, n)
+        want = gaussian_pole_integral(zeta)
+        counted = self.counting(monkeypatch)
+        got = gaussian_pole_integral_along(zeta)
+        assert relative_deviation(got, want) <= ALONG_RTOL
+        # nearly every block is carried from its anchor alone
+        assert sum(counted) <= 2 * n // _ALONG_BLOCK
+
+    def test_anchors_are_pointwise_bit_for_bit(self):
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2**15)
+        got = gaussian_pole_integral_along(zeta)
+        mid = slice(_ALONG_BLOCK // 2, None, _ALONG_BLOCK)
+        assert np.array_equal(got[mid], gaussian_pole_integral(zeta[mid]))
+
+    def test_slices_give_the_same_bits_as_the_whole(self):
+        zeta = np.linspace(-5.0 - 0.05j, 9.0 - 0.05j, 4 * _BLOCK)
+        whole = gaussian_pole_integral_along(zeta)
+        for lo in range(0, zeta.size, _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            assert np.array_equal(gaussian_pole_integral_along(zeta[part]),
+                                  whole[part])
+
+    @pytest.mark.parametrize("n", [_BLOCK + 1, _BLOCK + _ALONG_BLOCK - 1,
+                                   3 * _BLOCK + 45])
+    def test_lengths_that_are_not_a_multiple_of_the_block(self, n):
+        zeta = np.linspace(-4.0 - 0.02j, 4.0 - 0.02j, n)
+        got = gaussian_pole_integral_along(zeta)
+        assert relative_deviation(got, gaussian_pole_integral(zeta)) \
+            <= ALONG_RTOL
+        full = n - n % _ALONG_BLOCK
+        # the remainder is pointwise; the blocks before it do not see it
+        assert np.array_equal(got[full:], gaussian_pole_integral(zeta[full:]))
+        assert np.array_equal(got[:full],
+                              gaussian_pole_integral_along(zeta[:full]))
+
+    def test_short_arrays_equal_their_scalar_values(self):
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, _BLOCK - 1)
+        got = gaussian_pole_integral_along(zeta)
+        assert np.array_equal(got, gaussian_pole_integral(zeta))
+        for i in range(0, zeta.size, 997):
+            assert got[i] == gaussian_pole_integral(complex(zeta[i]))
+
+    def test_other_shapes_are_pointwise(self):
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2 * _BLOCK)
+        grid = zeta.reshape(2, -1)
+        assert np.array_equal(gaussian_pole_integral_along(grid),
+                              gaussian_pole_integral(grid))
+        assert gaussian_pole_integral_along(zeta[7]) == \
+            gaussian_pole_integral(zeta[7])
+
+    def test_block_straddling_the_switch_is_pointwise(self):
+        # |zeta| crosses 8 once, inside a block; every block is narrow
+        # enough to carry
+        crossing = 250 * _ALONG_BLOCK + 10
+        step = 1.2e-4
+        zeta = (np.sqrt(_CF_RADIUS**2 - 0.25) - 0.5j
+                + (np.arange(_BLOCK) - crossing + 0.5) * step)
+        got = gaussian_pole_integral_along(zeta)
+        want = gaussian_pole_integral(zeta)
+        blocks = np.abs(zeta).reshape(-1, _ALONG_BLOCK)
+        straddles = (blocks.min(axis=1) < _CF_RADIUS) & \
+            (blocks.max(axis=1) >= _CF_RADIUS)
+        assert np.count_nonzero(straddles) == 1
+        rows = got.reshape(-1, _ALONG_BLOCK), want.reshape(-1, _ALONG_BLOCK)
+        assert np.array_equal(rows[0][straddles], rows[1][straddles])
+        # the blocks around it are carried, not pointwise
+        assert not np.array_equal(rows[0][~straddles], rows[1][~straddles])
+        assert relative_deviation(got, want) <= ALONG_RTOL
+
+    def test_block_reaching_the_real_axis_is_pointwise(self):
+        # J jumps across the real axis; the path crosses it between samples
+        zeta = np.linspace(1.0 - 0.2j, 1.0 + 0.2j + 1e-7, _BLOCK)
+        assert not np.any(zeta.imag == 0.0)
+        got = gaussian_pole_integral_along(zeta)
+        assert relative_deviation(got, gaussian_pole_integral(zeta)) \
+            <= ALONG_RTOL
+        crossing = np.flatnonzero(np.diff(np.sign(zeta.imag)))[0]
+        block = slice(crossing - crossing % _ALONG_BLOCK,
+                      crossing - crossing % _ALONG_BLOCK + _ALONG_BLOCK)
+        assert np.array_equal(got[block], gaussian_pole_integral(zeta[block]))
+
+    def test_real_axis_rejected(self):
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, _BLOCK)
+        zeta[1000] = 0.5
+        with pytest.raises(ValueError):
+            gaussian_pole_integral_along(zeta)

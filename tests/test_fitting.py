@@ -5,6 +5,10 @@ on one noise-free 5-point series at the 15 mW operating point, with
 short iteration budgets where convergence is not the point.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -352,6 +356,29 @@ class TestFit:
         r2 = fit_series(clean_series, init=init, options=opts)
         assert r1.theta == r2.theta
         assert r1.chi2 == r2.chi2
+
+    def test_result_does_not_depend_on_blas_threads(self):
+        """One fit, run at 1 and at 2 BLAS threads, gives the same bits."""
+        script = (
+            "import numpy as np\n"
+            "from biphoton.fitting import (FitOptions, Theta, fit_series,\n"
+            "                              synthesize_series)\n"
+            f"series = synthesize_series({THETA_TRUE!r}, {DETUNINGS!r},\n"
+            "                           noise=0.02, seed=7)\n"
+            f"r = fit_series(series, init={INIT!r},\n"
+            "               options=FitOptions(max_iterations=2))\n"
+            "print(repr(tuple(r.theta)), repr(r.chi2),\n"
+            "      r.per_point.tobytes().hex())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_iteration_budget_returns_best_so_far(self, clean_series):
         init = Theta(b=0.1, omega_c=18.0, gamma_dec=0.03, scale=5e8)

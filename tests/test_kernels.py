@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton.faddeeva
 from biphoton import kernels as K
 from biphoton.errors import ConvergenceError, ParameterError
+from biphoton.faddeeva import (gaussian_pole_integral,
+                               gaussian_pole_integral_along)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
 from biphoton.wavepacket import auto_grid
@@ -326,6 +329,67 @@ class TestDopplerResponses:
             self.assert_fused_equals_kernels(float(d), p)
 
 
+class TestPolesAlongTheGrid:
+    """On the grids the package samples, J at the impurity line and at the
+    dressed pole, carried along the grid, stays within 5e-14 of pointwise
+    J, and the kernels evaluate J pointwise at few points."""
+
+    WIDEST = dict(alpha=800.0, b=0.0, omega_c=20.0, gamma_dec=0.005,
+                  gamma_doppler=30.0, gamma_etalon=15.0)
+
+    @staticmethod
+    def arguments(p, delta):
+        """The impurity-line and dressed-pole arguments zeta over ``delta``."""
+        p_pole = delta + p.delta_c + 0.5j * p.gamma_natural
+        dressed = p.omega_c**2 / (4.0 * (delta + 1j * p.gamma_dec)) - p_pole
+        return -p_pole / p.gamma_doppler, dressed / p.gamma_doppler
+
+    @classmethod
+    def assert_within_bound(cls, p):
+        grid = auto_grid(p)
+        for g in (grid, grid.widened()):
+            for zeta in cls.arguments(p, g.values):
+                got = gaussian_pole_integral_along(zeta)
+                want = gaussian_pole_integral(zeta)
+                assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-14
+
+    def test_random_params_on_auto_and_widened_grids(self,
+                                                     random_valid_params):
+        for draw in random_valid_params(12):
+            dc = ghz_to_gamma(draw.pop("delta_c_ghz"))
+            self.assert_within_bound(SystemParams(delta_c=dc, **draw))
+
+    @pytest.mark.parametrize("delta_c_ghz", [-3.0, 0.0, 3.0])
+    @pytest.mark.parametrize("case", ["15mW", "gamma_dec 0", "widest",
+                                      "doppler 2"])
+    def test_domain_corners(self, params_15mw, case, delta_c_ghz):
+        p = {"15mW": params_15mw,
+             "gamma_dec 0": params_15mw.replace(gamma_dec=0.0),
+             "widest": SystemParams(**self.WIDEST),
+             "doppler 2": params_15mw.replace(gamma_doppler=2.0)}[case]
+        self.assert_within_bound(p.replace(delta_c=ghz_to_gamma(delta_c_ghz)))
+
+    def test_kernels_evaluate_few_points_pointwise(self, params_15mw,
+                                                   monkeypatch):
+        counted = []
+        real = biphoton.faddeeva.gaussian_pole_integral
+
+        def counted_integral(zeta):
+            counted.append(np.size(zeta))
+            return real(zeta)
+
+        monkeypatch.setattr(biphoton.faddeeva, "gaussian_pole_integral",
+                            counted_integral)
+        monkeypatch.setattr(K, "gaussian_pole_integral", counted_integral)
+        for dc_ghz in (0.0, 1.0):
+            p = params_15mw.replace(delta_c=ghz_to_gamma(dc_ghz))
+            deltas = auto_grid(p).values
+            counted.clear()
+            K.doppler_responses(deltas, p)
+            # two arguments per detuning, each 5x fewer points or better
+            assert sum(counted) <= 2 * deltas.size // 5
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ParameterError):
         K.QuadratureSpec(method="simpson")
@@ -422,3 +486,74 @@ class TestSincPhaseDerivative:
             above = self.derivative(np.array([cut * (1 + 1e-9) * direction]))
             assert abs(below[0] - above[0]) < 1e-10
         assert self.derivative(np.zeros(1))[0] == 1j
+
+
+def sinc_phase_slope_series(z, terms=40):
+    """S'(z) = sum (k+1) (2i)^(k+1) z^k/(k+2)!, summed term by term; no
+    cancellation for |z| <= 1/2."""
+    out = np.zeros_like(z)
+    term = 2j / 2.0 * np.ones_like(z)       # (k+1) (2i)^(k+1) z^k/(k+2)!
+    for k in range(terms):
+        out += term
+        term = term * (2j * z) * (k + 2) / ((k + 1) * (k + 3))
+    return out
+
+
+class TestSincPhase:
+    """S = sinc(rho) exp(i rho) and S' from one exponential, against the
+    sin-based references and a term-by-term series."""
+
+    @staticmethod
+    def samples():
+        mags = np.logspace(-8.0, np.log10(50.0), 60)
+        # the lower half-plane only near the real axis: Im(rho) >= 0 for a
+        # passive medium
+        dirs = np.exp(1j * np.array([-0.05, 0.0, 0.3, 0.8, 1.5708, 2.2, 3.0,
+                                     np.pi]))
+        rho = (mags[:, None] * dirs[None, :]).ravel()
+        strong = np.array([x + 1j * y for x in (-20.0, 0.3, 5.0, 40.0)
+                           for y in (50.0, 150.0, 300.0)])
+        cuts = [c * f * d for c in (K._SINC_PHASE_CUTOFF,
+                                    K._SINC_PHASE_SLOPE_CUTOFF)
+                for f in (1.0 - 1e-9, 1.0 + 1e-9)
+                for d in (1.0, 1j, np.exp(0.7j))]
+        return np.concatenate([rho, strong, cuts, [0.0]])
+
+    def test_matches_sinc_times_phase(self):
+        rho = self.samples()
+        want = K.complex_sinc(rho) * np.exp(1j * rho)
+        got = K.sinc_phase(rho)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        s, _ = K.sinc_phase_tangent(rho)
+        assert np.array_equal(s, got)
+
+    def test_derivative_matches_the_reference(self):
+        rho = self.samples()
+        _, got = K.sinc_phase_tangent(rho)
+        phase = np.exp(1j * rho)
+        want = K.sinc_phase_derivative(rho, K.complex_sinc(rho) * phase,
+                                       phase)
+        # the reference's closed form cancels to about 2 eps/|rho| between
+        # its series cutoff 1e-4 and ~0.1; the series below covers that
+        exact = (np.abs(rho) < K._SINC_SERIES_CUTOFF) | (np.abs(rho) >= 0.3)
+        assert np.max(np.abs(got - want)[exact] / np.abs(want)[exact]) \
+            <= 1e-14
+
+    def test_derivative_matches_the_series(self):
+        rho = self.samples()
+        rho = rho[np.abs(rho) <= 0.5]
+        _, got = K.sinc_phase_tangent(rho)
+        want = sinc_phase_slope_series(rho)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_at_zero(self):
+        s, ds = K.sinc_phase_tangent(np.zeros(3, dtype=complex))
+        assert np.all(s == 1.0) and np.all(ds == 1j)
+        assert K.sinc_phase(0.0) == 1.0
+
+    def test_scalar_equals_array(self):
+        rho = np.array([0.02 + 0.01j, 0.4 + 0.2j, 3.0 + 1.0j])
+        vec = K.sinc_phase(rho)
+        for i, z in enumerate(rho):
+            assert K.sinc_phase(complex(z)) == vec[i]
+            assert isinstance(K.sinc_phase(complex(z)), complex)
