@@ -250,21 +250,27 @@ def gaussian_pole_integral_along(zeta):
     out_blocks = out[:n_full].reshape(-1, _ALONG_BLOCK)
     anchors = blocks[:, _ALONG_BLOCK // 2]
     j_anchors = gaussian_pole_integral(anchors)
-    # one cache-sized chunk of blocks at a time
+    # one cache-sized chunk of blocks at a time, with its two working
+    # arrays reused from chunk to chunk
     rows = _BLOCK // _ALONG_BLOCK
+    u = np.empty((rows, _ALONG_BLOCK), dtype=complex)
+    dist = np.empty(u.shape)
     for lo in range(0, anchors.size, rows):
         part = slice(lo, lo + rows)
-        _carry(blocks[part], anchors[part], j_anchors[part], out_blocks[part])
+        n = min(rows, anchors.size - lo)
+        _carry(blocks[part], anchors[part], j_anchors[part], out_blocks[part],
+               u[:n], dist[:n])
     if n_full < zeta.size:
         out[n_full:] = gaussian_pole_integral(zeta[n_full:])
     return out
 
 
-def _carry(blocks, anchors, j_anchors, out):
+def _carry(blocks, anchors, j_anchors, out, u, dist):
     """J on ``blocks`` (one per row) into ``out``: by the Taylor series
-    about ``anchors`` where the rules allow, pointwise elsewhere."""
-    u = blocks - anchors[:, None]
-    spread = np.abs(u).max(axis=1)
+    about ``anchors`` where the rules allow, pointwise elsewhere.  ``u``
+    and ``dist`` are working arrays of the blocks' shape."""
+    np.subtract(blocks, anchors[:, None], out=u)
+    spread = np.abs(u, out=dist).max(axis=1)
     modulus = np.abs(anchors)
     # r <= A/(2|zeta_a|^2), written so that it cannot overflow; below
     # |zeta_a| = 1 the radius rule is the stricter one
