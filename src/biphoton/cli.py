@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .errors import BiphotonError, ParameterError
-from .fitting import (PARAM_NAMES, FitOptions, Theta, fit_series,
-                      format_fit_report)
+from .fitting import (PARAM_NAMES, FitOptions, Theta, check_bounds,
+                      fit_series, format_fit_report)
 from .forward import detuning_sweep, predict
 from .ingest import (detected_pair_rate, estimate_background, load_histogram,
                      load_series, region_above, to_g2, write_table)
@@ -208,6 +208,7 @@ def cmd_fit(args):
     init = cfg.get_group({f"fit.init_{name}": float for name in PARAM_NAMES})
     if init is not None:
         init = Theta(*init)
+        check_bounds(init, prefix="fit.init_")
     freeze = cfg.get_str("fit.freeze", "")
     options = FitOptions(
         max_iterations=cfg.get_int("fit.max_iterations",

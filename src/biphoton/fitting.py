@@ -10,10 +10,12 @@ The optimizer is a damped least-squares (Levenberg-style) loop on the
 normal equations with bounds enforced by projection; a parameter that sits
 at a bound its gradient pushes past is left out of the damped step (a
 projected Levenberg-Marquardt step; Kanzow, Yamashita and Fukushima,
-J. Comput. Appl. Math. 172, 375 (2004)).  The Jacobian is exact: one
-linearized forward pass per detuning (``forward.linearize``) gives the
-derivatives of (R_g, tau_w) in (b, omega_c, gamma_dec), and the scale
-column is the model rate itself.  Four smooth parameters need nothing
+J. Comput. Appl. Math. 172, 375 (2004)).  The Jacobian is exact: the
+forward pass that gives (R_g, tau_w) at a detuning also gives their
+derivatives in (b, omega_c, gamma_dec) (``forward.predict`` with
+``derivatives``), and the scale column is the model rate itself.  The
+loop asks for them at every theta it evaluates, since a step it takes
+needs the Jacobian there next.  Four smooth parameters need nothing
 fancier; everything is deterministic for fixed inputs.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import (BiphotonError, ExtractionError, GridOverflowError,
                      ParameterError)
-from .forward import detuning_sweep, linearize, width_samples
+from .forward import detuning_sweep
 from .params import SystemParams
 from .units import ghz_to_gamma, tau_to_ns
 from .wavepacket import DetuningGrid, auto_grid
@@ -144,15 +146,16 @@ class _ForwardModel:
     policy, so a residual evaluated at the generating theta is exactly
     zero for noiseless data.
 
-    Three caches live as long as the model.  One holds the (rg, tw) pair
-    of each theta triple, with where each point read its width (its
-    ``forward.WidthSamples``); one holds the derivatives at each triple
-    that ``tangents`` was asked for.  The third holds the impurity-line
-    integral of each detuning and grid (see ``sample_spectral_amplitude``),
-    which theta does not move: n_delta_c complex arrays of the grid's
-    size, so 5 MB for a 5-point series on a 2^16-point grid, and more only
-    if a point widens its grid.  The values are the same, bit for bit, as
-    without any cache.
+    Two caches live as long as the model.  One holds the (rg, tw) pair of
+    each theta triple, with their derivatives if a pass at that triple
+    asked for them: a triple first evaluated without gets one more pass,
+    with derivatives, when they are needed.  The other holds the
+    impurity-line integral of each detuning and grid (see
+    ``sample_spectral_amplitude``), which theta does not move: n_delta_c
+    complex arrays of the grid's size, so 5 MB for a 5-point series on a
+    2^16-point grid, and more only if a point widens its grid.  The values
+    are the same, bit for bit, as without any cache, and with or without
+    derivatives.
     """
 
     def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
@@ -166,65 +169,57 @@ class _ForwardModel:
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
         self.delta_c = ghz_to_gamma(self.delta_c_ghz)
         self._cache: dict = {}
-        self._tangents: dict = {}
         self._impurity_lines: dict = {}
 
     def _params(self, key):
         return self.fixed.replace(b=key[0], omega_c=key[1], gamma_dec=key[2])
 
-    def rates_and_widths(self, theta):
+    def rates_and_widths(self, theta, derivatives=False):
         """Uncalibrated model (rg_arb, tau_w_ns) at every detuning.
 
-        One ``detuning_sweep`` per new (b, omega_c, gamma_dec).  It stops
-        at the first failing point, whose error propagates as the same
-        object with the detuning (GHz) at which it failed appended to its
-        message.
+        One ``detuning_sweep`` per new (b, omega_c, gamma_dec), with
+        ``derivatives`` if asked for.  It stops at the first failing
+        point, whose error propagates as the same object with the
+        detuning (GHz) at which it failed appended to its message.
         """
-        key = (theta[0], theta[1], theta[2])
-        if key not in self._cache:
-            rg, tw, samples = [], [], []
-            for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
-                    self._params(key), self.delta_c, grid_hint=self.grid,
-                    impurity_lines=self._impurity_lines)):
-                if isinstance(pred, BiphotonError):
-                    raise _at_detuning(pred, dc_ghz)
-                rg.append(pred.rg_arb)
-                tw.append(pred.tau_w_ns)
-                samples.append(width_samples(pred) if pred.rg_arb > 0
-                               else None)
-            self._cache[key] = (np.array(rg), np.array(tw), samples)
-        rg, tw, _ = self._cache[key]
-        return rg, tw
+        return self._entry(theta, derivatives)[:2]
 
     def tangents(self, theta):
         """Derivatives of ``rates_and_widths`` in (b, omega_c, gamma_dec).
 
-        Two (n_delta_c, 3) arrays, d rg_arb and d tau_w_ns: one
-        ``forward.linearize`` per detuning, each on the grid and at the
-        width samples of its point of ``rates_and_widths``.  A failure
+        Two (n_delta_c, 3) arrays, d rg_arb and d tau_w_ns.  A failure
         propagates as in ``rates_and_widths``; so does a point whose
         amplitude is zero, which has no width to differentiate.
         """
+        rg, _, d_rg, d_tw = self._entry(theta, derivatives=True)
+        zero = np.flatnonzero(rg == 0.0)
+        if zero.size:
+            raise _at_detuning(ExtractionError(
+                "zero amplitude: no width to differentiate"),
+                self.delta_c_ghz[zero[0]])
+        return d_rg, d_tw
+
+    def _entry(self, theta, derivatives):
+        """(rg, tw, d_rg, d_tw) of a theta triple, the last two None if no
+        pass at it has asked for derivatives yet."""
         key = (theta[0], theta[1], theta[2])
-        if key not in self._tangents:
-            self.rates_and_widths(theta)
-            params = self._params(key)
-            d_rg, d_tw = [], []
-            for dc, dc_ghz, samples in zip(self.delta_c, self.delta_c_ghz,
-                                           self._cache[key][2]):
-                try:
-                    if samples is None:
-                        raise ExtractionError("zero amplitude: no width to "
-                                              "differentiate")
-                    lin = linearize(params.replace(delta_c=float(dc)),
-                                    samples,
-                                    impurity_lines=self._impurity_lines)
-                except BiphotonError as exc:
-                    raise _at_detuning(exc, dc_ghz) from None
-                d_rg.append(lin.d_rg_arb)
-                d_tw.append(tau_to_ns(lin.d_tau_w))
-            self._tangents[key] = (np.array(d_rg), np.array(d_tw))
-        return self._tangents[key]
+        entry = self._cache.get(key)
+        if entry is None or (derivatives and entry[2] is None):
+            points = []
+            for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
+                    self._params(key), self.delta_c, grid_hint=self.grid,
+                    impurity_lines=self._impurity_lines,
+                    derivatives=derivatives)):
+                if isinstance(pred, BiphotonError):
+                    raise _at_detuning(pred, dc_ghz)
+                points.append((pred.rg_arb, pred.tau_w_ns, pred.d_rg_arb,
+                               pred.d_tau_w))
+            rg, tw, d_rg, d_tw = zip(*points)
+            entry = (np.array(rg), np.array(tw),
+                     np.array(d_rg) if derivatives else None,
+                     tau_to_ns(np.array(d_tw)) if derivatives else None)
+            self._cache[key] = entry
+        return entry
 
 
 def _at_detuning(exc, dc_ghz):
@@ -233,8 +228,8 @@ def _at_detuning(exc, dc_ghz):
     return exc
 
 
-def _residual_vector(theta, series, model):
-    rg_model, tw_model = model.rates_and_widths(theta)
+def _residual_vector(theta, series, model, derivatives=False):
+    rg_model, tw_model = model.rates_and_widths(theta, derivatives)
     r = np.empty(2 * series.n_points)
     r[0::2] = (theta[3] * rg_model - series.rg) / series.rg_err
     r[1::2] = (tw_model - series.tau_w_ns) / series.tau_w_err
@@ -258,9 +253,19 @@ def _as_theta_array(theta):
     if arr.shape != (4,):
         raise ParameterError("theta must have 4 entries (b, omega_c, "
                              "gamma_dec, scale)")
-    if np.any(arr < _LOWER) or np.any(arr > _UPPER):
-        raise ParameterError(f"theta {tuple(arr)} violates parameter bounds")
+    check_bounds(arr)
     return arr
+
+
+def check_bounds(theta, prefix=""):
+    """Raise ParameterError naming each entry of ``theta`` outside its
+    bounds (NaN included), as ``<prefix><name> = <value> is outside
+    [<lower>, <upper>]``."""
+    bad = [f"{prefix}{name} = {float(v)!r} is outside [{lo:g}, {hi:g}]"
+           for name, v, lo, hi in zip(PARAM_NAMES, theta, _LOWER, _UPPER)
+           if not lo <= v <= hi]
+    if bad:
+        raise ParameterError("; ".join(bad))
 
 
 def _chi2(r):
@@ -297,7 +302,7 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     else:
         x = _as_theta_array(init)
         model = _ForwardModel(series.fixed, series.delta_c_ghz, x[2])
-    r = _residual_vector(x, series, model)
+    r = _residual_vector(x, series, model, derivatives=True)
     chi2 = _chi2(r)
     lam = _LAMBDA_INIT
     iterations = 0
@@ -337,7 +342,7 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
             for col, dx in zip(move, step):
                 x_try[free_idx[col]] += dx
             np.clip(x_try, _LOWER, _UPPER, out=x_try)
-            r_try = _residual_vector(x_try, series, model)
+            r_try = _residual_vector(x_try, series, model, derivatives=True)
             chi2_try = _chi2(r_try)
             if chi2_try < chi2:
                 rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)

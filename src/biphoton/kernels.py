@@ -45,9 +45,10 @@ next to the merged-pole band (up to 8e-12 relative measured on auto
 grids, gamma_dec = 0 included).  ``doppler_responses``,
 ``response_tangents`` and the three public kernels take the same path,
 so they stay equal to each other bit for bit, and a grid sliced at
-multiples of 2^14 gives the same bits as the whole (the fitter's
-linearized pass relies on that), unless it holds the exact two-photon
-resonance q = 0, which no even grid does.
+multiples of 2^14 gives the same bits as the whole (a pass with
+derivatives, which samples its grid in such slices, relies on that),
+unless it holds the exact two-photon resonance q = 0, which no even grid
+does.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson

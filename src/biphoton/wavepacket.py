@@ -15,14 +15,14 @@ delta_min instead of 0 multiplies G(tau) by the unit-modulus factor
 exp(-i delta_min tau); only |G|^2 is formed, so that factor is never
 applied, and fftshift puts tau in increasing order.
 
-For the fitter's derivatives, ``amplitude_tangents`` gives dA/d(b,
-Omega_c, gamma_dec) one array at a time, and ``transform_tangents`` a few
-samples of the transform and their derivatives by direct sums.
+For the fitter's derivatives, ``sample_spectral_amplitude`` can sample
+dA/d(b, Omega_c, gamma_dec) in the same pass as A (``amplitude_tangents``),
+and ``transform_tangents`` then sums a few samples of the transform and
+their derivatives directly.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,10 @@ EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
 # zero-padding factor of the DFT: halves the tau step below pi/delta_max
 OVERSAMPLE = 2
-# grid points per step of transform_tangents (a multiple of its row
-# length for every grid up to MAX_GRID_POINTS)
+# grid points per slice of a pass with tangents: A and dA are sampled, and
+# transform_tangents sums, this many points at a time.  A multiple of the
+# Faddeeva block, so the sliced A equals the whole grid's bit for bit, and
+# of transform_tangents' row length for every grid up to MAX_GRID_POINTS
 _CHUNK = 2**14
 
 
@@ -110,11 +112,16 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
 
 @dataclass(frozen=True)
 class SpectralAmplitude:
-    """A(delta) sampled on a detuning grid, with the generating params."""
+    """A(delta) sampled on a detuning grid, with the generating params.
+
+    ``tangents``, when asked for, is the (3, n) array of dA with respect
+    to b, Omega_c and gamma_dec on the same grid.
+    """
 
     grid: DetuningGrid
     amplitude: np.ndarray
     params: SystemParams
+    tangents: np.ndarray | None = None
 
     @property
     def peak_magnitude(self) -> float:
@@ -128,32 +135,38 @@ def amplitude_at(delta, params: SystemParams, impurity_line=None):
     ``kernels.impurity_line_integral(delta, params)``.
     """
     rho, kap = doppler_responses(delta, params, impurity_line=impurity_line)
-    return kap * sinc_phase(rho) * etalon_response(delta, params.gamma_etalon)
+    return _assemble(sinc_phase(rho), kap,
+                     etalon_response(delta, params.gamma_etalon))
+
+
+def _assemble(s, kap, etalon):
+    """S kappa B, taken in place in S: the one formula for A, so that both
+    amplitude functions round it alike."""
+    s *= kap
+    s *= etalon
+    return s
 
 
 def amplitude_tangents(delta, params: SystemParams, impurity_line=None):
     """``amplitude_at`` on an array ``delta``, with its derivatives.
 
-    Returns (A, tangents): A equals ``amplitude_at`` bit for bit, and
-    ``tangents`` yields dA with respect to b, Omega_c and gamma_dec in
-    turn, one array at a time.  With S = sinc(rho) exp(i rho),
+    Returns (A, dA): A equals ``amplitude_at`` bit for bit, and dA is the
+    (3, n) array of its derivatives with respect to b, Omega_c and
+    gamma_dec.  With S = sinc(rho) exp(i rho),
     dA = (d kappa S + kappa S'(rho) d rho) B.
     """
     rho, kap, responses = response_tangents(delta, params,
                                             impurity_line=impurity_line)
     s, ds = sinc_phase_tangent(rho)
     etalon = etalon_response(delta, params.gamma_etalon)
-    amp = kap * s * etalon
-
-    def tangents():
-        kap_ds = kap * ds * etalon
-        s_etalon = s * etalon
-        for d_rho, d_kap in responses:
-            d_amp = d_kap * s_etalon
-            d_amp += kap_ds * d_rho
-            yield d_amp
-
-    return amp, tangents()
+    s_etalon = s * etalon       # before S turns into A in place
+    kap_ds = _assemble(ds, kap, etalon)
+    d_amp = np.empty((3, rho.size), dtype=complex)
+    for row, (d_rho, d_kap) in zip(d_amp, responses):
+        np.multiply(d_kap, s_etalon, out=row)
+        d_rho *= kap_ds
+        row += d_rho
+    return _assemble(s, kap, etalon), d_amp
 
 
 def cached_impurity_line(impurity_lines, grid, delta, params):
@@ -170,14 +183,18 @@ def cached_impurity_line(impurity_lines, grid, delta, params):
 
 def sample_spectral_amplitude(params: SystemParams,
                               grid_hint: DetuningGrid | None = None,
-                              impurity_lines: dict | None = None
-                              ) -> SpectralAmplitude:
+                              impurity_lines: dict | None = None,
+                              derivatives: bool = False) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
     Starts from ``grid_hint`` or the auto-sized grid and doubles the span
     (keeping the spacing class) until |A| at both edges is below 1e-6 of
     the peak, giving up after 3 widenings.  A pump-free amplitude is
     identically zero and returned as-is.
+
+    With ``derivatives``, A and its ``tangents`` come from one pass of
+    :func:`amplitude_tangents`, ``_CHUNK`` points at a time; A is the
+    same, bit for bit, as without.
 
     ``impurity_lines``, if given, is a dict that keeps the impurity-line
     integral of each (grid, delta_c, gamma_doppler, gamma_natural) it has
@@ -188,14 +205,22 @@ def sample_spectral_amplitude(params: SystemParams,
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     for _ in range(MAX_WIDENINGS + 1):
         delta = grid.values
-        amp = amplitude_at(delta, params, impurity_line=cached_impurity_line(
-            impurity_lines, grid, delta, params))
+        line = cached_impurity_line(impurity_lines, grid, delta, params)
+        tangents = None
+        if derivatives:
+            amp = np.empty(grid.n_points, dtype=complex)
+            tangents = np.empty((3, grid.n_points), dtype=complex)
+            for lo in range(0, grid.n_points, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                amp[part], tangents[:, part] = amplitude_tangents(
+                    delta[part], params,
+                    impurity_line=None if line is None else line[part])
+        else:
+            amp = amplitude_at(delta, params, impurity_line=line)
         peak = float(np.max(np.abs(amp)))
-        if peak == 0.0:
-            return SpectralAmplitude(grid, amp, params)
         edge = max(abs(amp[0]), abs(amp[-1]))
         if edge <= EDGE_DECAY * peak:
-            return SpectralAmplitude(grid, amp, params)
+            return SpectralAmplitude(grid, amp, params, tangents)
         grid = grid.widened()
     raise GridOverflowError(
         f"spectral amplitude does not decay below {EDGE_DECAY:.0e} of its "
@@ -225,50 +250,40 @@ def wave_packet(sa: SpectralAmplitude) -> WavePacket:
     """
     grid = sa.grid
     d_delta = grid.spacing
-    m = grid.n_points * OVERSAMPLE
+    n = grid.n_points
+    m = n * OVERSAMPLE
 
-    weighted = sa.amplitude.astype(complex)
-    weighted[0] *= 0.5
-    weighted[-1] *= 0.5
+    # the end-halved amplitude, zero-padded and transformed in place
+    g = np.zeros(m, dtype=complex)
+    g[:n] = sa.amplitude
+    g[0] *= 0.5
+    g[n - 1] *= 0.5
+    np.fft.fft(g, out=g)
+    g *= d_delta / (2.0 * np.pi)
+    g2 = np.abs(g) ** 2
+    del g       # before the shift copies g2
     # tau_k = 2 pi k/(M d_delta) for k = -M/2 .. M/2 - 1
     tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=d_delta))
-    g = (d_delta / (2.0 * np.pi)) * np.fft.fftshift(np.fft.fft(weighted, n=m))
-    return WavePacket(tau, np.abs(g) ** 2, sa.params)
+    return WavePacket(tau, np.fft.fftshift(g2), sa.params)
 
 
-class TransformTangents(NamedTuple):
-    """A few samples of the ``wave_packet`` transform, with derivatives.
+def transform_tangents(sa: SpectralAmplitude, indices):
+    """The transform of ``sa`` at tau ``indices``, to first order in (b,
+    Omega_c, gamma_dec), from its amplitude and tangents, without an FFT.
 
-    ``g`` holds G at the requested tau indices and ``d_g`` (3, K) its
-    derivatives in (b, Omega_c, gamma_dec); ``energy`` is sum |a|^2 over
-    the end-halved amplitude a, and ``d_energy`` (3,) its derivatives
-    2 Re<a, da>.
-    """
-
-    g: np.ndarray
-    d_g: np.ndarray
-    energy: float
-    d_energy: np.ndarray
-
-
-def transform_tangents(params: SystemParams, grid: DetuningGrid, indices,
-                       impurity_line=None) -> TransformTangents:
-    """The transform of A(delta) on ``grid`` at tau ``indices``, to first
-    order in (b, Omega_c, gamma_dec), without an FFT.
-
-    ``indices`` index the increasing tau grid of :func:`wave_packet`; each
+    Returns (G, dG, dE): G at the indices, dG (3, K) its derivatives, and
+    dE (3,) the derivatives 2 Re<a, da> of sum |a|^2 over the end-halved
+    amplitude a.  ``indices`` index the increasing tau grid of :func:`wave_packet`; each
     sample is the direct sum (d_delta/2pi) sum_j a_j exp(-2 pi i j k/M)
     with k its unshifted DFT index.  The roots of unity factor over
     j = r B + c, B ~ sqrt(n), into an (n/B, K) and a (B, K) table, so a
     sum is one small matrix product; the phases are reduced mod M in
-    integers before the exponential.  The grid is taken ``_CHUNK`` points
-    at a time, and within a chunk the three derivative arrays one at a
-    time, so no array of the grid's size is formed.  ``impurity_line`` is
-    an optional precomputed impurity line on the whole grid.  The energy
-    sums are numpy reductions, not BLAS dot products, whose summation
-    order would change with the BLAS thread count.
+    integers before the exponential.  The grid is summed ``_CHUNK``
+    points at a time, so no temporary of the grid's size is formed.  The
+    energy sums are numpy reductions, not BLAS dot products, whose
+    summation order would change with the BLAS thread count.
     """
-    n = grid.n_points
+    n = sa.grid.n_points
     m = n * OVERSAMPLE
     k = (np.asarray(indices, dtype=np.int64) + m // 2) % m
     block = 1 << (n.bit_length() - 1) // 2
@@ -276,30 +291,28 @@ def transform_tangents(params: SystemParams, grid: DetuningGrid, indices,
     r = np.arange(n // block, dtype=np.int64)[:, None]
     inner = np.exp((-2j * np.pi / m) * ((c * k) % m))
     outer = np.exp((-2j * np.pi / m) * ((r * block * k) % m))
-    delta = grid.values
     g = np.zeros(k.size, dtype=complex)
     d_g = np.zeros((3, k.size), dtype=complex)
-    energy = 0.0
     d_energy = np.zeros(3)
     for lo in range(0, n, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        line = None if impurity_line is None else impurity_line[part]
-        amp, tangents = amplitude_tangents(delta[part], params,
-                                           impurity_line=line)
+        amp, d_amp = sa.amplitude[part], sa.tangents[:, part]
         # trapezoid weights: the grid's two end samples count half
         ends = [i for i, at_end in ((0, lo == 0), (-1, lo + _CHUNK == n))
                 if at_end]
+        if ends:
+            amp, d_amp = amp.copy(), d_amp.copy()
+            amp[ends] *= 0.5
+            d_amp[:, ends] *= 0.5
         rows = outer[lo // block:(lo + _CHUNK) // block]
-        amp[ends] *= 0.5
         g += np.sum((amp.reshape(-1, block) @ inner) * rows, axis=0)
-        energy += np.sum((amp.conj() * amp).real)
-        for col, d_amp in enumerate(tangents):
-            d_amp[ends] *= 0.5
-            d_g[col] += np.sum((d_amp.reshape(-1, block) @ inner) * rows,
+        amp_conj = amp.conj()
+        for col, d_col in enumerate(d_amp):
+            d_g[col] += np.sum((d_col.reshape(-1, block) @ inner) * rows,
                                axis=0)
-            d_energy[col] += 2.0 * np.sum((amp.conj() * d_amp).real)
-    scale = grid.spacing / (2.0 * np.pi)
-    return TransformTangents(scale * g, scale * d_g, energy, d_energy)
+            d_energy[col] += 2.0 * np.sum((amp_conj * d_col).real)
+    scale = sa.grid.spacing / (2.0 * np.pi)
+    return scale * g, scale * d_g, d_energy
 
 
 def biphoton_spectrum(sa: SpectralAmplitude) -> np.ndarray:

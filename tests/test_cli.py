@@ -396,6 +396,11 @@ PROBES = [
                  2, "CONFIG_BAD_VALUE",
                  "fit.init_gamma_dec, fit.init_scale missing",
                  id="fit_init_half_set"),
+    pytest.param(_probe_fit_init("fit.init_b = 2\nfit.init_omega_c = 11\n"
+                                 "fit.init_gamma_dec = 0.01\n"
+                                 "fit.init_scale = 1e9\n"),
+                 2, "CONFIG_BAD_VALUE", "fit.init_b = 2.0 is outside [0, 1]",
+                 id="fit_init_out_of_bounds"),
     pytest.param(_probe_fit_init("fit.max_iterations = -3\n"), 2,
                  "CONFIG_BAD_VALUE", "max_iterations must be an integer >= 1",
                  id="fit_max_iterations_negative"),

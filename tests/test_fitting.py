@@ -8,6 +8,7 @@ short iteration budgets where convergence is not the point.
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from biphoton.fitting import (_LOWER, _UPPER, DetuningSeries, FitOptions,
                               default_init, fit_series, format_fit_report,
                               residuals, synthesize_series)
 from biphoton.params import SystemParams
-from biphoton.units import ghz_to_gamma, tau_to_ns
-from biphoton.wavepacket import auto_grid, sample_spectral_amplitude
+from biphoton.units import ghz_to_gamma
+from biphoton.wavepacket import _CHUNK, auto_grid, sample_spectral_amplitude
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -189,8 +190,15 @@ class TestResiduals:
         assert calls == list(ghz_to_gamma(np.array([0.2, 0.6])))
 
     def test_bounds_enforced(self, clean_series):
-        with pytest.raises(ParameterError, match="bounds"):
+        with pytest.raises(ParameterError) as excinfo:
             residuals(Theta(-0.1, 11.4, 0.013, 1.0), clean_series)
+        assert str(excinfo.value) == "b = -0.1 is outside [0, 1]"
+        # every entry out of bounds is named, NaN included
+        with pytest.raises(ParameterError) as excinfo:
+            fit_series(clean_series, init=Theta(2.0, 11.4, -1.0, np.nan))
+        assert str(excinfo.value) == (
+            "b = 2.0 is outside [0, 1]; gamma_dec = -1.0 is outside "
+            "[0, inf]; scale = nan is outside [1e-300, inf]")
 
 
 class TestForwardModel:
@@ -258,16 +266,53 @@ class TestJacobian:
                                        Theta(0.3, 12.5, 0.011, 1.5e9)])
     def test_linearized_pass_reproduces_the_forward_values(self, theta):
         model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        rg, tw = model.rates_and_widths(np.asarray(theta))
         params = SystemParams().replace(b=theta.b, omega_c=theta.omega_c,
                                         gamma_dec=theta.gamma_dec)
-        for i, dc in enumerate(model.delta_c):
+        for dc in model.delta_c:
             at = params.replace(delta_c=float(dc))
-            samples = biphoton.forward.width_samples(
-                predict(at, grid_hint=model.grid))
-            lin = biphoton.forward.linearize(at, samples)
-            assert lin.rg_arb == pytest.approx(rg[i], rel=1e-13)
-            assert tau_to_ns(lin.tau_w) == pytest.approx(tw[i], rel=1e-13)
+            plain = predict(at, grid_hint=model.grid)
+            lin = predict(at, grid_hint=model.grid, derivatives=True)
+            assert plain.d_rg_arb is None and plain.d_tau_w is None
+            assert lin.d_rg_arb.shape == lin.d_tau_w.shape == (3,)
+            for name in ("rg_arb", "tau_w", "delta_omega"):
+                assert getattr(lin, name) == getattr(plain, name), name
+            assert np.array_equal(lin.wavepacket.g2, plain.wavepacket.g2)
+        # and so the fitter's values, with derivatives or without
+        x = np.asarray(theta)
+        with_tangents = model.rates_and_widths(x, derivatives=True)
+        fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        for got, want in zip(with_tangents, fresh.rates_and_widths(x)):
+            assert np.array_equal(got, want)
+
+
+class TestOnePassPerTheta:
+    def test_amplitude_evaluated_once_per_detuning(self, clean_series,
+                                                   monkeypatch):
+        """A fit samples each detuning's amplitude once per theta triple,
+        derivatives included: every chunk of the grid exactly once."""
+        real = biphoton.kernels._responses
+        chunks = Counter()
+
+        def counted(d, params, impurity_line):
+            theta = (params.b, params.omega_c, params.gamma_dec)
+            chunks[theta, params.delta_c, float(d[0]), d.size] += 1
+            return real(d, params, impurity_line)
+
+        monkeypatch.setattr(biphoton.kernels, "_responses", counted)
+        fit_series(clean_series, init=INIT,
+                   options=FitOptions(max_iterations=2))
+        grid = _ForwardModel(clean_series.fixed, DETUNINGS,
+                             INIT.gamma_dec).grid
+        per_chunk = Counter()
+        for (theta, dc, start, _), calls in chunks.items():
+            per_chunk[theta, dc, start] += calls
+        assert set(per_chunk.values()) == {1}
+        assert {size for *_, size in chunks} == {_CHUNK}
+        thetas = {theta for theta, *_ in per_chunk}
+        # the init and at least one accepted step per iteration
+        assert len(thetas) >= 3
+        assert len(per_chunk) == (len(thetas) * len(DETUNINGS)
+                                  * grid.n_points // _CHUNK)
 
 
 class TestImpurityLineCache:

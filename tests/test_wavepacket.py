@@ -9,8 +9,9 @@ from biphoton.forward import predict
 from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import (MAX_GRID_POINTS, DetuningGrid,
-                                 SpectralAmplitude, amplitude_at, auto_grid,
+from biphoton.wavepacket import (_CHUNK, MAX_GRID_POINTS, DetuningGrid,
+                                 SpectralAmplitude, amplitude_at,
+                                 amplitude_tangents, auto_grid,
                                  biphoton_spectrum, sample_spectral_amplitude,
                                  wave_packet)
 
@@ -103,6 +104,31 @@ class TestSampling:
         hint = auto_grid(params_15mw).widened()
         sa = sample_spectral_amplitude(params_15mw, grid_hint=hint)
         assert sa.grid == hint
+
+    def test_tangent_pass_gives_the_same_amplitude(self, random_valid_params):
+        """A from amplitude_tangents equals amplitude_at bit for bit, on a
+        whole grid and on _CHUNK slices of it, as does the amplitude
+        sampled with derivatives."""
+        for draw in random_valid_params(6):
+            dc = ghz_to_gamma(draw.pop("delta_c_ghz"))
+            p = SystemParams(delta_c=dc, **draw)
+            delta = auto_grid(p).values
+            want = amplitude_at(delta, p)
+            whole, d_whole = amplitude_tangents(delta, p)
+            assert np.array_equal(whole, want)
+            assert d_whole.shape == (3, delta.size)
+            sliced = [amplitude_tangents(delta[lo:lo + _CHUNK], p)
+                      for lo in range(0, delta.size, _CHUNK)]
+            assert np.array_equal(np.concatenate([a for a, _ in sliced]),
+                                  want)
+            assert np.array_equal(
+                np.concatenate([d for _, d in sliced], axis=1), d_whole)
+            sa = sample_spectral_amplitude(p, derivatives=True)
+            plain = sample_spectral_amplitude(p)
+            assert plain.tangents is None
+            assert np.array_equal(sa.amplitude, plain.amplitude)
+            if sa.grid == auto_grid(p):
+                assert np.array_equal(sa.tangents, d_whole)
 
 
 class TestWavePacket:
