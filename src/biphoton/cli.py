@@ -13,7 +13,9 @@ INCONSISTENT_RATES), 4 for numerical failures (NUMERICAL,
 SWEEP_ALL_POINTS_FAILED).  A background window set in the config that
 ``analyze`` cannot use is CONFIG_BAD_VALUE; the default window failing on
 the histogram is DATA_BAD_VALUE.  A key group set in part (``grid.*``,
-the background window, ``fit.init_*``) is CONFIG_BAD_VALUE.
+the background window, ``fit.init_*``) is CONFIG_BAD_VALUE, as is any
+config value the package refuses; its detail starts with the key and the
+value as written (``system.b = 1.5: must lie in [0, 1]``).
 """
 
 import argparse
@@ -209,11 +211,13 @@ def cmd_fit(args):
     if init is not None:
         init = Theta(*init)
         check_bounds(init, prefix="fit.init_")
-    freeze = cfg.get_str("fit.freeze", "")
-    options = FitOptions(
-        max_iterations=cfg.get_int("fit.max_iterations",
-                                   FitOptions.max_iterations),
-        freeze=tuple(t.strip() for t in freeze.split(",") if t.strip()))
+    max_iterations = cfg.get_int("fit.max_iterations",
+                                 FitOptions.max_iterations)
+    freeze = tuple(name.strip() for name in
+                   cfg.get_str("fit.freeze", "").split(",") if name.strip())
+    options = cfg.build(lambda: FitOptions(max_iterations, freeze),
+                        {"FitOptions.max_iterations": "fit.max_iterations",
+                         "FitOptions.freeze": "fit.freeze"})
 
     result = fit_series(series, init=init, options=options)
     _write(out / "fit_report.txt", Path.write_text,

@@ -114,30 +114,32 @@ class RunConfig:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
         return self._get(key, cast, default)
 
+    def build(self, make, keys):
+        """``make()``, with any package error it raises turned into
+        CONFIG_BAD_VALUE.  An error about a field in ``keys`` ({field:
+        config key}) names that key and its value as written instead."""
+        try:
+            return make()
+        except BiphotonError as exc:
+            key = keys.get(exc.field)
+            detail = (f"{key} = {self.values[key]}: {exc.reason}"
+                      if key in self.values else str(exc))
+            raise ConfigError("CONFIG_BAD_VALUE", detail) from exc
+
     def system_params(self, require=True) -> SystemParams:
-        """SystemParams from the system.* keys (apparatus defaults apply)."""
+        """SystemParams from the system.* keys (apparatus defaults apply).
+
+        Each key names, after its prefix, a keyword of
+        ``SystemParams.from_lab_units``.
+        """
         if require:
             self.require(*REQUIRED_SYSTEM_KEYS)
-        kwargs = {}
-        for key, name in (("system.alpha", "alpha"), ("system.b", "b"),
-                          ("system.omega_p", "omega_p"),
-                          ("system.omega_c", "omega_c"),
-                          ("system.gamma_dec", "gamma_dec"),
-                          ("system.gamma_doppler", "gamma_doppler"),
-                          ("system.gamma_etalon", "gamma_etalon")):
-            val = self.get_float(key)
-            if val is not None:
-                kwargs[name] = val
-        lab = {}
-        for key, name in (("system.delta_p_ghz", "delta_p_ghz"),
-                          ("system.delta_c_ghz", "delta_c_ghz")):
-            val = self.get_float(key)
-            if val is not None:
-                lab[name] = val
-        try:
-            return SystemParams.from_lab_units(**lab, **kwargs)
-        except BiphotonError as exc:
-            raise ConfigError("CONFIG_BAD_VALUE", str(exc)) from exc
+        kwargs = {key.removeprefix("system."): self.get_float(key)
+                  for key in self.values if key.startswith("system.")}
+        fields = {f"SystemParams.{name.removesuffix('_ghz')}": f"system.{name}"
+                  for name in kwargs}
+        return self.build(lambda: SystemParams.from_lab_units(**kwargs),
+                          fields)
 
     def grid_hint(self) -> DetuningGrid | None:
         group = self.get_group({"grid.delta_max_mhz": float,
@@ -146,16 +148,18 @@ class RunConfig:
             return None
         dmax_mhz, n = group
         dmax = mhz_to_gamma(dmax_mhz)
-        try:
-            return DetuningGrid(-dmax, dmax, n)
-        except BiphotonError as exc:
-            detail = f"grid.delta_max_mhz = {dmax_mhz!r}, grid.n_points = {n}"
-            raise ConfigError("CONFIG_BAD_VALUE", f"{detail}: {exc}") from exc
+        return self.build(lambda: DetuningGrid(-dmax, dmax, n),
+                          {"DetuningGrid.delta_max": "grid.delta_max_mhz",
+                           "DetuningGrid.n_points": "grid.n_points"})
 
     def sweep_detunings(self) -> np.ndarray:
         self.require("sweep.delta_c_ghz")
-        vals = self.get_float_list("sweep.delta_c_ghz")
-        if len(vals) < 2:
+        vals = np.asarray(self.get_float_list("sweep.delta_c_ghz"))
+        if vals.size < 2:
             raise ConfigError("CONFIG_SWEEP_TOO_SHORT",
-                              f"need >= 2 detunings, got {len(vals)}")
-        return np.asarray(vals, dtype=float)
+                              f"need >= 2 detunings, got {vals.size}")
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(
+                "CONFIG_BAD_VALUE", f"sweep.delta_c_ghz = "
+                f"{self.values['sweep.delta_c_ghz']}: must all be finite")
+        return vals

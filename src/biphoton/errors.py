@@ -2,7 +2,9 @@
 
 Every class carries the ``code`` and exit ``status`` the command line
 reports for it in one ``error: CODE detail`` line.  A raise site may pass
-a more specific ``code``; the status always comes from the class.
+a more specific ``code``; the status always comes from the class.  An
+error about one input field is built with ``on_field``, so that the
+config layer can name its own key in place of the field.
 """
 
 
@@ -11,11 +13,21 @@ class BiphotonError(Exception):
 
     code = "NUMERICAL"
     status = 4
+    # set by on_field: "Record.attribute" and what is wrong with its value
+    field = None
+    reason = None
 
     def __init__(self, message="", code=None):
         super().__init__(message)
         if code is not None:
             self.code = code
+
+    @classmethod
+    def on_field(cls, field, value, reason):
+        """The error "``field`` = ``value``: ``reason``" about one field."""
+        exc = cls(f"{field} = {value}: {reason}")
+        exc.field, exc.reason = field, reason
+        return exc
 
 
 class ParameterError(BiphotonError):

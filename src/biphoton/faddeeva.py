@@ -16,19 +16,6 @@ w(z) must equal the same point evaluated inside an array.  A branch that
 covers every point of an array is applied to it whole, without a gather
 and scatter; every pole of the kernels lies in one half-plane.
 
-The rational runs over ``_BLOCK`` = 2^14 points at a time, so that its
-32-step Horner loop works in cache rather than streaming the whole array
-through memory 32 times.  Blocking leaves every value bit-identical to a
-one-pass evaluation.  Each output element is a fixed sequence of
-elementwise operations on its own input element, and no temporary is
-carried from one block to the next.  The multiplies, the one operation
-whose rounding numpy may change when it runs in place, run out of place
-in every block.  The one thing a block's size can change is numpy's
-temporary elision, which reuses a temporary of 256 KiB or more in place:
-a full block qualifies as the whole array does, a short last block may
-not, and that only moves an add or a divide in or out of place, which
-rounds the same either way.
-
 Both upper-half-plane branches were checked against 30-digit arbitrary
 precision references on a dense grid; the worst relative error of the
 complex value is ~3e-13 (near z = 5.75), far inside the 1e-10 budget the
@@ -80,12 +67,14 @@ when its disk |zeta - zeta_a| <= r reaches the |zeta| = 8 switch between
 approximants or the real axis (where J jumps by the Gaussian residue),
 or when its points all coincide (r = 0).  So are the last points of an
 array whose length is not a multiple of 32.  Arrays shorter than
-``_BLOCK`` points are evaluated pointwise throughout and equal their
-scalar values bit for bit; longer ones agree with pointwise J within
-5e-14 relative (1.7e-14 measured over the detuning grids of a sweep), and
-equal it bit for bit at the anchors.  Every value depends only on its own block, so an array sliced at
-a multiple of 32 gives the same bits as the whole.  The Taylor sums run
-in place, ``_BLOCK`` points at a time, in cache.
+``ALONG_MIN_POINTS`` = 2^14 points are evaluated pointwise throughout and
+equal their scalar values bit for bit; longer ones agree with pointwise J
+within 5e-14 relative (1.7e-14 measured over the detuning grids of a
+sweep), and equal it bit for bit at the anchors.  Every value depends
+only on its own block, so an array sliced at a multiple of 32 gives the
+same bits as the whole, as long as each slice still takes the Taylor
+path: the spectral amplitude walks its grids in slices of
+``ALONG_MIN_POINTS`` points for that reason.
 """
 
 import math
@@ -97,10 +86,11 @@ SQRT_PI = math.sqrt(math.pi)
 _WEIDEMAN_N = 32
 _CF_DEPTH = 13
 _CF_RADIUS = 8.0
-# points per pass of the rational's Horner loop: its working arrays are
-# 256 KiB each and stay in cache, where a whole-array pass streams them
-# through memory 32 times
-_BLOCK = 2**14
+# the fewest points gaussian_pole_integral_along carries by Taylor series;
+# shorter arrays are evaluated pointwise.  The amplitude's slice length
+# and the smallest detuning grid (biphoton.wavepacket), so that every
+# slice of every grid takes the Taylor path
+ALONG_MIN_POINTS = 2**14
 # beyond this radius even z**2 risks overflow; one asymptotic term is
 # already accurate to ~1/(2|z|^2)
 _HUGE_RADIUS = 1e150
@@ -110,8 +100,8 @@ _HUGE_RADIUS = 1e150
 _TAYLOR_TERMS = 4
 _ASYMPTOTIC_TERMS = 16
 # gaussian_pole_integral_along: points per block (a power of two dividing
-# _BLOCK), Taylor terms, and the largest block spread r and recurrence
-# amplification 2|zeta_a|^2 r carried (see the module docstring)
+# ALONG_MIN_POINTS), Taylor terms, and the largest block spread r and
+# recurrence amplification 2|zeta_a|^2 r carried (see the module docstring)
 _ALONG_BLOCK = 32
 _ALONG_TERMS = 6
 _ALONG_RADIUS = 0.004
@@ -134,17 +124,6 @@ _L, _COEFFS = _weideman_coefficients(_WEIDEMAN_N)
 
 
 def _w_rational(z):
-    """Weideman's rational at every point, ``_BLOCK`` points at a time."""
-    if z.size <= _BLOCK:
-        return _w_rational_block(z)
-    flat = z.reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.size, _BLOCK):
-        out[lo:lo + _BLOCK] = _w_rational_block(flat[lo:lo + _BLOCK])
-    return out.reshape(z.shape)
-
-
-def _w_rational_block(z):
     iz = 1j * z
     den = _L - iz
     zz = (_L + iz) / den
@@ -236,41 +215,31 @@ def gaussian_pole_integral_along(zeta):
     is evaluated pointwise at the middle point of each block of 32
     samples and carried to the rest of the block by a Taylor series, where
     the block is narrow enough (see the module docstring for the rules
-    and the error bound).  Arrays shorter than 2^14 points, and arrays of
-    any other shape, are evaluated pointwise and equal
+    and the error bound).  Arrays shorter than ``ALONG_MIN_POINTS`` points,
+    and arrays of any other shape, are evaluated pointwise and equal
     :func:`gaussian_pole_integral` bit for bit; longer ones agree with it
     within 5e-14 relative.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    if zeta.ndim != 1 or zeta.size < _BLOCK:
+    if zeta.ndim != 1 or zeta.size < ALONG_MIN_POINTS:
         return gaussian_pole_integral(zeta)
     n_full = zeta.size - zeta.size % _ALONG_BLOCK
     out = np.empty_like(zeta)
     blocks = zeta[:n_full].reshape(-1, _ALONG_BLOCK)
     out_blocks = out[:n_full].reshape(-1, _ALONG_BLOCK)
     anchors = blocks[:, _ALONG_BLOCK // 2]
-    j_anchors = gaussian_pole_integral(anchors)
-    # one cache-sized chunk of blocks at a time, with its two working
-    # arrays reused from chunk to chunk
-    rows = _BLOCK // _ALONG_BLOCK
-    u = np.empty((rows, _ALONG_BLOCK), dtype=complex)
-    dist = np.empty(u.shape)
-    for lo in range(0, anchors.size, rows):
-        part = slice(lo, lo + rows)
-        n = min(rows, anchors.size - lo)
-        _carry(blocks[part], anchors[part], j_anchors[part], out_blocks[part],
-               u[:n], dist[:n])
+    _carry(blocks, anchors, gaussian_pole_integral(anchors), out_blocks)
     if n_full < zeta.size:
         out[n_full:] = gaussian_pole_integral(zeta[n_full:])
     return out
 
 
-def _carry(blocks, anchors, j_anchors, out, u, dist):
+def _carry(blocks, anchors, j_anchors, out):
     """J on ``blocks`` (one per row) into ``out``: by the Taylor series
-    about ``anchors`` where the rules allow, pointwise elsewhere.  ``u``
-    and ``dist`` are working arrays of the blocks' shape."""
-    np.subtract(blocks, anchors[:, None], out=u)
-    spread = np.abs(u, out=dist).max(axis=1)
+    about ``anchors`` where the rules allow, pointwise elsewhere."""
+    u = blocks - anchors[:, None]
+    # |u| in the real parts of ``out``, every entry of which J overwrites
+    spread = np.abs(u, out=out.real).max(axis=1)
     modulus = np.abs(anchors)
     # r <= A/(2|zeta_a|^2), written so that it cannot overflow; below
     # |zeta_a| = 1 the radius rule is the stricter one

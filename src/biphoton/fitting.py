@@ -102,11 +102,14 @@ class FitOptions:
         n = self.max_iterations
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
                 or n < 1:
-            raise ParameterError("FitOptions.max_iterations must be an "
-                                 f"integer >= 1, got {n!r}")
-        unknown = set(self.freeze) - set(PARAM_NAMES)
+            raise ParameterError.on_field("FitOptions.max_iterations", n,
+                                          "must be an integer >= 1")
+        unknown = sorted(set(self.freeze) - set(PARAM_NAMES))
         if unknown:
-            raise ParameterError(f"cannot freeze unknown parameters {unknown}")
+            raise ParameterError.on_field(
+                "FitOptions.freeze", self.freeze,
+                f"cannot freeze unknown parameters {', '.join(unknown)}; "
+                f"the parameters are {', '.join(PARAM_NAMES)}")
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,11 @@ magnified where its formula cancels, most in kappa's divided difference
 next to the merged-pole band (up to 8e-12 relative measured on auto
 grids, gamma_dec = 0 included).  ``doppler_responses``,
 ``response_tangents`` and the three public kernels take the same path,
-so they stay equal to each other bit for bit, and a grid sliced at
-multiples of 2^14 gives the same bits as the whole (a pass with
-derivatives, which samples its grid in such slices, relies on that),
-unless it holds the exact two-photon resonance q = 0, which no even grid
-does.
+so they stay equal to each other bit for bit.  A grid sliced at
+multiples of 2^14 gives the same bits as the whole, unless it holds the
+exact two-photon resonance q = 0, which no even grid does:
+:func:`~biphoton.wavepacket.amplitude_at`, the one caller that walks a
+grid, relies on that to evaluate it 2^14 detunings at a time.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson

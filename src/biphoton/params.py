@@ -58,7 +58,8 @@ class SystemParams:
 
     def __post_init__(self):
         def bad(name, why):
-            raise ParameterError(f"SystemParams.{name} {why}")
+            raise ParameterError.on_field(f"SystemParams.{name}",
+                                          getattr(self, name), why)
 
         for name in ("alpha", "b", "omega_p", "omega_c", "delta_p", "delta_c",
                      "gamma_dec", "gamma_doppler", "gamma_etalon", "gamma_natural"):

@@ -15,10 +15,13 @@ delta_min instead of 0 multiplies G(tau) by the unit-modulus factor
 exp(-i delta_min tau); only |G|^2 is formed, so that factor is never
 applied, and fftshift puts tau in increasing order.
 
-For the fitter's derivatives, ``sample_spectral_amplitude`` can sample
-dA/d(b, Omega_c, gamma_dec) in the same pass as A (``amplitude_tangents``),
-and ``transform_tangents`` then sums a few samples of the transform and
-their derivatives directly.
+``amplitude_at`` is the one place that walks a detuning grid: it takes
+``_CHUNK`` = 2^14 points at a time, so no temporary of the grid's size
+is formed and every slice takes the Faddeeva layer's Taylor path (a
+slice of a grid gives the same bits as the whole grid would).  With
+``derivatives`` it samples dA/d(b, Omega_c, gamma_dec) in the same
+pass, for the fitter, and ``transform_tangents`` then sums a few samples
+of the transform and their derivatives directly.
 """
 
 import math
@@ -27,12 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, ParameterError
+from .faddeeva import _HUGE_RADIUS, ALONG_MIN_POINTS as _CHUNK
 from .kernels import (doppler_responses, etalon_response,
                       impurity_line_integral, response_tangents, sinc_phase,
                       sinc_phase_tangent)
 from .params import SystemParams
 
-MIN_GRID_POINTS = 2**14
+# a grid holds at least one slice of amplitude_at.  _CHUNK is also a
+# multiple of transform_tangents' row length for every grid up to
+# MAX_GRID_POINTS
+MIN_GRID_POINTS = _CHUNK
 # 64 MiB of complex amplitude, 16x the widest grid the tests and benchmark use
 MAX_GRID_POINTS = 2**22
 # |A| at the grid edge must fall below this fraction of the peak |A|
@@ -40,11 +47,6 @@ EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
 # zero-padding factor of the DFT: halves the tau step below pi/delta_max
 OVERSAMPLE = 2
-# grid points per slice of a pass with tangents: A and dA are sampled, and
-# transform_tangents sums, this many points at a time.  A multiple of the
-# Faddeeva block, so the sliced A equals the whole grid's bit for bit, and
-# of transform_tangents' row length for every grid up to MAX_GRID_POINTS
-_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,22 @@ class DetuningGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.delta_min != -self.delta_max or not self.delta_max > 0:
+        # the etalon squares delta, and delta_max**2 must stay finite
+        if not 0.0 < self.delta_max < _HUGE_RADIUS:
+            raise ParameterError.on_field(
+                "DetuningGrid.delta_max", self.delta_max,
+                f"must be positive and below {_HUGE_RADIUS:.0e} Gamma")
+        if self.delta_min != -self.delta_max:
             raise ParameterError("grid must be symmetric about delta = 0")
         n = self.n_points
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
-            raise ParameterError(
-                f"n_points must be a power of two >= {MIN_GRID_POINTS}")
+            raise ParameterError.on_field(
+                "DetuningGrid.n_points", n,
+                f"must be a power of two >= {MIN_GRID_POINTS}")
         if n > MAX_GRID_POINTS:
-            raise GridOverflowError(
-                f"a {n}-point grid passes the {MAX_GRID_POINTS}-point limit")
+            raise GridOverflowError.on_field(
+                "DetuningGrid.n_points", n,
+                f"passes the {MAX_GRID_POINTS}-point limit")
 
     @property
     def values(self) -> np.ndarray:
@@ -128,33 +137,50 @@ class SpectralAmplitude:
         return float(np.max(np.abs(self.amplitude)))
 
 
-def amplitude_at(delta, params: SystemParams, impurity_line=None):
-    """The integrand A(delta) itself, at scalar or array detunings.
+def amplitude_at(delta, params: SystemParams, impurity_line=None,
+                 derivatives=False):
+    """The integrand A(delta), at a scalar or along a 1-d array of
+    detunings, or (A, dA) with ``derivatives``.
 
+    An array is walked ``_CHUNK`` points at a time.  dA is the (3, n)
+    array of the derivatives of A with respect to b, Omega_c and
+    gamma_dec, and A is the same, bit for bit, with or without it.
     ``impurity_line`` is an optional precomputed
     ``kernels.impurity_line_integral(delta, params)``.
     """
+    if np.ndim(delta) == 0 and not derivatives:
+        return _amplitude(delta, params, impurity_line)
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    amp = np.empty(delta.size, dtype=complex)
+    d_amp = np.empty((3, delta.size), dtype=complex) if derivatives else None
+    for lo in range(0, delta.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        line = None if impurity_line is None else impurity_line[part]
+        if derivatives:
+            amp[part], d_amp[:, part] = _amplitude_tangents(delta[part],
+                                                            params, line)
+        else:
+            amp[part] = _amplitude(delta[part], params, line)
+    return (amp, d_amp) if derivatives else amp
+
+
+def _amplitude(delta, params: SystemParams, impurity_line):
     rho, kap = doppler_responses(delta, params, impurity_line=impurity_line)
     return _assemble(sinc_phase(rho), kap,
                      etalon_response(delta, params.gamma_etalon))
 
 
 def _assemble(s, kap, etalon):
-    """S kappa B, taken in place in S: the one formula for A, so that both
-    amplitude functions round it alike."""
+    """S kappa B, taken in place in S: the one formula for A, so that
+    both slice bodies round it alike."""
     s *= kap
     s *= etalon
     return s
 
 
-def amplitude_tangents(delta, params: SystemParams, impurity_line=None):
-    """``amplitude_at`` on an array ``delta``, with its derivatives.
-
-    Returns (A, dA): A equals ``amplitude_at`` bit for bit, and dA is the
-    (3, n) array of its derivatives with respect to b, Omega_c and
-    gamma_dec.  With S = sinc(rho) exp(i rho),
-    dA = (d kappa S + kappa S'(rho) d rho) B.
-    """
+def _amplitude_tangents(delta, params: SystemParams, impurity_line):
+    """(A, dA) on one slice.  With S = sinc(rho) exp(i rho),
+    dA = (d kappa S + kappa S'(rho) d rho) B."""
     rho, kap, responses = response_tangents(delta, params,
                                             impurity_line=impurity_line)
     s, ds = sinc_phase_tangent(rho)
@@ -193,8 +219,7 @@ def sample_spectral_amplitude(params: SystemParams,
     identically zero and returned as-is.
 
     With ``derivatives``, A and its ``tangents`` come from one pass of
-    :func:`amplitude_tangents`, ``_CHUNK`` points at a time; A is the
-    same, bit for bit, as without.
+    :func:`amplitude_at`; A is the same, bit for bit, as without.
 
     ``impurity_lines``, if given, is a dict that keeps the impurity-line
     integral of each (grid, delta_c, gamma_doppler, gamma_natural) it has
@@ -206,17 +231,8 @@ def sample_spectral_amplitude(params: SystemParams,
     for _ in range(MAX_WIDENINGS + 1):
         delta = grid.values
         line = cached_impurity_line(impurity_lines, grid, delta, params)
-        tangents = None
-        if derivatives:
-            amp = np.empty(grid.n_points, dtype=complex)
-            tangents = np.empty((3, grid.n_points), dtype=complex)
-            for lo in range(0, grid.n_points, _CHUNK):
-                part = slice(lo, lo + _CHUNK)
-                amp[part], tangents[:, part] = amplitude_tangents(
-                    delta[part], params,
-                    impurity_line=None if line is None else line[part])
-        else:
-            amp = amplitude_at(delta, params, impurity_line=line)
+        sampled = amplitude_at(delta, params, line, derivatives)
+        amp, tangents = sampled if derivatives else (sampled, None)
         peak = float(np.max(np.abs(amp)))
         edge = max(abs(amp[0]), abs(amp[-1]))
         if edge <= EDGE_DECAY * peak:

@@ -402,15 +402,48 @@ PROBES = [
                  2, "CONFIG_BAD_VALUE", "fit.init_b = 2.0 is outside [0, 1]",
                  id="fit_init_out_of_bounds"),
     pytest.param(_probe_fit_init("fit.max_iterations = -3\n"), 2,
-                 "CONFIG_BAD_VALUE", "max_iterations must be an integer >= 1",
+                 "CONFIG_BAD_VALUE",
+                 "fit.max_iterations = -3: must be an integer >= 1",
                  id="fit_max_iterations_negative"),
+    pytest.param(_probe_fit_init("fit.max_iterations = 0\n"), 2,
+                 "CONFIG_BAD_VALUE",
+                 "fit.max_iterations = 0: must be an integer >= 1",
+                 id="fit_max_iterations_zero"),
+    pytest.param(_probe_fit_init("fit.freeze = b, bb\n"), 2,
+                 "CONFIG_BAD_VALUE",
+                 "fit.freeze = b, bb: cannot freeze unknown parameters bb",
+                 id="fit_freeze_unknown"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
+        "0.375", "1.5")), 2, "CONFIG_BAD_VALUE",
+                 "system.b = 1.5: must lie in [0, 1]", id="system_b_above_1"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.delta_c_ghz = nan\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "system.delta_c_ghz = nan: must be finite",
+                 id="system_delta_c_nan"),
+    pytest.param(_probe_config("sweep", SYSTEM_15MW
+                               + "sweep.delta_c_ghz = 0.5, nan\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "sweep.delta_c_ghz = 0.5, nan: must all be finite",
+                 id="sweep_nan_detuning"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW + (
+        "grid.delta_max_mhz = inf\ngrid.n_points = 16384\n")),
+                 2, "CONFIG_BAD_VALUE",
+                 "grid.delta_max_mhz = inf: must be positive and below",
+                 id="grid_span_infinite"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW + (
+        "grid.delta_max_mhz = 1e300\ngrid.n_points = 16384\n")),
+                 2, "CONFIG_BAD_VALUE",
+                 "grid.delta_max_mhz = 1e300: must be positive and below",
+                 id="grid_span_squares_past_overflow"),
     pytest.param(_probe_config("simulate",
                                SYSTEM_15MW + "grid.n_points = 16384\n"),
                  2, "CONFIG_BAD_VALUE", "grid.delta_max_mhz missing",
                  id="grid_half_set"),
     pytest.param(_probe_config("simulate", SYSTEM_15MW + (
         "grid.delta_max_mhz = 600\ngrid.n_points = 8388608\n")),
-                 2, "CONFIG_BAD_VALUE", "grid.n_points = 8388608",
+                 2, "CONFIG_BAD_VALUE",
+                 "grid.n_points = 8388608: passes the 4194304-point limit",
                  id="grid_above_the_cap"),
     pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
         "0.013", "1e-9")), 4, "NUMERICAL", "gamma_dec = 1e-09",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton.config import ConfigError, RunConfig
+from biphoton.fitting import FitOptions
 from biphoton.params import coupling_15mw_params
 from biphoton.units import mhz_to_gamma
 
@@ -104,7 +105,45 @@ class TestSystemParams:
         with pytest.raises(ConfigError) as excinfo:
             cfg.system_params()
         assert excinfo.value.code == "CONFIG_BAD_VALUE"
-        assert "SystemParams.b" in excinfo.value.detail
+        assert excinfo.value.detail == "system.b = 1.5: must lie in [0, 1]"
+
+    @pytest.mark.parametrize("line, detail", [
+        ("system.delta_c_ghz = nan",
+         "system.delta_c_ghz = nan: must be finite"),
+        ("system.delta_p_ghz = -inf",
+         "system.delta_p_ghz = -inf: must be finite"),
+        ("system.gamma_dec = -1e-3", "system.gamma_dec = -1e-3: must be >= 0"),
+        ("system.alpha = 0", "system.alpha = 0: must be positive")])
+    def test_error_names_the_key_as_written(self, tmp_path, line, detail):
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, line + "\n").system_params(require=False)
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == detail
+
+
+class TestBuild:
+    FIT_KEYS = {"FitOptions.max_iterations": "fit.max_iterations",
+                "FitOptions.freeze": "fit.freeze"}
+
+    def test_value_passes_through(self, tmp_path):
+        cfg = load(tmp_path, "fit.freeze = bb\n")
+        assert cfg.build(lambda: FitOptions(7), self.FIT_KEYS) == \
+            FitOptions(7)
+
+    @pytest.mark.parametrize("text, make, detail", [
+        ("fit.max_iterations = 0\n", lambda: FitOptions(0),
+         "fit.max_iterations = 0: must be an integer >= 1"),
+        ("fit.freeze = bb\n", lambda: FitOptions(freeze=("bb",)),
+         "fit.freeze = bb: cannot freeze unknown parameters bb; the "
+         "parameters are b, omega_c, gamma_dec, scale"),
+        # a field no key in the config set is named as the package names it
+        ("", lambda: FitOptions(0),
+         "FitOptions.max_iterations = 0: must be an integer >= 1")])
+    def test_error_names_the_key(self, tmp_path, text, make, detail):
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, text).build(make, self.FIT_KEYS)
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == detail
 
 
 class TestGridAndSweep:
@@ -125,9 +164,29 @@ class TestGridAndSweep:
         assert excinfo.value.code == "CONFIG_BAD_VALUE"
         assert "grid.n_points" in excinfo.value.detail
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-600", "0", "1e300"])
+    def test_unsampleable_span(self, tmp_path, value):
+        cfg = load(tmp_path, f"grid.delta_max_mhz = {value}\n"
+                             "grid.n_points = 16384\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.grid_hint()
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == (
+            f"grid.delta_max_mhz = {value}: must be positive and below "
+            "1e+150 Gamma")
+
     def test_sweep_detunings(self, tmp_path):
         cfg = load(tmp_path, "sweep.delta_c_ghz = 0.0, 1.5\n")
         assert np.array_equal(cfg.sweep_detunings(), [0.0, 1.5])
         with pytest.raises(ConfigError) as excinfo:
             load(tmp_path, "sweep.delta_c_ghz = 1.5\n").sweep_detunings()
         assert excinfo.value.code == "CONFIG_SWEEP_TOO_SHORT"
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_sweep_detunings_must_be_finite(self, tmp_path, entry):
+        cfg = load(tmp_path, f"sweep.delta_c_ghz = 0.5, {entry}, 1.5\n")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.sweep_detunings()
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == (
+            f"sweep.delta_c_ghz = 0.5, {entry}, 1.5: must all be finite")

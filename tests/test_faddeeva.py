@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton.faddeeva as F
-from biphoton.faddeeva import (_ALONG_BLOCK, _BLOCK, _COEFFS, _CF_RADIUS, _L,
-                               SQRT_PI, _w_continued_fraction, _w_rational,
+from biphoton.faddeeva import (_ALONG_BLOCK, _CF_RADIUS, _COEFFS, _L,
+                               ALONG_MIN_POINTS, SQRT_PI,
+                               _w_continued_fraction, _w_rational,
                                faddeeva_w, gaussian_pole_difference,
                                gaussian_pole_difference_dz0,
                                gaussian_pole_integral,
@@ -96,15 +97,19 @@ def test_horner_is_bit_identical_to_polyval(size):
     assert np.array_equal(_w_rational(z), rational_single_pass(z))
 
 
-@pytest.mark.parametrize("size", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                  3 * _BLOCK + 7])
+# the sizes around one amplitude slice, which hands the rational all of
+# its points or a gathered part of them
+@pytest.mark.parametrize("size", [1, 2, ALONG_MIN_POINTS - 1,
+                                  ALONG_MIN_POINTS, ALONG_MIN_POINTS + 1,
+                                  3 * ALONG_MIN_POINTS + 7])
 def test_blocked_rational_is_bit_identical_to_one_pass(size):
     z = upper_half_plane_points(size, seed=size + 1)
     assert np.array_equal(_w_rational(z), rational_single_pass(z))
 
 
 def test_blocked_rational_keeps_the_shape_of_its_input():
-    z = upper_half_plane_points(2 * _BLOCK + 6, seed=3).reshape(2, -1)
+    z = upper_half_plane_points(2 * ALONG_MIN_POINTS + 6,
+                                seed=3).reshape(2, -1)
     got = _w_rational(z)
     assert got.shape == z.shape
     assert np.array_equal(got.ravel(), rational_single_pass(z.ravel()))
@@ -112,10 +117,12 @@ def test_blocked_rational_keeps_the_shape_of_its_input():
 
 def test_blocked_rational_in_a_gathered_mixed_branch_array():
     # about two thirds of the points lie past the continued-fraction radius,
-    # so the rational runs, blocked, on a gathered copy of the rest
-    z = upper_half_plane_points(3 * _BLOCK + 7, seed=5, radius=12.0)
+    # so the rational runs on a gathered copy of the rest
+    z = upper_half_plane_points(3 * ALONG_MIN_POINTS + 7, seed=5,
+                                radius=12.0)
     far = np.abs(z) >= _CF_RADIUS
-    assert 0 < np.count_nonzero(far) and np.count_nonzero(~far) > _BLOCK
+    assert 0 < np.count_nonzero(far)
+    assert np.count_nonzero(~far) > ALONG_MIN_POINTS
     want = np.empty_like(z)
     want[~far] = rational_single_pass(z[~far])
     want[far] = _w_continued_fraction(z[far])
@@ -269,15 +276,16 @@ class TestGaussianPoleIntegralAlong:
         assert np.array_equal(got[mid], gaussian_pole_integral(zeta[mid]))
 
     def test_slices_give_the_same_bits_as_the_whole(self):
-        zeta = np.linspace(-5.0 - 0.05j, 9.0 - 0.05j, 4 * _BLOCK)
+        zeta = np.linspace(-5.0 - 0.05j, 9.0 - 0.05j, 4 * ALONG_MIN_POINTS)
         whole = gaussian_pole_integral_along(zeta)
-        for lo in range(0, zeta.size, _BLOCK):
-            part = slice(lo, lo + _BLOCK)
+        for lo in range(0, zeta.size, ALONG_MIN_POINTS):
+            part = slice(lo, lo + ALONG_MIN_POINTS)
             assert np.array_equal(gaussian_pole_integral_along(zeta[part]),
                                   whole[part])
 
-    @pytest.mark.parametrize("n", [_BLOCK + 1, _BLOCK + _ALONG_BLOCK - 1,
-                                   3 * _BLOCK + 45])
+    @pytest.mark.parametrize("n", [ALONG_MIN_POINTS + 1,
+                                   ALONG_MIN_POINTS + _ALONG_BLOCK - 1,
+                                   3 * ALONG_MIN_POINTS + 45])
     def test_lengths_that_are_not_a_multiple_of_the_block(self, n):
         zeta = np.linspace(-4.0 - 0.02j, 4.0 - 0.02j, n)
         got = gaussian_pole_integral_along(zeta)
@@ -290,14 +298,14 @@ class TestGaussianPoleIntegralAlong:
                               gaussian_pole_integral_along(zeta[:full]))
 
     def test_short_arrays_equal_their_scalar_values(self):
-        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, _BLOCK - 1)
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, ALONG_MIN_POINTS - 1)
         got = gaussian_pole_integral_along(zeta)
         assert np.array_equal(got, gaussian_pole_integral(zeta))
         for i in range(0, zeta.size, 997):
             assert got[i] == gaussian_pole_integral(complex(zeta[i]))
 
     def test_other_shapes_are_pointwise(self):
-        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2 * _BLOCK)
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2 * ALONG_MIN_POINTS)
         grid = zeta.reshape(2, -1)
         assert np.array_equal(gaussian_pole_integral_along(grid),
                               gaussian_pole_integral(grid))
@@ -310,7 +318,7 @@ class TestGaussianPoleIntegralAlong:
         crossing = 250 * _ALONG_BLOCK + 10
         step = 1.2e-4
         zeta = (np.sqrt(_CF_RADIUS**2 - 0.25) - 0.5j
-                + (np.arange(_BLOCK) - crossing + 0.5) * step)
+                + (np.arange(ALONG_MIN_POINTS) - crossing + 0.5) * step)
         got = gaussian_pole_integral_along(zeta)
         want = gaussian_pole_integral(zeta)
         blocks = np.abs(zeta).reshape(-1, _ALONG_BLOCK)
@@ -325,7 +333,7 @@ class TestGaussianPoleIntegralAlong:
 
     def test_block_reaching_the_real_axis_is_pointwise(self):
         # J jumps across the real axis; the path crosses it between samples
-        zeta = np.linspace(1.0 - 0.2j, 1.0 + 0.2j + 1e-7, _BLOCK)
+        zeta = np.linspace(1.0 - 0.2j, 1.0 + 0.2j + 1e-7, ALONG_MIN_POINTS)
         assert not np.any(zeta.imag == 0.0)
         got = gaussian_pole_integral_along(zeta)
         assert relative_deviation(got, gaussian_pole_integral(zeta)) \
@@ -336,7 +344,7 @@ class TestGaussianPoleIntegralAlong:
         assert np.array_equal(got[block], gaussian_pole_integral(zeta[block]))
 
     def test_real_axis_rejected(self):
-        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, _BLOCK)
+        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, ALONG_MIN_POINTS)
         zeta[1000] = 0.5
         with pytest.raises(ValueError):
             gaussian_pole_integral_along(zeta)

@@ -1,5 +1,7 @@
 """Spectral amplitude sampling and the delay-domain transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import ghz_to_gamma
 from biphoton.wavepacket import (_CHUNK, MAX_GRID_POINTS, DetuningGrid,
-                                 SpectralAmplitude, amplitude_at,
-                                 amplitude_tangents, auto_grid,
+                                 SpectralAmplitude, amplitude_at, auto_grid,
                                  biphoton_spectrum, sample_spectral_amplitude,
                                  wave_packet)
 
@@ -106,29 +107,50 @@ class TestSampling:
         assert sa.grid == hint
 
     def test_tangent_pass_gives_the_same_amplitude(self, random_valid_params):
-        """A from amplitude_tangents equals amplitude_at bit for bit, on a
-        whole grid and on _CHUNK slices of it, as does the amplitude
-        sampled with derivatives."""
+        """A from amplitude_at with derivatives equals A without, bit for
+        bit, as does the amplitude sampled with derivatives."""
         for draw in random_valid_params(6):
             dc = ghz_to_gamma(draw.pop("delta_c_ghz"))
             p = SystemParams(delta_c=dc, **draw)
             delta = auto_grid(p).values
             want = amplitude_at(delta, p)
-            whole, d_whole = amplitude_tangents(delta, p)
+            whole, d_whole = amplitude_at(delta, p, derivatives=True)
             assert np.array_equal(whole, want)
             assert d_whole.shape == (3, delta.size)
-            sliced = [amplitude_tangents(delta[lo:lo + _CHUNK], p)
-                      for lo in range(0, delta.size, _CHUNK)]
-            assert np.array_equal(np.concatenate([a for a, _ in sliced]),
-                                  want)
-            assert np.array_equal(
-                np.concatenate([d for _, d in sliced], axis=1), d_whole)
             sa = sample_spectral_amplitude(p, derivatives=True)
             plain = sample_spectral_amplitude(p)
             assert plain.tangents is None
             assert np.array_equal(sa.amplitude, plain.amplitude)
             if sa.grid == auto_grid(p):
                 assert np.array_equal(sa.tangents, d_whole)
+
+    @pytest.mark.parametrize("delta_c_ghz", [0.0, 1.0])
+    def test_slices_equal_the_whole_grid_kernels(self, params_15mw,
+                                                 delta_c_ghz):
+        """amplitude_at walks the grid in _CHUNK slices; A equals the
+        formula evaluated by the public kernels on the whole grid."""
+        p = params_15mw.replace(delta_c=ghz_to_gamma(delta_c_ghz))
+        delta = auto_grid(p).widened().values
+        assert delta.size >= 4 * _CHUNK
+        whole = (K.sinc_phase(K.rho_c_bar(delta, p) + K.rho_m_bar(delta, p))
+                 * K.kappa_bar(delta, p)
+                 * K.etalon_response(delta, p.gamma_etalon))
+        assert np.array_equal(amplitude_at(delta, p), whole)
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        """On the widest grid the benchmark samples (2^18 points), the
+        slices keep the traced peak within 2.5x the amplitude itself."""
+        p = SystemParams(alpha=800.0, b=0.0, omega_c=20.0, gamma_dec=0.005,
+                         gamma_doppler=30.0, gamma_etalon=15.0)
+        delta = auto_grid(p).widened().values
+        assert delta.size == 2**18
+        tracemalloc.start()
+        try:
+            amp = amplitude_at(delta, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * amp.nbytes
 
 
 class TestWavePacket:
