@@ -148,7 +148,7 @@ class RunConfig:
             return None
         dmax_mhz, n = group
         dmax = mhz_to_gamma(dmax_mhz)
-        return self.build(lambda: DetuningGrid(-dmax, dmax, n),
+        return self.build(lambda: DetuningGrid(dmax, n),
                           {"DetuningGrid.delta_max": "grid.delta_max_mhz",
                            "DetuningGrid.n_points": "grid.n_points"})
 

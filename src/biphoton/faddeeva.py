@@ -159,13 +159,16 @@ def split_apply(z, mask, f_in, f_out):
 
 
 def _w_far(z):
-    r2 = z.real**2 + z.imag**2
+    with np.errstate(over="ignore"):    # |z| past 1e154 squares to inf
+        r2 = z.real**2 + z.imag**2
     return split_apply(z, r2 > _HUGE_RADIUS**2,
                        lambda zh: (1j / SQRT_PI) / zh, _w_continued_fraction)
 
 
 def _w_upper(z):
-    r2 = z.real**2 + z.imag**2
+    # an r2 that overflows to inf is past both radii, as it should be
+    with np.errstate(over="ignore"):
+        r2 = z.real**2 + z.imag**2
     return split_apply(z, ~(r2 >= _CF_RADIUS**2), _w_rational, _w_far)
 
 

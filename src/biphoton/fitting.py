@@ -15,8 +15,10 @@ forward pass that gives (R_g, tau_w) at a detuning also gives their
 derivatives in (b, omega_c, gamma_dec) (``forward.predict`` with
 ``derivatives``), and the scale column is the model rate itself.  The
 loop asks for them at every theta it evaluates, since a step it takes
-needs the Jacobian there next.  Four smooth parameters need nothing
-fancier; everything is deterministic for fixed inputs.
+needs the Jacobian there next, and holds the residuals r and the
+Jacobian J of its current theta, so nothing is evaluated twice and no
+per-theta cache is kept.  Four smooth parameters need nothing fancier;
+everything is deterministic for fixed inputs.
 """
 
 import math
@@ -121,25 +123,9 @@ class FitResult:
     converged: bool
     iterations: int
 
-    @property
-    def b(self):
-        return self.theta.b
-
-    @property
-    def omega_c(self):
-        return self.theta.omega_c
-
-    @property
-    def gamma_dec(self):
-        return self.theta.gamma_dec
-
-    @property
-    def scale(self):
-        return self.theta.scale
-
 
 class _ForwardModel:
-    """Cached forward-model series, one entry per (b, omega_c, gamma_dec).
+    """The uncalibrated forward-model series of a fit, theta by theta.
 
     The detuning grid is frozen once per fit (one widening beyond the
     auto-sized grid of the initial gamma_dec, the only fitted parameter
@@ -149,16 +135,13 @@ class _ForwardModel:
     policy, so a residual evaluated at the generating theta is exactly
     zero for noiseless data.
 
-    Two caches live as long as the model.  One holds the (rg, tw) pair of
-    each theta triple, with their derivatives if a pass at that triple
-    asked for them: a triple first evaluated without gets one more pass,
-    with derivatives, when they are needed.  The other holds the
-    impurity-line integral of each detuning and grid (see
-    ``sample_spectral_amplitude``), which theta does not move: n_delta_c
-    complex arrays of the grid's size, so 5 MB for a 5-point series on a
-    2^16-point grid, and more only if a point widens its grid.  The values
-    are the same, bit for bit, as without any cache, and with or without
-    derivatives.
+    The model keeps no values per theta: the fit holds those of its
+    current theta.  It keeps the impurity-line integral of each detuning
+    and grid (see ``sample_spectral_amplitude``), which theta does not
+    move: n_delta_c complex arrays of the grid's size, so 5 MB for a
+    5-point series on a 2^16-point grid, and more only if a point widens
+    its grid.  The values are the same, bit for bit, as without that
+    cache, and with or without derivatives.
     """
 
     def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
@@ -171,58 +154,34 @@ class _ForwardModel:
             raise
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
         self.delta_c = ghz_to_gamma(self.delta_c_ghz)
-        self._cache: dict = {}
         self._impurity_lines: dict = {}
 
-    def _params(self, key):
-        return self.fixed.replace(b=key[0], omega_c=key[1], gamma_dec=key[2])
+    def __call__(self, theta, derivatives=False):
+        """(rg_arb, tau_w_ns, d_rg_arb, d_tau_w_ns) at every detuning, for
+        the (b, omega_c, gamma_dec) that lead ``theta``.
 
-    def rates_and_widths(self, theta, derivatives=False):
-        """Uncalibrated model (rg_arb, tau_w_ns) at every detuning.
-
-        One ``detuning_sweep`` per new (b, omega_c, gamma_dec), with
-        ``derivatives`` if asked for.  It stops at the first failing
-        point, whose error propagates as the same object with the
-        detuning (GHz) at which it failed appended to its message.
+        One ``detuning_sweep``: the first two are (n_delta_c,) arrays and
+        the derivatives (n_delta_c, 3) arrays, or None without
+        ``derivatives``.  The sweep stops at the first failing point,
+        whose error propagates as the same object with the detuning (GHz)
+        at which it failed appended to its message.
         """
-        return self._entry(theta, derivatives)[:2]
-
-    def tangents(self, theta):
-        """Derivatives of ``rates_and_widths`` in (b, omega_c, gamma_dec).
-
-        Two (n_delta_c, 3) arrays, d rg_arb and d tau_w_ns.  A failure
-        propagates as in ``rates_and_widths``; so does a point whose
-        amplitude is zero, which has no width to differentiate.
-        """
-        rg, _, d_rg, d_tw = self._entry(theta, derivatives=True)
-        zero = np.flatnonzero(rg == 0.0)
-        if zero.size:
-            raise _at_detuning(ExtractionError(
-                "zero amplitude: no width to differentiate"),
-                self.delta_c_ghz[zero[0]])
-        return d_rg, d_tw
-
-    def _entry(self, theta, derivatives):
-        """(rg, tw, d_rg, d_tw) of a theta triple, the last two None if no
-        pass at it has asked for derivatives yet."""
-        key = (theta[0], theta[1], theta[2])
-        entry = self._cache.get(key)
-        if entry is None or (derivatives and entry[2] is None):
-            points = []
-            for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
-                    self._params(key), self.delta_c, grid_hint=self.grid,
-                    impurity_lines=self._impurity_lines,
-                    derivatives=derivatives)):
-                if isinstance(pred, BiphotonError):
-                    raise _at_detuning(pred, dc_ghz)
-                points.append((pred.rg_arb, pred.tau_w_ns, pred.d_rg_arb,
-                               pred.d_tau_w))
-            rg, tw, d_rg, d_tw = zip(*points)
-            entry = (np.array(rg), np.array(tw),
-                     np.array(d_rg) if derivatives else None,
-                     tau_to_ns(np.array(d_tw)) if derivatives else None)
-            self._cache[key] = entry
-        return entry
+        params = self.fixed.replace(b=theta[0], omega_c=theta[1],
+                                    gamma_dec=theta[2])
+        points = []
+        for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
+                params, self.delta_c, grid_hint=self.grid,
+                impurity_lines=self._impurity_lines,
+                derivatives=derivatives)):
+            if isinstance(pred, BiphotonError):
+                raise _at_detuning(pred, dc_ghz)
+            points.append((pred.rg_arb, pred.tau_w_ns, pred.d_rg_arb,
+                           pred.d_tau_w))
+        rg, tw, d_rg, d_tw = zip(*points)
+        if not derivatives:
+            return np.array(rg), np.array(tw), None, None
+        return (np.array(rg), np.array(tw), np.array(d_rg),
+                tau_to_ns(np.array(d_tw)))
 
 
 def _at_detuning(exc, dc_ghz):
@@ -231,8 +190,7 @@ def _at_detuning(exc, dc_ghz):
     return exc
 
 
-def _residual_vector(theta, series, model, derivatives=False):
-    rg_model, tw_model = model.rates_and_widths(theta, derivatives)
+def _residual_vector(theta, series, rg_model, tw_model):
     r = np.empty(2 * series.n_points)
     r[0::2] = (theta[3] * rg_model - series.rg) / series.rg_err
     r[1::2] = (tw_model - series.tau_w_ns) / series.tau_w_err
@@ -248,7 +206,7 @@ def residuals(theta, series: DetuningSeries) -> np.ndarray:
     """
     theta = _as_theta_array(theta)
     model = _ForwardModel(series.fixed, series.delta_c_ghz, theta[2])
-    return _residual_vector(theta, series, model)
+    return _residual_vector(theta, series, *model(theta)[:2])
 
 
 def _as_theta_array(theta):
@@ -275,15 +233,17 @@ def _chi2(r):
     return math.fsum(float(v) * float(v) for v in r)
 
 
-def _jacobian(x, series, model, free_idx):
-    """d r/d theta over the free columns, from the model's tangents."""
-    rg_model, _ = model.rates_and_widths(x)
-    d_rg, d_tw = model.tangents(x)
+def _linearize(theta, series, values, free_idx):
+    """The residuals r at ``theta`` and their Jacobian d r/d theta over
+    the free columns, from the model's ``values`` (rg, tw, d_rg, d_tw)
+    there."""
+    rg_model, tw_model, d_rg, d_tw = values
     jac = np.zeros((2 * series.n_points, 4))
-    jac[0::2, :3] = x[3] * d_rg / series.rg_err[:, None]
+    jac[0::2, :3] = theta[3] * d_rg / series.rg_err[:, None]
     jac[0::2, 3] = rg_model / series.rg_err
     jac[1::2, :3] = d_tw / series.tau_w_err[:, None]
-    return jac[:, free_idx]
+    return (_residual_vector(theta, series, rg_model, tw_model),
+            jac[:, free_idx])
 
 
 def fit_series(series: DetuningSeries, init: Theta | None = None,
@@ -305,7 +265,16 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     else:
         x = _as_theta_array(init)
         model = _ForwardModel(series.fixed, series.delta_c_ghz, x[2])
-    r = _residual_vector(x, series, model, derivatives=True)
+    # the model's values, r and J at x, replaced together when a step is
+    # taken; a later theta with a zero amplitude has a NaN chi2, and the
+    # loop never takes it
+    values = model(x, derivatives=True)
+    zero = np.flatnonzero(values[0] == 0.0)
+    if zero.size:
+        raise _at_detuning(ExtractionError(
+            "zero amplitude: no width to differentiate"),
+            series.delta_c_ghz[zero[0]])
+    r, jac = _linearize(x, series, values, free_idx)
     chi2 = _chi2(r)
     lam = _LAMBDA_INIT
     iterations = 0
@@ -322,7 +291,6 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         return np.max(np.abs(np.where(active, 0.0, grad))) < _GRADIENT_TOL
 
     for iterations in range(1, options.max_iterations + 1):
-        jac = _jacobian(x, series, model, free_idx)
         grad, active = gradient(jac)
         if stationary(grad, active):
             break
@@ -345,11 +313,15 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
             for col, dx in zip(move, step):
                 x_try[free_idx[col]] += dx
             np.clip(x_try, _LOWER, _UPPER, out=x_try)
-            r_try = _residual_vector(x_try, series, model, derivatives=True)
+            # a step in the scale alone leaves the model where it is
+            values_try = (values if np.array_equal(x_try[:3], x[:3])
+                          else model(x_try, derivatives=True))
+            r_try, jac_try = _linearize(x_try, series, values_try, free_idx)
             chi2_try = _chi2(r_try)
             if chi2_try < chi2:
                 rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-                x, r, chi2 = x_try, r_try, chi2_try
+                x, values, r, jac, chi2 = (x_try, values_try, r_try,
+                                           jac_try, chi2_try)
                 lam = max(lam / 3.0, 1e-14)
                 improved = True
                 break
@@ -357,12 +329,11 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         if not improved or rel_drop < _CHI2_REL_TOL:
             break
 
-    # one Jacobian at the final x; the loop may have stopped on stalled
-    # chi2, so converged means the projected gradient cleared the tolerance
-    jac = _jacobian(x, series, model, free_idx)
+    # the loop may have stopped on stalled chi2, so converged means the
+    # projected gradient at the final x cleared the tolerance
     converged = bool(stationary(*gradient(jac)))
     errs = _standard_errors(jac, r, free_idx)
-    rg_model, tw_model = model.rates_and_widths(x)
+    rg_model, tw_model = values[:2]
     per_point = np.column_stack(
         [series.delta_c_ghz, x[3] * rg_model, tw_model])
     return FitResult(theta=Theta(*x), theta_err=Theta(*errs), chi2=chi2,
@@ -399,12 +370,11 @@ def _default_init(series: DetuningSeries, model: _ForwardModel) -> Theta:
     for omega_c in np.geomspace(4.0, 30.0, 9):
         theta = Theta(b=0.3, omega_c=float(omega_c),
                       gamma_dec=_DEFAULT_GAMMA_DEC, scale=1.0)
-        _, tw = model.rates_and_widths(np.asarray(theta))
+        rg_model, tw, _, _ = model(np.asarray(theta))
         cost = _chi2((tw - series.tau_w_ns) / series.tau_w_err)
         if best is None or cost < best[0]:
-            best = (cost, theta)
-    _, theta = best
-    rg_model, _ = model.rates_and_widths(np.asarray(theta))
+            best = (cost, theta, rg_model)
+    _, theta, rg_model = best
     scale = float(series.rg[0] / rg_model[0]) if rg_model[0] > 0 else 1.0
     return Theta(theta.b, theta.omega_c, theta.gamma_dec, max(scale, 1e-300))
 
@@ -431,7 +401,7 @@ def synthesize_series(theta: Theta, detunings_ghz, noise: float, seed: int,
         fixed = SystemParams()
     detunings_ghz = np.asarray(detunings_ghz, dtype=float)
     model = _ForwardModel(fixed, detunings_ghz, theta.gamma_dec)
-    rg_model, tw = model.rates_and_widths(np.asarray(theta))
+    rg_model, tw, _, _ = model(np.asarray(theta))
     rg = theta.scale * rg_model
     rng = np.random.default_rng(seed)
     rg_noisy = apply_multiplicative_noise(rg, noise, rng)

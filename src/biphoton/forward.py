@@ -32,7 +32,6 @@ class ModelPrediction:
     (b, omega_c, gamma_dec) when they were asked for, else None.
     """
 
-    params: SystemParams
     rg_arb: float
     tau_w: float
     delta_omega: float
@@ -80,8 +79,8 @@ def predict(params: SystemParams,
         if derivatives:
             d_rg, d_tau_w = _rate_and_width_tangents(sa, wp)
         delta_omega = fwhm(sa.grid.values, biphoton_spectrum(sa))
-    return ModelPrediction(params, rg, tau_w, delta_omega,
-                           replace(sa, tangents=None), wp, d_rg, d_tau_w)
+    return ModelPrediction(rg, tau_w, delta_omega, replace(sa, tangents=None),
+                           wp, d_rg, d_tau_w)
 
 
 def _rate_and_width_tangents(sa: SpectralAmplitude, wp: WavePacket):

@@ -315,11 +315,10 @@ def _adaptive_panels(f, a, b, rel_tol, max_panels):
 
 def rho_m_integrand(delta, p: SystemParams):
     """Impurity (two-level) response before Doppler averaging, absorbing sign."""
-    g = p.gamma_natural
     pref = p.b * p.alpha / 2.0
 
     def f(w):
-        return -pref * g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
+        return -pref / (4.0 * (delta + p.delta_c + w + 0.5j))
 
     return f
 
@@ -331,31 +330,29 @@ def rho_c_integrand(delta, p: SystemParams):
     the denominator, leaving the two-level form; the cancelled form is
     used there so delta = gamma_dec = 0 stays finite.
     """
-    g = p.gamma_natural
     q = delta + 1j * p.gamma_dec
     pref = (1.0 - p.b) * p.alpha / 2.0
 
     if p.omega_c == 0.0:
         def f(w):
-            return -pref * g / (4.0 * (delta + p.delta_c + w + 0.5j * g))
+            return -pref / (4.0 * (delta + p.delta_c + w + 0.5j))
     else:
         def f(w):
-            denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j * g)
-            return pref * q * g / denom
+            denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j)
+            return pref * q / denom
 
     return f
 
 
 def kappa_integrand(delta, p: SystemParams):
     """Signal-probe cross-coupling before Doppler averaging."""
-    g = p.gamma_natural
     q = delta + 1j * p.gamma_dec
     pref = (1.0 - p.b) * p.alpha / 4.0
 
     def f(w):
-        pump = p.omega_p / (p.delta_p + w + 0.5j * g)
-        denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j * g)
-        return pref * pump * p.omega_c * g / denom
+        pump = p.omega_p / (p.delta_p + w + 0.5j)
+        denom = p.omega_c**2 - 4.0 * q * (delta + p.delta_c + w + 0.5j)
+        return pref * pump * p.omega_c / denom
 
     return f
 
@@ -373,7 +370,7 @@ def _as_scalar_or_array(out, scalar):
 
 
 def _probe_pole(d, params: SystemParams):
-    return d + params.delta_c + 0.5j * params.gamma_natural
+    return d + params.delta_c + 0.5j
 
 
 def _impurity_line(p_pole, params: SystemParams):
@@ -381,9 +378,8 @@ def _impurity_line(p_pole, params: SystemParams):
 
 
 def _rho_m(line, params: SystemParams):
-    g = params.gamma_natural
     pref = params.b * params.alpha / 2.0
-    return -pref * g / (4.0 * params.gamma_doppler) * line
+    return -pref / (4.0 * params.gamma_doppler) * line
 
 
 class _DressedPole(NamedTuple):
@@ -409,9 +405,8 @@ def _dressed_pole(d, params: SystemParams) -> _DressedPole:
 
 
 def _rho_c(dp: _DressedPole, params: SystemParams):
-    g = params.gamma_natural
     gd = params.gamma_doppler
-    pref = (1.0 - params.b) * params.alpha * g / (8.0 * gd)
+    pref = (1.0 - params.b) * params.alpha / (8.0 * gd)
     out = np.zeros(dp.q.shape, dtype=complex)
     out[dp.regular] = -pref * dp.j0
     if np.any(dp.degenerate) and params.omega_c == 0.0:
@@ -429,7 +424,7 @@ def _merged_poles(omega0, omega1, gd):
 
 
 def _pump_pole(params: SystemParams):
-    return -params.delta_p - 0.5j * params.gamma_natural
+    return -params.delta_p - 0.5j
 
 
 def _pump_line(params: SystemParams):
@@ -445,7 +440,6 @@ def _pump_line(params: SystemParams):
 
 
 def _kappa(dp: _DressedPole, params: SystemParams, j1):
-    g = params.gamma_natural
     gd = params.gamma_doppler
     out = np.zeros(dp.q.shape, dtype=complex)
     if params.omega_p == 0.0 or params.omega_c == 0.0:
@@ -455,11 +449,11 @@ def _kappa(dp: _DressedPole, params: SystemParams, j1):
     if np.any(dp.degenerate):
         # coupling factor is the constant Gamma/Omega_c on resonance
         pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
-            params.omega_p * g / params.omega_c
+            params.omega_p / params.omega_c
         out[dp.degenerate] = pref0 * j1 / gd
     omega0 = dp.omega0
     pref = -(1.0 - params.b) * params.alpha * \
-        params.omega_p * params.omega_c * g / (16.0 * dp.q[dp.regular])
+        params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
     merged = _merged_poles(omega0, omega1, gd)
     sep = np.where(merged, 1.0, omega1 - omega0)
     vals = pref * (j1 - dp.j0) / sep / gd
@@ -485,9 +479,9 @@ def impurity_line_integral(delta, params: SystemParams):
     """J(-P/Gamma_D) with P = delta + Delta_c + i Gamma/2: the Doppler-
     averaged impurity line that rho_m_bar scales by b alpha/2.
 
-    It depends on delta, Delta_c, Gamma and Gamma_D only, not on b,
-    Omega_c or gamma_dec, so a caller that varies those can evaluate it
-    once and hand it to :func:`doppler_responses`.
+    It depends on delta, Delta_c and Gamma_D only, not on b, Omega_c or
+    gamma_dec, so a caller that varies those can evaluate it once and
+    hand it to :func:`doppler_responses`.
     """
     scalar, d = _as_delta_array(delta)
     return _as_scalar_or_array(
@@ -578,14 +572,13 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
 
 
 def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
-    g = params.gamma_natural
     gd = params.gamma_doppler
     omega_c = params.omega_c
     keep = 1.0 - params.b
     inv_q = 1.0 / dp.q[dp.regular]
     zeta0 = dp.omega0 / gd
     j0_prime = -2.0 * zeta0 * dp.j0 - 2.0
-    c = params.alpha * g / (8.0 * gd)
+    c = params.alpha / (8.0 * gd)
     # d rho/d zeta_0
     rho_zeta = -keep * c * j0_prime
     # kappa = (1 - b) Omega_c kap_unit, and (1 - b) Omega_c d kap_unit/d zeta_0
@@ -601,7 +594,7 @@ def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
             diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)
             diff_zeta[merged] = gaussian_pole_difference_dz0(
                 zeta0[merged], zeta1)
-        k_unit = -params.alpha * params.omega_p * g / (16.0 * gd**2) * inv_q
+        k_unit = -params.alpha * params.omega_p / (16.0 * gd**2) * inv_q
         kap_unit = k_unit * diff
         kap_zeta = (keep * omega_c) * k_unit * diff_zeta
         del merged, sep, diff, diff_zeta, k_unit

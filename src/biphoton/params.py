@@ -41,8 +41,6 @@ class SystemParams:
     gamma_dec : ground-state decoherence rate (units of Gamma, >= 0).
     gamma_doppler : Doppler e^-1 half-width (units of Gamma).
     gamma_etalon : effective combined etalon width (units of Gamma).
-    gamma_natural : excited-state decay rate; identically 1 in internal
-        units and kept as a field only so the formulas read dimensionally.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -54,7 +52,6 @@ class SystemParams:
     gamma_dec: float = 0.0
     gamma_doppler: float = DEFAULT_GAMMA_DOPPLER
     gamma_etalon: float = DEFAULT_GAMMA_ETALON
-    gamma_natural: float = 1.0
 
     def __post_init__(self):
         def bad(name, why):
@@ -62,7 +59,7 @@ class SystemParams:
                                           getattr(self, name), why)
 
         for name in ("alpha", "b", "omega_p", "omega_c", "delta_p", "delta_c",
-                     "gamma_dec", "gamma_doppler", "gamma_etalon", "gamma_natural"):
+                     "gamma_dec", "gamma_doppler", "gamma_etalon"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 bad(name, "must be finite")
@@ -70,8 +67,6 @@ class SystemParams:
             bad("alpha", "must be positive")
         if not 0.0 <= self.b <= 1.0:
             bad("b", "must lie in [0, 1]")
-        if self.gamma_natural <= 0:
-            bad("gamma_natural", "must be positive")
         if self.gamma_doppler <= 0:
             bad("gamma_doppler", "must be positive")
         if self.gamma_etalon <= 0:

@@ -2,6 +2,8 @@
 
 All angular frequencies inside the physics core are expressed in units of
 the excited-state decay rate Gamma, and all times in units of 1/Gamma.
+Gamma is the unit, so it is 1 in every formula and no parameter field
+carries it.
 The single boundary constant is Gamma/2pi = 6 MHz; user-facing numbers are
 converted exactly here and internal Gamma units never leak into files.
 """

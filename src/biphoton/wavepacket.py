@@ -51,9 +51,9 @@ OVERSAMPLE = 2
 
 @dataclass(frozen=True)
 class DetuningGrid:
-    """Uniform, zero-symmetric two-photon-detuning grid (units of Gamma)."""
+    """Uniform two-photon-detuning grid on [-delta_max, delta_max]
+    (units of Gamma)."""
 
-    delta_min: float
     delta_max: float
     n_points: int
 
@@ -63,8 +63,6 @@ class DetuningGrid:
             raise ParameterError.on_field(
                 "DetuningGrid.delta_max", self.delta_max,
                 f"must be positive and below {_HUGE_RADIUS:.0e} Gamma")
-        if self.delta_min != -self.delta_max:
-            raise ParameterError("grid must be symmetric about delta = 0")
         n = self.n_points
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
             raise ParameterError.on_field(
@@ -76,6 +74,10 @@ class DetuningGrid:
                 f"passes the {MAX_GRID_POINTS}-point limit")
 
     @property
+    def delta_min(self) -> float:
+        return -self.delta_max
+
+    @property
     def values(self) -> np.ndarray:
         return np.linspace(self.delta_min, self.delta_max, self.n_points)
 
@@ -85,8 +87,7 @@ class DetuningGrid:
 
     def widened(self) -> "DetuningGrid":
         """Double the span and the point count (same spacing class)."""
-        return DetuningGrid(2.0 * self.delta_min, 2.0 * self.delta_max,
-                            2 * self.n_points)
+        return DetuningGrid(2.0 * self.delta_max, 2 * self.n_points)
 
 
 def _next_pow2(n):
@@ -105,7 +106,7 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
     scale then rules).  A scale so narrow that the grid would pass
     MAX_GRID_POINTS raises GridOverflowError naming it.
     """
-    delta_max = max(20.0 * params.gamma_natural, 5.0 * params.gamma_etalon)
+    delta_max = max(20.0, 5.0 * params.gamma_etalon)
     scales = {"gamma_etalon": params.gamma_etalon / 100.0}
     if params.gamma_dec > 0.0:
         scales["gamma_dec"] = params.gamma_dec
@@ -116,12 +117,12 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
         raise GridOverflowError(
             f"{narrowest} = {getattr(params, narrowest):g} needs a {n}-point "
             f"grid; the limit is {MAX_GRID_POINTS}")
-    return DetuningGrid(-delta_max, delta_max, n)
+    return DetuningGrid(delta_max, n)
 
 
 @dataclass(frozen=True)
 class SpectralAmplitude:
-    """A(delta) sampled on a detuning grid, with the generating params.
+    """A(delta) sampled on a detuning grid.
 
     ``tangents``, when asked for, is the (3, n) array of dA with respect
     to b, Omega_c and gamma_dec on the same grid.
@@ -129,7 +130,6 @@ class SpectralAmplitude:
 
     grid: DetuningGrid
     amplitude: np.ndarray
-    params: SystemParams
     tangents: np.ndarray | None = None
 
     @property
@@ -201,7 +201,7 @@ def cached_impurity_line(impurity_lines, grid, delta, params):
     and kept on a miss; None when there is no cache."""
     if impurity_lines is None:
         return None
-    key = (grid, params.delta_c, params.gamma_doppler, params.gamma_natural)
+    key = (grid, params.delta_c, params.gamma_doppler)
     if key not in impurity_lines:
         impurity_lines[key] = impurity_line_integral(delta, params)
     return impurity_lines[key]
@@ -222,10 +222,10 @@ def sample_spectral_amplitude(params: SystemParams,
     :func:`amplitude_at`; A is the same, bit for bit, as without.
 
     ``impurity_lines``, if given, is a dict that keeps the impurity-line
-    integral of each (grid, delta_c, gamma_doppler, gamma_natural) it has
-    seen: a caller that varies only b, Omega_c or gamma_dec between calls
-    then evaluates it once per grid and detuning.  The amplitude is the
-    same, bit for bit, with or without it.
+    integral of each (grid, delta_c, gamma_doppler) it has seen: a caller
+    that varies only b, Omega_c or gamma_dec between calls then evaluates
+    it once per grid and detuning.  The amplitude is the same, bit for
+    bit, with or without it.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     for _ in range(MAX_WIDENINGS + 1):
@@ -236,7 +236,7 @@ def sample_spectral_amplitude(params: SystemParams,
         peak = float(np.max(np.abs(amp)))
         edge = max(abs(amp[0]), abs(amp[-1]))
         if edge <= EDGE_DECAY * peak:
-            return SpectralAmplitude(grid, amp, params, tangents)
+            return SpectralAmplitude(grid, amp, tangents)
         grid = grid.widened()
     raise GridOverflowError(
         f"spectral amplitude does not decay below {EDGE_DECAY:.0e} of its "
@@ -249,11 +249,6 @@ class WavePacket:
 
     tau: np.ndarray
     g2: np.ndarray
-    params: SystemParams
-
-    @property
-    def spacing(self) -> float:
-        return float(self.tau[1] - self.tau[0])
 
 
 def wave_packet(sa: SpectralAmplitude) -> WavePacket:
@@ -280,7 +275,7 @@ def wave_packet(sa: SpectralAmplitude) -> WavePacket:
     del g       # before the shift copies g2
     # tau_k = 2 pi k/(M d_delta) for k = -M/2 .. M/2 - 1
     tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=d_delta))
-    return WavePacket(tau, np.fft.fftshift(g2), sa.params)
+    return WavePacket(tau, np.fft.fftshift(g2))
 
 
 def transform_tangents(sa: SpectralAmplitude, indices):

@@ -222,6 +222,14 @@ class TestExitStatus:
         assert status == 4
         assert_one_error_line(err, "NUMERICAL")
 
+    def test_tiny_doppler_width_runs_clean(self, tmp_path, capsys):
+        # the poles sit past |zeta| = 1e154, where zeta**2 overflows
+        cfg = write_config(tmp_path,
+                           SYSTEM_15MW + "system.gamma_doppler = 1e-300\n")
+        status, err = run(capsys, "simulate", "--config", cfg,
+                          "--out", tmp_path / "out")
+        assert status == 0 and err == []
+
     def test_quadrature_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYSTEM_15MW)
         with pytest.raises(SystemExit) as excinfo:
@@ -421,6 +429,10 @@ PROBES = [
                  2, "CONFIG_BAD_VALUE",
                  "system.delta_c_ghz = nan: must be finite",
                  id="system_delta_c_nan"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.delta_c_ghz = 1e300\n"),
+                 4, "NUMERICAL", "global maximum sits on a curve endpoint",
+                 id="system_delta_c_past_the_faddeeva_radius"),
     pytest.param(_probe_config("sweep", SYSTEM_15MW
                                + "sweep.delta_c_ghz = 0.5, nan\n"),
                  2, "CONFIG_BAD_VALUE",

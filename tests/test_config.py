@@ -1,18 +1,33 @@
 """Run configuration: parsing, strictness, typed accessors, error codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from biphoton.config import ConfigError, RunConfig
+from biphoton.config import KNOWN_KEYS, ConfigError, RunConfig
 from biphoton.fitting import FitOptions
-from biphoton.params import coupling_15mw_params
+from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import mhz_to_gamma
+from biphoton.wavepacket import DetuningGrid
 
 
 def load(tmp_path, text, strict=False):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return RunConfig.load(path, strict=strict)
+
+
+def keys_of(section, unit_suffix):
+    """The ``section.*`` keys of KNOWN_KEYS, without prefix or unit."""
+    return {key.removeprefix(section + ".").removesuffix(unit_suffix)
+            for key in KNOWN_KEYS if key.startswith(section + ".")}
+
+
+@pytest.mark.parametrize("record, section, unit_suffix", [
+    (SystemParams, "system", "_ghz"), (DetuningGrid, "grid", "_mhz")])
+def test_every_field_has_a_key(record, section, unit_suffix):
+    assert {f.name for f in fields(record)} == keys_of(section, unit_suffix)
 
 
 class TestLoad:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ import pytest
 import biphoton.forward
 import biphoton.kernels
 from biphoton.config import ConfigError
-from biphoton.errors import GridOverflowError, ParameterError
+from biphoton.errors import ExtractionError, GridOverflowError, ParameterError
 from biphoton.forward import predict
 from biphoton.fitting import (_LOWER, _UPPER, DetuningSeries, FitOptions,
-                              Theta, _ForwardModel, _jacobian,
+                              Theta, _ForwardModel, _linearize,
                               _residual_vector, apply_multiplicative_noise,
                               default_init, fit_series, format_fit_report,
                               residuals, synthesize_series)
@@ -44,7 +45,10 @@ def central_difference_jacobian(x, series, model, rel_step=1e-6, floor=1e-4):
     hence the small step.  The floor keeps the step at gamma_dec = 0 at
     1e-10, as the fitter had it.
     """
-    f0 = _residual_vector(x, series, model)
+    def residual_vector(theta):
+        return _residual_vector(theta, series, *model(theta)[:2])
+
+    f0 = residual_vector(x)
     jac = np.zeros((f0.size, x.size))
     for i in range(x.size):
         h = rel_step * max(abs(x[i]), floor)
@@ -53,8 +57,8 @@ def central_difference_jacobian(x, series, model, rel_step=1e-6, floor=1e-4):
         x_hi, x_lo = x.copy(), x.copy()
         x_hi[i] += up
         x_lo[i] -= dn
-        r_hi = _residual_vector(x_hi, series, model) if up > 0 else f0
-        r_lo = _residual_vector(x_lo, series, model) if dn > 0 else f0
+        r_hi = residual_vector(x_hi) if up > 0 else f0
+        r_lo = residual_vector(x_lo) if dn > 0 else f0
         jac[:, i] = (r_hi - r_lo) / (up + dn)
     return jac
 
@@ -243,7 +247,8 @@ class TestJacobian:
                                          merged_poles):
         x = np.asarray(theta, dtype=float)
         model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
-        exact = _jacobian(x, clean_series, model, [0, 1, 2, 3])
+        _, exact = _linearize(x, clean_series, model(x, derivatives=True),
+                              [0, 1, 2, 3])
         # kappa's dressed and pump poles merge on some samples here
         assert sum(merged_poles) > 0
         oracle = central_difference_jacobian(x, clean_series, model)
@@ -254,11 +259,12 @@ class TestJacobian:
     def test_frozen_columns_are_left_out(self, clean_series):
         x = np.asarray(INIT, dtype=float)
         model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
-        full = _jacobian(x, clean_series, model, [0, 1, 2, 3])
-        assert np.array_equal(_jacobian(x, clean_series, model, [1, 3]),
+        values = model(x, derivatives=True)
+        _, full = _linearize(x, clean_series, values, [0, 1, 2, 3])
+        assert np.array_equal(_linearize(x, clean_series, values, [1, 3])[1],
                               full[:, [1, 3]])
         # the scale moves the rates alone, by the model rate
-        rg, _ = model.rates_and_widths(x)
+        rg = values[0]
         assert np.array_equal(full[0::2, 3], rg / clean_series.rg_err)
         assert not full[1::2, 3].any()
 
@@ -279,9 +285,9 @@ class TestJacobian:
             assert np.array_equal(lin.wavepacket.g2, plain.wavepacket.g2)
         # and so the fitter's values, with derivatives or without
         x = np.asarray(theta)
-        with_tangents = model.rates_and_widths(x, derivatives=True)
+        with_tangents = model(x, derivatives=True)[:2]
         fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        for got, want in zip(with_tangents, fresh.rates_and_widths(x)):
+        for got, want in zip(with_tangents, fresh(x)[:2]):
             assert np.array_equal(got, want)
 
 
@@ -346,11 +352,11 @@ class TestImpurityLineCache:
 
     def test_cached_model_is_bit_identical_to_a_fresh_one(self):
         model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        model.rates_and_widths(np.asarray(THETA_TRUE))
+        model(np.asarray(THETA_TRUE))
         moved = np.asarray(THETA_TRUE) * np.array([1.1, 0.97, 1.2, 1.0])
-        rg, tw = model.rates_and_widths(moved)
+        rg, tw, _, _ = model(moved)
         fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        rg_fresh, tw_fresh = fresh.rates_and_widths(moved)
+        rg_fresh, tw_fresh, _, _ = fresh(moved)
         assert np.array_equal(rg, rg_fresh)
         assert np.array_equal(tw, tw_fresh)
         # and equal to a predict that keeps no cache at all
@@ -368,8 +374,7 @@ class TestImpurityLineCache:
                                        impurity_lines=lines)
         # the auto grid of this point is widened once
         assert sa.grid == hint.widened()
-        rest = (params_15mw.delta_c, params_15mw.gamma_doppler,
-                params_15mw.gamma_natural)
+        rest = (params_15mw.delta_c, params_15mw.gamma_doppler)
         assert list(lines) == [(hint, *rest), (sa.grid, *rest)]
         assert len(line_evaluations) == 2
         again = sample_spectral_amplitude(params_15mw, grid_hint=hint,
@@ -384,15 +389,16 @@ class TestFit:
     def test_recovery_from_nearby_init(self, clean_series):
         init = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)
         result = fit_series(clean_series, init=init)
-        assert abs(result.b - THETA_TRUE.b) < 0.02
-        assert abs(result.omega_c / THETA_TRUE.omega_c - 1) < 0.02
-        assert abs(result.gamma_dec / THETA_TRUE.gamma_dec - 1) < 0.10
-        assert abs(result.scale / THETA_TRUE.scale - 1) < 0.02
+        theta = result.theta
+        assert abs(theta.b - THETA_TRUE.b) < 0.02
+        assert abs(theta.omega_c / THETA_TRUE.omega_c - 1) < 0.02
+        assert abs(theta.gamma_dec / THETA_TRUE.gamma_dec - 1) < 0.10
+        assert abs(theta.scale / THETA_TRUE.scale - 1) < 0.02
         assert result.converged
         assert result.iterations >= 1
         # every iterate respected the bounds; spot check the solution
-        assert 0.0 <= result.b <= 1.0
-        assert result.omega_c > 0 and result.gamma_dec >= 0
+        assert 0.0 <= theta.b <= 1.0
+        assert theta.omega_c > 0 and theta.gamma_dec >= 0
 
     def test_result_is_reproducible(self, clean_series):
         init = Theta(b=0.3, omega_c=12.5, gamma_dec=0.011, scale=1.5e9)
@@ -424,6 +430,35 @@ class TestFit:
             assert run.returncode == 0, run.stderr
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_zero_amplitude_at_the_start(self, clean_series):
+        # with the pump off, A is zero at every detuning
+        series = replace(clean_series,
+                         fixed=clean_series.fixed.replace(omega_p=0.0))
+        with pytest.raises(ExtractionError) as excinfo:
+            fit_series(series, init=INIT)
+        assert str(excinfo.value) == ("zero amplitude: no width to "
+                                      "differentiate (at delta_c = 0.2 GHz)")
+
+    def test_zero_amplitude_trial_is_rejected(self, clean_series,
+                                              monkeypatch):
+        """A trial clipped to b = 1, where kappa = 0, has a NaN chi2: the
+        loop rejects it, without raising, and tries a shorter step."""
+        real = _ForwardModel.__call__
+        b_seen = []
+
+        def first_trial_at_b_one(model, theta, derivatives=False):
+            b_seen.append(theta[0])
+            if len(b_seen) == 2:
+                theta = np.array([1.0, theta[1], theta[2]])
+            return real(model, theta, derivatives)
+
+        monkeypatch.setattr(_ForwardModel, "__call__", first_trial_at_b_one)
+        result = fit_series(clean_series, init=INIT,
+                            options=FitOptions(max_iterations=1))
+        assert len(b_seen) == 3 and b_seen[0] == INIT.b
+        assert result.theta.b == b_seen[2] != b_seen[1]
+        assert np.isfinite(result.chi2)
 
     def test_iteration_budget_returns_best_so_far(self, clean_series):
         init = Theta(b=0.1, omega_c=18.0, gamma_dec=0.03, scale=5e8)

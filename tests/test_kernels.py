@@ -340,7 +340,7 @@ class TestPolesAlongTheGrid:
     @staticmethod
     def arguments(p, delta):
         """The impurity-line and dressed-pole arguments zeta over ``delta``."""
-        p_pole = delta + p.delta_c + 0.5j * p.gamma_natural
+        p_pole = delta + p.delta_c + 0.5j
         dressed = p.omega_c**2 / (4.0 * (delta + 1j * p.gamma_dec)) - p_pole
         return -p_pole / p.gamma_doppler, dressed / p.gamma_doppler
 
