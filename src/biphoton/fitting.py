@@ -7,10 +7,12 @@ the arbitrary-unit model rate into the measured rate.  tau_w residuals are
 scale-independent by construction.
 
 The optimizer is a damped least-squares (Levenberg-style) loop on the
-normal equations with bounds enforced by projection; a parameter that sits
-at a bound its gradient pushes past is left out of the damped step (a
-projected Levenberg-Marquardt step; Kanzow, Yamashita and Fukushima,
-J. Comput. Appl. Math. 172, 375 (2004)).  The Jacobian is exact: the
+normal equations with bounds enforced by projection (a projected
+Levenberg-Marquardt step; Kanzow, Yamashita and Fukushima, J. Comput.
+Appl. Math. 172, 375 (2004)).  A frozen parameter and one that sits at a
+bound its gradient pushes past leave the damped step the same way: one
+boolean mask over the four columns of the full Jacobian says which
+columns a step moves.  The Jacobian is exact: the
 forward pass that gives (R_g, tau_w) at a detuning also gives their
 derivatives in (b, omega_c, gamma_dec) (``forward.predict`` with
 ``derivatives``), and the scale column is the model rate itself.  The
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import (BiphotonError, ExtractionError, GridOverflowError,
                      ParameterError)
+from .faddeeva import _HUGE_RADIUS
 from .forward import detuning_sweep
 from .params import SystemParams
 from .units import ghz_to_gamma, tau_to_ns
@@ -37,7 +40,8 @@ from .wavepacket import DetuningGrid, auto_grid
 
 PARAM_NAMES = ("b", "omega_c", "gamma_dec", "scale")
 _LOWER = np.array([0.0, 1e-3, 0.0, 1e-300])
-_UPPER = np.array([1.0, np.inf, np.inf, np.inf])
+# omega_c stops below the cap of SystemParams
+_UPPER = np.array([1.0, math.nextafter(_HUGE_RADIUS, 0.0), np.inf, np.inf])
 
 # nominal relative error bar attached to noiseless synthetic series so the
 # weighted fit stays defined
@@ -233,17 +237,29 @@ def _chi2(r):
     return math.fsum(float(v) * float(v) for v in r)
 
 
-def _linearize(theta, series, values, free_idx):
-    """The residuals r at ``theta`` and their Jacobian d r/d theta over
-    the free columns, from the model's ``values`` (rg, tw, d_rg, d_tw)
-    there."""
+def _linearize(theta, series, values):
+    """The residuals r at ``theta`` and their Jacobian d r/d theta, from
+    the model's ``values`` (rg, tw, d_rg, d_tw) there."""
     rg_model, tw_model, d_rg, d_tw = values
-    jac = np.zeros((2 * series.n_points, 4))
+    # Fortran order: C order sends jac.T @ jac down another BLAS path,
+    # which moves every fit in its last digits
+    jac = np.zeros((2 * series.n_points, 4), order="F")
     jac[0::2, :3] = theta[3] * d_rg / series.rg_err[:, None]
     jac[0::2, 3] = rg_model / series.rg_err
     jac[1::2, :3] = d_tw / series.tau_w_err[:, None]
-    return (_residual_vector(theta, series, rg_model, tw_model),
-            jac[:, free_idx])
+    return _residual_vector(theta, series, rg_model, tw_model), jac
+
+
+def _gradient(x, r, jac, free):
+    """J^T r, and the mask of the columns a step moves: the ``free`` ones
+    not held at a bound the gradient pushes past."""
+    grad = jac.T @ r
+    held = ((x <= _LOWER) & (grad > 0)) | ((x >= _UPPER) & (grad < 0))
+    return grad, free & ~held
+
+
+def _stationary(grad, move):
+    return np.max(np.abs(grad[move]), initial=0.0) < _GRADIENT_TOL
 
 
 def fit_series(series: DetuningSeries, init: Theta | None = None,
@@ -254,9 +270,8 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     theta with ``converged=False`` rather than raising.  Reproducible for
     identical inputs and options.
     """
-    free_idx = [i for i, name in enumerate(PARAM_NAMES)
-                if name not in options.freeze]
-    if not free_idx:
+    free = np.array([name not in options.freeze for name in PARAM_NAMES])
+    if not free.any():
         raise ParameterError("all parameters are frozen; nothing to fit")
     if init is None:
         model = _ForwardModel(series.fixed, series.delta_c_ghz,
@@ -274,35 +289,20 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         raise _at_detuning(ExtractionError(
             "zero amplitude: no width to differentiate"),
             series.delta_c_ghz[zero[0]])
-    r, jac = _linearize(x, series, values, free_idx)
+    r, jac = _linearize(x, series, values)
     chi2 = _chi2(r)
     lam = _LAMBDA_INIT
-    iterations = 0
-
-    def gradient(jac_now):
-        """J^T r, and which free columns sit at a bound it pushes past."""
-        grad = jac_now.T @ r
-        active = np.array([(x[i] <= _LOWER[i] and grad[col] > 0)
-                           or (x[i] >= _UPPER[i] and grad[col] < 0)
-                           for col, i in enumerate(free_idx)])
-        return grad, active
-
-    def stationary(grad, active):
-        return np.max(np.abs(np.where(active, 0.0, grad))) < _GRADIENT_TOL
-
+    # FitOptions holds max_iterations >= 1, so the loop binds iterations
     for iterations in range(1, options.max_iterations + 1):
-        grad, active = gradient(jac)
-        if stationary(grad, active):
+        grad, move = _gradient(x, r, jac, free)
+        if _stationary(grad, move):
             break
 
-        # the damped step leaves out the columns held at an active bound;
-        # solving for them too would tilt the step of the others towards
-        # a move that the clip below then undoes
-        move = np.flatnonzero(~active)
+        # the damped step leaves out the columns that do not move; solving
+        # for a held one too would tilt the step of the others towards a
+        # move that the clip below then undoes
         jtj = (jac.T @ jac)[np.ix_(move, move)]
         diag = np.maximum(np.diag(jtj), 1e-30)
-        improved = False
-        rel_drop = 0.0
         for _ in range(25):
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad[move])
@@ -310,29 +310,28 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
                 lam *= 8.0
                 continue
             x_try = x.copy()
-            for col, dx in zip(move, step):
-                x_try[free_idx[col]] += dx
+            x_try[move] += step
             np.clip(x_try, _LOWER, _UPPER, out=x_try)
             # a step in the scale alone leaves the model where it is
             values_try = (values if np.array_equal(x_try[:3], x[:3])
                           else model(x_try, derivatives=True))
-            r_try, jac_try = _linearize(x_try, series, values_try, free_idx)
+            r_try, jac_try = _linearize(x_try, series, values_try)
             chi2_try = _chi2(r_try)
             if chi2_try < chi2:
-                rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-                x, values, r, jac, chi2 = (x_try, values_try, r_try,
-                                           jac_try, chi2_try)
-                lam = max(lam / 3.0, 1e-14)
-                improved = True
                 break
             lam *= 8.0
-        if not improved or rel_drop < _CHI2_REL_TOL:
+        else:
+            break       # no damping lowered chi2
+        rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
+        x, values, r, jac, chi2 = x_try, values_try, r_try, jac_try, chi2_try
+        lam = max(lam / 3.0, 1e-14)
+        if rel_drop < _CHI2_REL_TOL:
             break
 
     # the loop may have stopped on stalled chi2, so converged means the
     # projected gradient at the final x cleared the tolerance
-    converged = bool(stationary(*gradient(jac)))
-    errs = _standard_errors(jac, r, free_idx)
+    converged = bool(_stationary(*_gradient(x, r, jac, free)))
+    errs = _standard_errors(jac, r, free)
     rg_model, tw_model = values[:2]
     per_point = np.column_stack(
         [series.delta_c_ghz, x[3] * rg_model, tw_model])
@@ -341,13 +340,14 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
                      iterations=iterations)
 
 
-def _standard_errors(jac, r, free_idx):
+def _standard_errors(jac, r, free):
+    """Standard errors of the ``free`` entries of theta; 0 for the rest."""
     errs = np.zeros(4)
     try:
-        dof = max(r.size - len(free_idx), 1)
+        dof = max(r.size - int(free.sum()), 1)
+        jac = jac[:, free]
         cov = np.linalg.pinv(jac.T @ jac) * (_chi2(r) / dof)
-        for col, i in enumerate(free_idx):
-            errs[i] = math.sqrt(max(cov[col, col], 0.0))
+        errs[free] = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         errs[:] = np.nan
     return errs

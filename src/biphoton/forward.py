@@ -85,14 +85,16 @@ def predict(params: SystemParams,
 
 def _rate_and_width_tangents(sa: SpectralAmplitude, wp: WavePacket):
     """d rg_arb and d tau_w in (b, omega_c, gamma_dec) from the amplitude
-    tangents ``sa`` carries, at the samples ``fwhm`` read ``wp`` at."""
+    tangents ``sa`` carries, at the samples ``fwhm`` read ``wp`` at;
+    raises NUMERICAL if a tangent has an inf or NaN sample."""
     hm = half_maximum(wp.tau, wp.g2)
-    at = list(hm.indices)
-    g, d_g, d_energy = transform_tangents(sa, at)
+    g, d_g, d_energy = transform_tangents(sa, list(hm.indices))
+    # each energy sum reduces every sample of a tangent
+    if not np.isfinite(d_energy).all():
+        raise BiphotonError("spectral amplitude derivatives are not finite")
     d_g2 = 2.0 * (np.conj(g) * d_g).real
-    tau, g2 = wp.tau[at], wp.g2[at]
     return ((sa.grid.spacing / (2.0 * np.pi)) * d_energy,
-            np.array([fwhm_tangent(hm, tau, g2, d) for d in d_g2]))
+            np.array([fwhm_tangent(hm, wp.tau, wp.g2, d) for d in d_g2]))
 
 
 def detuning_sweep(params: SystemParams, delta_c_values,

@@ -458,8 +458,11 @@ def _kappa(dp: _DressedPole, params: SystemParams, j1):
     sep = np.where(merged, 1.0, omega1 - omega0)
     vals = pref * (j1 - dp.j0) / sep / gd
     if np.any(merged):
-        vals[merged] = pref[merged] * gaussian_pole_difference(
-            omega0[merged] / gd, omega1 / gd) / gd**2
+        diff = gaussian_pole_difference(omega0[merged] / gd, omega1 / gd)
+        # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then
+        # not finite, which sample_spectral_amplitude reports, so no warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals[merged] = pref[merged] * diff / gd**2
     out[dp.regular] = vals
     return out
 
@@ -549,9 +552,9 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
     """``doppler_responses`` at array ``delta``, with its derivatives.
 
     Returns (rho, kappa, tangents): rho and kappa equal
-    ``doppler_responses`` bit for bit, and ``tangents`` yields the pair
-    (d rho, d kappa) with respect to b, Omega_c and gamma_dec in turn, one
-    pair at a time, each from the J arrays already at hand:
+    ``doppler_responses`` bit for bit, and ``tangents`` is the list of the
+    three pairs (d rho, d kappa) with respect to b, Omega_c and gamma_dec
+    in turn, each from the J arrays already at hand:
 
     * rho_c and kappa scale with (1 - b) and rho_m with b, so the b pair
       costs no Faddeeva work at all;
@@ -581,25 +584,8 @@ def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
     c = params.alpha / (8.0 * gd)
     # d rho/d zeta_0
     rho_zeta = -keep * c * j0_prime
-    # kappa = (1 - b) Omega_c kap_unit, and (1 - b) Omega_c d kap_unit/d zeta_0
-    kap_unit = kap_zeta = np.zeros_like(inv_q)
-    if j1 is not None:
-        omega1 = _pump_pole(params)
-        zeta1 = omega1 / gd
-        merged = _merged_poles(dp.omega0, omega1, gd)
-        sep = np.where(merged, 1.0, zeta1 - zeta0)
-        diff = (j1 - dp.j0) / sep
-        diff_zeta = (diff - j0_prime) / sep
-        if np.any(merged):
-            diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)
-            diff_zeta[merged] = gaussian_pole_difference_dz0(
-                zeta0[merged], zeta1)
-        k_unit = -params.alpha * params.omega_p / (16.0 * gd**2) * inv_q
-        kap_unit = k_unit * diff
-        kap_zeta = (keep * omega_c) * k_unit * diff_zeta
-        del merged, sep, diff, diff_zeta, k_unit
-    # the generator keeps its locals alive; the columns need none of these
-    del zeta0, j0_prime
+    kap_unit, kap_zeta = _kappa_slopes(dp, j1, params, zeta0, j0_prime,
+                                       inv_q)
 
     def full(values):
         if isinstance(dp.regular, slice):
@@ -608,14 +594,44 @@ def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
         out[dp.regular] = values
         return out
 
-    # b
-    yield (full(c * dp.j0) - c * impurity_line, full(-omega_c * kap_unit))
-    # Omega_c: d zeta_0 = Omega_c/(2 q Gamma_D)
-    zeta_move = (omega_c / (2.0 * gd)) * inv_q
-    yield (full(rho_zeta * zeta_move),
-           full(keep * kap_unit + kap_zeta * zeta_move))
-    # gamma_dec: d zeta_0 = -i Omega_c^2/(4 q^2 Gamma_D), and d(1/q) = -i/q^2
-    zeta_move = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
-    yield (full(rho_zeta * zeta_move),
-           full((-1j * keep * omega_c) * kap_unit * inv_q
-                + kap_zeta * zeta_move))
+    # d zeta_0 = Omega_c/(2 q Gamma_D) per unit Omega_c and
+    # -i Omega_c^2/(4 q^2 Gamma_D) per unit gamma_dec, and d(1/q) = -i/q^2
+    zeta_c = (omega_c / (2.0 * gd)) * inv_q
+    zeta_g = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
+    return [
+        # b
+        (full(c * dp.j0) - c * impurity_line, full(-omega_c * kap_unit)),
+        # Omega_c
+        (full(rho_zeta * zeta_c), full(keep * kap_unit + kap_zeta * zeta_c)),
+        # gamma_dec
+        (full(rho_zeta * zeta_g),
+         full((-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g))]
+
+
+def _kappa_slopes(dp: _DressedPole, j1, params: SystemParams, zeta0,
+                  j0_prime, inv_q):
+    """(kap_unit, kap_zeta) of ``_tangents``: kappa = (1 - b) Omega_c
+    kap_unit, and kap_zeta = (1 - b) Omega_c d kap_unit/d zeta_0.
+
+    A function of its own so that its temporaries are freed before the
+    tangents are built: holding them until then costs the derivative
+    pass about a quarter of its time in page faults.
+    """
+    if j1 is None:
+        zero = np.zeros_like(inv_q)
+        return zero, zero
+    gd = params.gamma_doppler
+    omega1 = _pump_pole(params)
+    zeta1 = omega1 / gd
+    merged = _merged_poles(dp.omega0, omega1, gd)
+    sep = np.where(merged, 1.0, zeta1 - zeta0)
+    diff = (j1 - dp.j0) / sep
+    diff_zeta = (diff - j0_prime) / sep
+    if np.any(merged):
+        diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)
+        diff_zeta[merged] = gaussian_pole_difference_dz0(zeta0[merged], zeta1)
+    # np.divide, not /: a gd**2 that underflows to 0 gives inf, and
+    # forward.predict reports the tangents as not finite
+    k_unit = np.divide(-params.alpha * params.omega_p, 16.0 * gd**2) * inv_q
+    return (k_unit * diff,
+            ((1.0 - params.b) * params.omega_c) * k_unit * diff_zeta)

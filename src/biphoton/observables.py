@@ -84,15 +84,8 @@ def fwhm(x, y) -> float:
     be interior; a missing crossing raises naming the failing side.
     Invariant under positive rescaling of y and translation of x.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     hm = half_maximum(x, y)
-    at = list(hm.indices)
-    return width_at_half_maximum(hm, np.asarray(x, dtype=float)[at],
-                                 np.asarray(y, dtype=float)[at])
-
-
-def width_at_half_maximum(hm: HalfMaximum, x, y) -> float:
-    """``fwhm`` from x and y at ``hm.indices`` alone (same order)."""
-    x, y = dict(zip(hm.indices, x)), dict(zip(hm.indices, y))
     half = y[hm.peak] / 2.0
 
     def crossing(i, prev):
@@ -105,13 +98,15 @@ def width_at_half_maximum(hm: HalfMaximum, x, y) -> float:
 
 
 def fwhm_tangent(hm: HalfMaximum, x, y, dy) -> float:
-    """Derivative of ``width_at_half_maximum(hm, x, y)`` along dy.
+    """Derivative of ``fwhm(x, y)`` along dy, where ``hm`` is
+    ``half_maximum(x, y)``.
 
-    x, y and dy are given at ``hm.indices``; x stays fixed.  Exact for the
-    linear interpolation ``fwhm`` does, away from the values of y at which
-    the peak or a bracketing sample changes.
+    x and y are the full curve ``fwhm`` reads, and x stays fixed; dy is
+    given at ``hm.indices`` alone (same order).  Exact for the linear
+    interpolation ``fwhm`` does, away from the values of y at which the
+    peak or a bracketing sample changes.
     """
-    x, y, dy = (dict(zip(hm.indices, v)) for v in (x, y, dy))
+    dy = dict(zip(hm.indices, dy))
     half = y[hm.peak] / 2.0
     d_half = dy[hm.peak] / 2.0
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
+from .faddeeva import _HUGE_RADIUS
 from .units import ghz_to_gamma
 
 # Defaults fixed by the apparatus: optical depth from the absorption
@@ -67,16 +68,18 @@ class SystemParams:
             bad("alpha", "must be positive")
         if not 0.0 <= self.b <= 1.0:
             bad("b", "must lie in [0, 1]")
-        if self.gamma_doppler <= 0:
-            bad("gamma_doppler", "must be positive")
+        # the kernels square gamma_doppler, omega_p and omega_c, and the
+        # squares must stay finite
+        if not 0.0 < self.gamma_doppler < _HUGE_RADIUS:
+            bad("gamma_doppler",
+                f"must be positive and below {_HUGE_RADIUS:.0e}")
         if self.gamma_etalon <= 0:
             bad("gamma_etalon", "must be positive")
         if self.gamma_dec < 0:
             bad("gamma_dec", "must be >= 0")
-        if self.omega_p < 0:
-            bad("omega_p", "must be >= 0")
-        if self.omega_c < 0:
-            bad("omega_c", "must be >= 0")
+        for name in ("omega_p", "omega_c"):
+            if not 0.0 <= getattr(self, name) < _HUGE_RADIUS:
+                bad(name, f"must be >= 0 and below {_HUGE_RADIUS:.0e}")
 
     @classmethod
     def from_lab_units(cls, *, delta_p_ghz=DEFAULT_DELTA_P_GHZ, delta_c_ghz=0.0,

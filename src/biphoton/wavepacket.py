@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridOverflowError, ParameterError
+from .errors import BiphotonError, GridOverflowError, ParameterError
 from .faddeeva import _HUGE_RADIUS, ALONG_MIN_POINTS as _CHUNK
 from .kernels import (doppler_responses, etalon_response,
                       impurity_line_integral, response_tangents, sinc_phase,
@@ -104,20 +104,24 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
     two orders below Gamma, and a grid tied to Gamma alone would alias it.
     A gamma_dec of exactly 0 is excluded from the minimum (the etalon
     scale then rules).  A scale so narrow that the grid would pass
-    MAX_GRID_POINTS raises GridOverflowError naming it.
+    MAX_GRID_POINTS raises GridOverflowError naming it and the span, and
+    the gamma_etalon that set the span when it is wider than 20 Gamma.
     """
     delta_max = max(20.0, 5.0 * params.gamma_etalon)
     scales = {"gamma_etalon": params.gamma_etalon / 100.0}
     if params.gamma_dec > 0.0:
         scales["gamma_dec"] = params.gamma_dec
     narrowest = min(scales, key=scales.get)
-    spacing = scales[narrowest] / 4.0
-    n = max(MIN_GRID_POINTS, _next_pow2(math.ceil(2.0 * delta_max / spacing)))
-    if n > MAX_GRID_POINTS:
+    points = 2.0 * delta_max / (scales[narrowest] / 4.0)
+    # compared as a float: the count can pass any integer size, or inf
+    if points > MAX_GRID_POINTS:
+        etalon = (f" (set by gamma_etalon = {params.gamma_etalon:g})"
+                  if delta_max > 20.0 else "")
         raise GridOverflowError(
-            f"{narrowest} = {getattr(params, narrowest):g} needs a {n}-point "
-            f"grid; the limit is {MAX_GRID_POINTS}")
-    return DetuningGrid(delta_max, n)
+            f"{narrowest} = {getattr(params, narrowest):g} over +-"
+            f"{delta_max:g} Gamma{etalon} needs over {MAX_GRID_POINTS} points")
+    return DetuningGrid(delta_max,
+                        max(MIN_GRID_POINTS, _next_pow2(math.ceil(points))))
 
 
 @dataclass(frozen=True)
@@ -180,19 +184,25 @@ def _assemble(s, kap, etalon):
 
 def _amplitude_tangents(delta, params: SystemParams, impurity_line):
     """(A, dA) on one slice.  With S = sinc(rho) exp(i rho),
-    dA = (d kappa S + kappa S'(rho) d rho) B."""
-    rho, kap, responses = response_tangents(delta, params,
-                                            impurity_line=impurity_line)
-    s, ds = sinc_phase_tangent(rho)
-    etalon = etalon_response(delta, params.gamma_etalon)
-    s_etalon = s * etalon       # before S turns into A in place
-    kap_ds = _assemble(ds, kap, etalon)
-    d_amp = np.empty((3, rho.size), dtype=complex)
-    for row, (d_rho, d_kap) in zip(d_amp, responses):
-        np.multiply(d_kap, s_etalon, out=row)
-        d_rho *= kap_ds
-        row += d_rho
-    return _assemble(s, kap, etalon), d_amp
+    dA = (d kappa S + kappa S'(rho) d rho) B.
+
+    A Doppler width far below Gamma (1e-300, say) drives the tangents'
+    intermediate products past the float range; they then come out inf
+    or NaN without a warning, and the caller reports that as NUMERICAL.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho, kap, responses = response_tangents(delta, params,
+                                                impurity_line=impurity_line)
+        s, ds = sinc_phase_tangent(rho)
+        etalon = etalon_response(delta, params.gamma_etalon)
+        s_etalon = s * etalon       # before S turns into A in place
+        kap_ds = _assemble(ds, kap, etalon)
+        d_amp = np.empty((3, rho.size), dtype=complex)
+        for row, (d_rho, d_kap) in zip(d_amp, responses):
+            np.multiply(d_kap, s_etalon, out=row)
+            d_rho *= kap_ds
+            row += d_rho
+        return _assemble(s, kap, etalon), d_amp
 
 
 def cached_impurity_line(impurity_lines, grid, delta, params):
@@ -216,7 +226,8 @@ def sample_spectral_amplitude(params: SystemParams,
     Starts from ``grid_hint`` or the auto-sized grid and doubles the span
     (keeping the spacing class) until |A| at both edges is below 1e-6 of
     the peak, giving up after 3 widenings.  A pump-free amplitude is
-    identically zero and returned as-is.
+    identically zero and returned as-is.  An amplitude with an inf or NaN
+    sample raises on the grid that has it, as NUMERICAL, without widening.
 
     With ``derivatives``, A and its ``tangents`` come from one pass of
     :func:`amplitude_at`; A is the same, bit for bit, as without.
@@ -234,6 +245,8 @@ def sample_spectral_amplitude(params: SystemParams,
         sampled = amplitude_at(delta, params, line, derivatives)
         amp, tangents = sampled if derivatives else (sampled, None)
         peak = float(np.max(np.abs(amp)))
+        if not math.isfinite(peak):
+            raise BiphotonError("spectral amplitude is not finite")
         edge = max(abs(amp[0]), abs(amp[-1]))
         if edge <= EDGE_DECAY * peak:
             return SpectralAmplitude(grid, amp, tangents)

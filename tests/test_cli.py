@@ -26,6 +26,10 @@ from biphoton.units import ghz_to_gamma
 SYSTEM_15MW = ("system.b = 0.375\n"
                "system.omega_c = 11.4\n"
                "system.gamma_dec = 0.013\n")
+SERIES_ROWS = ["0.2,1.0,0.1,60.0,1.0", "0.6,1.1,0.1,62.0,1.0",
+               "1.0,1.2,0.1,64.0,1.0", "2.2,1.3,0.1,66.0,1.0"]
+FIT_INIT = ("fit.init_b = 0.35\nfit.init_omega_c = 12\n"
+            "fit.init_gamma_dec = 0.012\nfit.init_scale = 1.8e9\n")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -230,6 +234,30 @@ class TestExitStatus:
                           "--out", tmp_path / "out")
         assert status == 0 and err == []
 
+    @pytest.mark.parametrize("init", ["", FIT_INIT],
+                             ids=["default_init", "init"])
+    def test_tiny_doppler_width_fit_ends_in_one_line(self, tmp_path, capsys,
+                                                     init):
+        # gamma_doppler**2 underflows to 0: kappa's merged-pole values in
+        # the default-init scan, or the tangents from an init, are not
+        # finite, and the first grid says so
+        cfg = write_series(tmp_path, SERIES_ROWS)
+        with open(cfg, "a") as f:
+            f.write("system.gamma_doppler = 1e-300\n" + init)
+        status, err = run(capsys, "fit", "--config", cfg,
+                          "--out", tmp_path / "out")
+        assert status == 4 and len(err) == 1, err
+        assert err[0].startswith("error: NUMERICAL spectral amplitude")
+        assert "not finite" in err[0] and "decay" not in err[0]
+
+    def test_magnitudes_just_below_the_cap_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYSTEM_15MW.replace("11.4", "9.9e149")
+                           + "system.omega_p = 9.9e149\n"
+                           "system.gamma_doppler = 9.9e149\n")
+        status, err = run(capsys, "simulate", "--config", cfg,
+                          "--out", tmp_path / "out")
+        assert status == 0 and err == []
+
     def test_quadrature_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYSTEM_15MW)
         with pytest.raises(SystemExit) as excinfo:
@@ -245,8 +273,6 @@ def write_series(tmp_path, rows, header=SERIES_HEADER):
     return write_config(tmp_path, f"fit.series = {path}\n", name="fit.cfg")
 
 
-SERIES_ROWS = ["0.2,1.0,0.1,60.0,1.0", "0.6,1.1,0.1,62.0,1.0",
-               "1.0,1.2,0.1,64.0,1.0", "2.2,1.3,0.1,66.0,1.0"]
 
 
 def _probe_out_is_file(tmp_path):
@@ -460,6 +486,35 @@ PROBES = [
     pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
         "0.013", "1e-9")), 4, "NUMERICAL", "gamma_dec = 1e-09",
                  id="auto_grid_above_the_cap"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_etalon = 2000\n"),
+                 4, "NUMERICAL", "gamma_dec = 0.013 over +-10000 Gamma "
+                 "(set by gamma_etalon = 2000) needs over 4194304 points",
+                 id="auto_grid_span_set_by_the_etalon"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_etalon = 1e300\n"),
+                 4, "NUMERICAL", "(set by gamma_etalon = 1e+300) needs "
+                 "over 4194304 points",
+                 id="auto_grid_span_past_any_count"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
+        "11.4", "1e160")), 2, "CONFIG_BAD_VALUE",
+                 "system.omega_c = 1e160: must be >= 0 and below 1e+150",
+                 id="system_omega_c_squares_past_overflow"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_doppler = 1e155\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "system.gamma_doppler = 1e155: must be positive and "
+                 "below 1e+150",
+                 id="system_gamma_doppler_squares_past_overflow"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.omega_p = 1e200\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "system.omega_p = 1e200: must be >= 0 and below 1e+150",
+                 id="system_omega_p_squares_past_overflow"),
+    pytest.param(_probe_fit_init(FIT_INIT.replace("= 12", "= 1e200")), 2,
+                 "CONFIG_BAD_VALUE",
+                 "fit.init_omega_c = 1e+200 is outside [0.001, 1e+150]",
+                 id="fit_init_omega_c_past_the_cap"),
 ]
 
 

@@ -19,11 +19,12 @@ import biphoton.kernels
 from biphoton.config import ConfigError
 from biphoton.errors import ExtractionError, GridOverflowError, ParameterError
 from biphoton.forward import predict
-from biphoton.fitting import (_LOWER, _UPPER, DetuningSeries, FitOptions,
-                              Theta, _ForwardModel, _linearize,
-                              _residual_vector, apply_multiplicative_noise,
-                              default_init, fit_series, format_fit_report,
-                              residuals, synthesize_series)
+from biphoton.fitting import (_LOWER, _UPPER, PARAM_NAMES, DetuningSeries,
+                              FitOptions, Theta, _ForwardModel, _gradient,
+                              _linearize, _residual_vector,
+                              apply_multiplicative_noise, default_init,
+                              fit_series, format_fit_report, residuals,
+                              synthesize_series)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
 from biphoton.wavepacket import _CHUNK, auto_grid, sample_spectral_amplitude
@@ -247,8 +248,7 @@ class TestJacobian:
                                          merged_poles):
         x = np.asarray(theta, dtype=float)
         model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
-        _, exact = _linearize(x, clean_series, model(x, derivatives=True),
-                              [0, 1, 2, 3])
+        _, exact = _linearize(x, clean_series, model(x, derivatives=True))
         # kappa's dressed and pump poles merge on some samples here
         assert sum(merged_poles) > 0
         oracle = central_difference_jacobian(x, clean_series, model)
@@ -260,9 +260,12 @@ class TestJacobian:
         x = np.asarray(INIT, dtype=float)
         model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
         values = model(x, derivatives=True)
-        _, full = _linearize(x, clean_series, values, [0, 1, 2, 3])
-        assert np.array_equal(_linearize(x, clean_series, values, [1, 3])[1],
-                              full[:, [1, 3]])
+        r, full = _linearize(x, clean_series, values)
+        # J has every column; the step's mask leaves the frozen ones out
+        assert full.shape == (2 * clean_series.n_points, 4)
+        assert full.flags.f_contiguous
+        free = np.array([False, True, False, True])
+        assert np.array_equal(_gradient(x, r, full, free)[1], free)
         # the scale moves the rates alone, by the model rate
         rg = values[0]
         assert np.array_equal(full[0::2, 3], rg / clean_series.rg_err)
@@ -474,6 +477,21 @@ class TestFit:
             clean_series, init=init._replace(b=0.0),
             options=FitOptions(freeze=("b",)))
         assert frozen.chi2 > 10.0 * max(free.chi2, 1e-12)
+
+    @pytest.mark.parametrize("freeze", [("b",), ("gamma_dec",),
+                                        ("omega_c", "gamma_dec"),
+                                        ("b", "omega_c", "gamma_dec")],
+                             ids="+".join)
+    def test_frozen_entries_keep_their_init(self, clean_series, freeze):
+        result = fit_series(clean_series, init=INIT, options=FitOptions(
+            max_iterations=2, freeze=freeze))
+        for name in PARAM_NAMES:
+            value, err = (getattr(result.theta, name),
+                          getattr(result.theta_err, name))
+            if name in freeze:
+                assert value == getattr(INIT, name) and err == 0.0, name
+            else:
+                assert err > 0.0, name
 
     def test_report_format(self, clean_series):
         init = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)

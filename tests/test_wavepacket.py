@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import biphoton.wavepacket
 from biphoton import kernels as K
-from biphoton.errors import GridOverflowError, ParameterError
+from biphoton.errors import BiphotonError, GridOverflowError, ParameterError
 from biphoton.forward import predict
 from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
@@ -70,6 +71,24 @@ class TestSampling:
     def test_pump_off_amplitude_identically_zero(self, params_15mw):
         sa = sample_spectral_amplitude(params_15mw.replace(omega_p=0.0))
         assert np.all(sa.amplitude == 0.0)
+
+    def test_non_finite_amplitude_raises_on_the_first_grid(
+            self, params_15mw, monkeypatch):
+        real = biphoton.wavepacket.amplitude_at
+        sizes = []
+
+        def one_nan(delta, *args):
+            sizes.append(delta.size)
+            amp = real(delta, *args)
+            amp[1] = np.nan
+            return amp
+
+        monkeypatch.setattr(biphoton.wavepacket, "amplitude_at", one_nan)
+        with pytest.raises(BiphotonError, match="not finite") as excinfo:
+            sample_spectral_amplitude(params_15mw)
+        # not a decay failure after the widenings
+        assert type(excinfo.value) is BiphotonError
+        assert sizes == [auto_grid(params_15mw).n_points]
 
     def test_edge_decay_invariant(self, params_15mw):
         sa = sample_spectral_amplitude(params_15mw)
