@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .errors import BiphotonError, ParameterError
+from .errors import BiphotonError, InconsistentRatesError, ParameterError
 from .fitting import (PARAM_NAMES, FitOptions, Theta, check_bounds,
                       fit_series, format_fit_report)
 from .forward import detuning_sweep, predict
@@ -190,10 +190,10 @@ def cmd_analyze(args):
                ("rg_fiber", rates.fiber, "1/s", True),
                ("rg_cell", rates.cell, "1/s", True),
                ("background_per_bin", background.mean, "counts", True)]
-    if rates.fiber <= hist.singles_signal:
+    try:
         entries.append(("h_p", heralding_probability(
             rates.fiber, hist.singles_signal), "", True))
-    else:
+    except InconsistentRatesError:
         print("warning: INCONSISTENT_RATES pair rate exceeds singles rate; "
               "h_p omitted", file=sys.stderr)
     _write_observables(out, entries)

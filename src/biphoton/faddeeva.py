@@ -27,9 +27,12 @@ Note that w itself grows like exp(|z|^2) deep in the lower half-plane, so
 the reflection overflows for Im(z) << -27 at large |Re z|; the package only
 ever evaluates it in the upper half-plane via :func:`gaussian_pole_integral`.
 
-:func:`gaussian_pole_difference` gives the divided difference of J for two
-nearly coincident poles, where subtracting two J values would cancel, and
-:func:`gaussian_pole_difference_dz0` its derivative in the first pole.
+:func:`gaussian_pole_difference` gives the divided difference D of J for
+two nearly coincident poles, where subtracting two J values would cancel,
+paired with its derivative dD/dzeta0 in the first pole.  Its midpoint
+series and the Taylor carry below take J's derivatives from one forward
+recurrence, J' = -2 zeta J - 2 and J^(k+1) = -2 zeta J^(k) - 2k J^(k-1)
+(valid in both half-planes).
 
 :func:`gaussian_pole_integral_along` evaluates J on dense samples of a
 path, such as the kernels' poles over a detuning grid, where neighbours
@@ -37,8 +40,7 @@ move zeta by only 1e-5 to 1e-3.  It splits the samples into blocks of
 ``_ALONG_BLOCK`` = 32 and evaluates J pointwise at each block's middle
 point zeta_a only.  J is carried to the rest of the block by its Taylor
 series in u = zeta - zeta_a, summed to ``_ALONG_TERMS`` = 6 terms, with
-derivatives from J' = -2 zeta J - 2 and J^(k+1) = -2 zeta J^(k) - 2k J^(k-1)
-(valid in both half-planes).  With r = max |u| over the block:
+derivatives from that recurrence.  With r = max |u| over the block:
 
 * truncation.  |J^(n)(zeta)|/n! <= |J(zeta)|/Gamma(n/2 + 1), with equality
   as zeta -> 0, where w(z) = sum (iz)^n/Gamma(n/2 + 1); the bound was
@@ -49,9 +51,9 @@ derivatives from J' = -2 zeta J - 2 and J^(k+1) = -2 zeta J^(k) - 2k J^(k-1)
   r^6/6 = 7e-16 relative;
 * rounding.  The forward recurrence grows an error in J^(k) like the
   Hermite polynomial H_k(zeta_a), about 2|zeta_a|^2/k per order relative
-  to J^(k) itself (see :func:`gaussian_pole_difference`), so the error of
-  the k-th term, relative to J, is about eps (2|zeta_a|^2 r)^k/k!.  Blocks
-  with 2|zeta_a|^2 r <= ``_ALONG_AMPLIFICATION`` = 0.5 keep it within 2 eps;
+  to J^(k) itself, so the error of the k-th term, relative to J, is about
+  eps (2|zeta_a|^2 r)^k/k!.  Blocks with 2|zeta_a|^2 r <=
+  ``_ALONG_AMPLIFICATION`` = 0.5 keep it within 2 eps;
 * approximation.  The pointwise J carries the error e(zeta) of the
   rational or continued fraction, up to 3e-13 relative; the carried J
   carries e(zeta_a) exp(-2 zeta_a u - u^2) instead, the homogeneous
@@ -261,11 +263,8 @@ def _carry(blocks, anchors, j_anchors, out):
         anchors, j_anchors, u = (
             anchors[carried], j_anchors[carried], u[carried])
     # J^(k)(zeta_a)/k! for k = 0 .. _ALONG_TERMS - 1
-    d_prev, d = j_anchors, -2.0 * anchors * j_anchors - 2.0
-    coeffs = [d_prev, d]
-    for k in range(1, _ALONG_TERMS - 1):
-        d_prev, d = d, -2.0 * anchors * d - 2.0 * k * d_prev
-        coeffs.append(d / math.factorial(k + 1))
+    coeffs = [d / math.factorial(k) if k > 1 else d for k, d in
+              enumerate(_derivatives(anchors, j_anchors, _ALONG_TERMS - 1))]
     # Horner's rule in place: every array holds 32 or more points, where
     # numpy's in-place and out-of-place complex multiplies round alike
     p = out if carried.all() else np.empty_like(u)
@@ -277,125 +276,87 @@ def _carry(blocks, anchors, j_anchors, out):
         out[carried] = p
 
 
+def _derivatives(zeta, j, n):
+    """[J, J', ..., J^(n)] at ``zeta`` from ``j`` = J(zeta), by the forward
+    recurrence of the module docstring.  It amplifies rounding by about
+    2|zeta|^2/k per order, so it serves only small |zeta| or few orders."""
+    out = [j, -2.0 * zeta * j - 2.0]
+    for k in range(1, n):
+        out.append(-2.0 * zeta * out[k] - 2.0 * k * out[k - 1])
+    return out
+
+
 def gaussian_pole_difference(zeta0, zeta1):
-    """Divided difference (J(zeta1) - J(zeta0)) / (zeta1 - zeta0).
+    """(D, dD/dzeta0) for the divided difference
+    D = (J(zeta1) - J(zeta0)) / (zeta1 - zeta0).
 
     For two poles in the same half-plane whose separation h = zeta1 - zeta0
     is small, |h| <= 1e-3 max(1, |zeta|), where the plain difference of two
-    J values cancels.  With m = (zeta0 + zeta1)/2:
+    J values cancels, and so does the closed-form derivative
+    (D - J'(zeta0))/h.  With m = (zeta0 + zeta1)/2 and u = h/2:
 
-    * |m| < 8: the midpoint Taylor series
-      sum_k J^(2k+1)(m) (h/2)^(2k) / (2k+1)!, whose derivatives follow from
-      J' = -2 zeta J - 2 and J^(n+1) = -2 zeta J^(n) - 2n J^(n-1) (valid in
-      both half-planes).  The forward recurrence amplifies rounding by
-      about 2|m|^2 per order, so it serves only small |m|;
+    * |m| < 8: the midpoint Taylor series, from J^(n)(m) by the forward
+      recurrence to n = 9: D = sum_k J^(2k+1)(m) u^(2k) / (2k+1)!, and
+      dD/dzeta0 = (d/dm - d/du) D / 2, that is (1/2) sum_n J^(n+2)(m)
+      u^n / n! times 1/(n+1) for even n and -1/(n+2) for odd n;
     * |m| >= 8: the asymptotic series J ~ -sum_k c_k zeta^-(2k+1),
       c_k = (2k-1)!!/2^k, differenced term by term:
       D[zeta^-n] = -a b h_(n-1)(a, b) with a = 1/zeta1, b = 1/zeta0 and h_p
-      the complete homogeneous polynomial, h_p = (a+b) h_(p-1) - ab h_(p-2).
+      the complete homogeneous polynomial, h_p = (a+b) h_(p-1) - ab h_(p-2);
+      the confluent difference D[zeta0, zeta0, zeta1] of zeta^-n is
+      a b^2 g_(n-1) with g_p = h_p(a, b, b) = b g_(p-1) + h_p(a, b), so
+      dD/dzeta0 = -sum_k c_k a b^2 g_(2k).
 
-    Relative accuracy is about 2e-11 or better, limited by J itself.
+    Elementwise over the broadcast pole pairs.  Relative accuracy is about
+    2e-11 or better for D and 1e-8 for its derivative, limited by J itself.
     """
-    return _near_poles(zeta0, zeta1, _difference_taylor,
-                       _difference_asymptotic)
-
-
-def gaussian_pole_difference_dz0(zeta0, zeta1):
-    """Derivative in zeta0 of :func:`gaussian_pole_difference`.
-
-    Away from merged poles it is (D - J'(zeta0)) / (zeta1 - zeta0), with D
-    the divided difference; for nearly coincident poles both subtractions
-    cancel, so each branch of :func:`gaussian_pole_difference` carries one
-    more term.  With u = h/2:
-
-    * |m| < 8: d/dzeta0 = (d/dm - d/du)/2 of the midpoint series, that is
-      (1/2) sum_n J^(n+2)(m) u^n / n! times 1/(n+1) for even n and
-      -1/(n+2) for odd n, summed to n = 7;
-    * |m| >= 8: the confluent difference D[zeta0, zeta0, zeta1] of
-      zeta^-n is a b^2 g_(n-1) with g_p = h_p(a, b, b) = b g_(p-1) + h_p(a, b),
-      so the derivative is -sum_k c_k a b^2 g_(2k).
-
-    Same domain and accuracy as :func:`gaussian_pole_difference`.
-    """
-    return _near_poles(zeta0, zeta1, _derivative_taylor,
-                       _derivative_asymptotic)
-
-
-def _near_poles(zeta0, zeta1, taylor, asymptotic):
-    """``taylor`` where the pole midpoint is inside _CF_RADIUS, else
-    ``asymptotic``, elementwise over the broadcast pole pairs."""
     z0, z1 = np.broadcast_arrays(np.asarray(zeta0, dtype=complex),
                                  np.asarray(zeta1, dtype=complex))
     scalar = z0.ndim == 0
     z0, z1 = np.atleast_1d(z0), np.atleast_1d(z1)
-    out = np.empty(z0.shape, dtype=complex)
+    diff = np.empty(z0.shape, dtype=complex)
+    slope = np.empty_like(diff)
     near = np.abs(0.5 * (z0 + z1)) < _CF_RADIUS
-    if np.any(near):
-        out[near] = taylor(z0[near], z1[near])
-    if np.any(~near):
-        out[~near] = asymptotic(z0[~near], z1[~near])
-    return out[0] if scalar else out
+    for where, series in ((near, _difference_taylor),
+                          (~near, _difference_asymptotic)):
+        if where.any():
+            diff[where], slope[where] = series(z0[where], z1[where])
+    return (diff[0], slope[0]) if scalar else (diff, slope)
 
 
 def _difference_taylor(z0, z1):
     m = 0.5 * (z0 + z1)
-    quarter_h2 = (0.5 * (z1 - z0)) ** 2
-    d_prev = gaussian_pole_integral(m)
-    d = -2.0 * m * d_prev - 2.0
-    out = d.copy()
+    u = 0.5 * (z1 - z0)
+    d = _derivatives(m, gaussian_pole_integral(m), 2 * _TAYLOR_TERMS + 1)
+    diff = d[1].copy()
     weight = np.ones_like(m)
-    # n runs over the odd orders: step J^(n) to J^(n+2) per term
+    # n runs over the odd orders
     for n in range(1, 2 * _TAYLOR_TERMS - 1, 2):
-        d_prev, d = d, -2.0 * m * d - 2.0 * n * d_prev
-        d_prev, d = d, -2.0 * m * d - 2.0 * (n + 1) * d_prev
-        weight = weight * quarter_h2 / ((n + 1) * (n + 2))
-        out += weight * d
-    return out
+        weight = weight * u**2 / ((n + 1) * (n + 2))
+        diff += weight * d[n + 2]
+    slope = np.zeros_like(m)
+    power = np.ones_like(m)                 # u^n / n!
+    for n in range(2 * _TAYLOR_TERMS):
+        slope += power * d[n + 2] / ((n + 1) if n % 2 == 0 else -(n + 2))
+        power = power * u / (n + 1)
+    return diff, 0.5 * slope
 
 
 def _difference_asymptotic(z0, z1):
     a, b = 1.0 / z1, 1.0 / z0
     ab, s = a * b, a + b
     h_prev, h = np.ones_like(a), s
-    out = ab.copy()
-    c = 1.0
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        # (h_prev, h) advance from (h_(2k-2), h_(2k-1)) to (h_(2k), h_(2k+1))
-        h_prev, h = h, s * h - ab * h_prev
-        h_prev, h = h, s * h - ab * h_prev
-        c *= (2 * k - 1) / 2.0
-        out += c * ab * h_prev
-    return out
-
-
-def _derivative_taylor(z0, z1):
-    m = 0.5 * (z0 + z1)
-    u = 0.5 * (z1 - z0)
-    d_prev = gaussian_pole_integral(m)
-    d = -2.0 * m * d_prev - 2.0
-    out = np.zeros_like(m)
-    power = np.ones_like(m)                 # u^n / n!
-    for n in range(2 * _TAYLOR_TERMS):
-        # step (J^(n), J^(n+1)) to (J^(n+1), J^(n+2))
-        d_prev, d = d, -2.0 * m * d - 2.0 * (n + 1) * d_prev
-        out += power * d / ((n + 1) if n % 2 == 0 else -(n + 2))
-        power = power * u / (n + 1)
-    return 0.5 * out
-
-
-def _derivative_asymptotic(z0, z1):
-    a, b = 1.0 / z1, 1.0 / z0
-    ab, s = a * b, a + b
-    h_prev, h = np.ones_like(a), s
     g = np.ones_like(a)
-    out = g.copy()
+    diff, slope = ab.copy(), g.copy()
     c = 1.0
     for k in range(1, _ASYMPTOTIC_TERMS):
-        # g advances from g_(2k-2) to g_(2k); h from h_(2k-1) to h_(2k+1)
+        # g advances from g_(2k-2) to g_(2k); (h_prev, h) from
+        # (h_(2k-2), h_(2k-1)) to (h_(2k), h_(2k+1))
         g = b * g + h
         h_prev, h = h, s * h - ab * h_prev
         g = b * g + h
         h_prev, h = h, s * h - ab * h_prev
         c *= (2 * k - 1) / 2.0
-        out += c * g
-    return -ab * b * out
+        diff += c * ab * h_prev
+        slope += c * g
+    return diff, -ab * b * slope

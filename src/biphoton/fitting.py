@@ -20,7 +20,8 @@ loop asks for them at every theta it evaluates, since a step it takes
 needs the Jacobian there next, and holds the residuals r and the
 Jacobian J of its current theta, so nothing is evaluated twice and no
 per-theta cache is kept.  Four smooth parameters need nothing fancier;
-everything is deterministic for fixed inputs.
+everything is deterministic for fixed inputs.  A Jacobian whose J^T J
+is not finite ends the fit with a NUMERICAL error before any step.
 """
 
 import math
@@ -301,7 +302,12 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
         # the damped step leaves out the columns that do not move; solving
         # for a held one too would tilt the step of the others towards a
         # move that the clip below then undoes
-        jtj = (jac.T @ jac)[np.ix_(move, move)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtj = jac.T @ jac
+        if not np.isfinite(jtj).all():
+            raise BiphotonError(
+                f"normal matrix J^T J is not finite at iteration {iterations}")
+        jtj = jtj[np.ix_(move, move)]
         diag = np.maximum(np.diag(jtj), 1e-30)
         for _ in range(25):
             try:

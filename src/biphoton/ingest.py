@@ -33,6 +33,16 @@ REQUIRED_META_KEYS = (
     "singles_probe_per_s", "d_s", "d_p", "fiber_factor",
     "saturation_corrected",
 )
+# the metadata key of each record field a .meta number fills
+_META_FIELDS = {
+    "CoincidenceHistogram.bin_width": "bin_width_ns",
+    "CoincidenceHistogram.accumulation": "accumulation_s",
+    "CoincidenceHistogram.singles_signal": "singles_signal_per_s",
+    "CoincidenceHistogram.singles_probe": "singles_probe_per_s",
+    "DetectionChain.d_s": "d_s",
+    "DetectionChain.d_p": "d_p",
+    "DetectionChain.fiber_factor": "fiber_factor",
+}
 
 # moving-average window (bins) used before peak/support detection
 SMOOTH_BINS = 5
@@ -64,12 +74,18 @@ class CoincidenceHistogram:
     saturation_corrected: bool
 
     def __post_init__(self):
+        def bad(name, why):
+            raise ParameterError.on_field(f"CoincidenceHistogram.{name}",
+                                          getattr(self, name), why)
+
         if self.bin_start.ndim != 1 or self.bin_start.shape != self.counts.shape:
             raise ParameterError("bin_start and counts must match 1-d shapes")
-        if not self.bin_width > 0:
-            raise ParameterError("bin_width must be positive")
-        if not self.accumulation > 0:
-            raise ParameterError("accumulation must be positive")
+        for name in ("bin_width", "accumulation", "singles_signal",
+                     "singles_probe"):
+            if not math.isfinite(getattr(self, name)):
+                bad(name, "must be finite")
+            if not getattr(self, name) > 0:
+                bad(name, "must be positive")
         if np.any(self.counts < 0):
             raise ParameterError("counts must be non-negative")
         steps = np.diff(self.bin_start)
@@ -177,18 +193,14 @@ def _parse_meta(path: Path) -> dict:
     return meta
 
 
-def _parse_bool(raw, where):
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    raise ParseError(f"expected true/false, got {raw!r}", context=where)
-
-
 def meta_path_for(path) -> Path:
     return Path(path).with_suffix(".meta")
 
 
 def load_histogram(path) -> CoincidenceHistogram:
-    """Load a histogram CSV and its ``.meta`` sidecar, fully validated."""
+    """Load a histogram CSV and its ``.meta`` sidecar, fully validated;
+    a bad metadata value raises "<key> = <value>: <reason> (<name>.meta)".
+    """
     path = Path(path)
     table = _parse_table(_read_data(path, "histogram file"), "tau_ns,counts",
                          path.name)
@@ -198,12 +210,19 @@ def load_histogram(path) -> CoincidenceHistogram:
     meta_file = meta_path_for(path)
     meta = _parse_meta(meta_file)
 
+    def refused(key, reason):
+        return ParseError(f"{key} = {meta[key]}: {reason}",
+                          context=meta_file.name)
+
     def num(key):
         try:
             return float(meta[key])
         except ValueError:
-            raise ParseError(f"metadata key {key} is not a number",
-                             context=meta_file.name) from None
+            raise refused(key, "not a number") from None
+
+    flag = meta["saturation_corrected"].lower()
+    if flag not in ("true", "false"):
+        raise refused("saturation_corrected", "must be true or false")
 
     counts = table[:, 1]
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
@@ -219,11 +238,13 @@ def load_histogram(path) -> CoincidenceHistogram:
             singles_probe=num("singles_probe_per_s"),
             chain=DetectionChain(d_s=num("d_s"), d_p=num("d_p"),
                                  fiber_factor=num("fiber_factor")),
-            saturation_corrected=_parse_bool(meta["saturation_corrected"],
-                                             meta_file.name),
+            saturation_corrected=flag == "true",
         )
     except ParameterError as exc:
-        raise ParseError(str(exc), context=path.name) from exc
+        key = _META_FIELDS.get(exc.field)
+        if key is None:
+            raise ParseError(str(exc), context=path.name) from exc
+        raise refused(key, exc.reason) from exc
 
 
 def load_series(path, fixed) -> DetuningSeries:
@@ -471,10 +492,11 @@ def make_synthetic_histogram(pair_rate_true: float, background_mean: float,
     else:
         rng = np.random.default_rng(seed)
         counts = rng.poisson(expected).astype(np.int64)
+    # singles rates stay positive at a zero pair rate
     if singles_signal is None:
-        singles_signal = pair_rate_true * 4.0
+        singles_signal = max(pair_rate_true, 1e5) * 4.0
     if singles_probe is None:
-        singles_probe = pair_rate_true * 5.0
+        singles_probe = max(pair_rate_true, 1e5) * 5.0
     return CoincidenceHistogram(
         bin_start=tau, counts=counts, bin_width=bin_width,
         accumulation=accumulation, singles_signal=singles_signal,

@@ -25,9 +25,12 @@ takes it precomputed, so a fit evaluates it once per detuning.  Each
 formula is written once, in private pieces that the three public kernels
 and ``doppler_responses`` build from.  ``response_tangents`` adds the
 derivatives of both responses in (b, Omega_c, gamma_dec), in closed form
-from the same J arrays (J' = -2 zeta J - 2).  The pump-line integral
-J(omega_1/Gamma_D) does not move with delta: one scalar evaluation per
-pass serves kappa and its tangents.
+from the same J arrays (J' = -2 zeta J - 2).  kappa is a divided
+difference D of J between the pump pole omega_1 and the dressed pole.
+One pole split per pass serves kappa and its tangents: the pump-line
+integral J(omega_1/Gamma_D), which does not move with delta, in one
+scalar evaluation, and where the two poles merge, the pair (D, dD/dzeta_0)
+from one :func:`~biphoton.faddeeva.gaussian_pole_difference` call.
 
 Both array arguments of J, the impurity line and the dressed pole, are
 dense samples of a path over the detuning grid, and go through
@@ -73,8 +76,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .faddeeva import (SQRT_PI, gaussian_pole_difference,
-                       gaussian_pole_difference_dz0, gaussian_pole_integral,
-                       gaussian_pole_integral_along, split_apply)
+                       gaussian_pole_integral, gaussian_pole_integral_along,
+                       split_apply)
 from .params import SystemParams
 
 # |delta + i*gamma_dec| below this is treated as exactly on two-photon
@@ -417,52 +420,52 @@ def _rho_c(dp: _DressedPole, params: SystemParams):
     return out
 
 
-def _merged_poles(omega0, omega1, gd):
-    """Where the pump and dressed poles are too close to difference J."""
-    return np.abs(omega1 - omega0) < _POLE_MERGE_RTOL * np.maximum(
-        gd, np.maximum(abs(omega1), np.abs(omega0)))
+class _PoleSplit(NamedTuple):
+    """What kappa and its slopes take from the pump pole ``omega1`` in one
+    pass: ``j1`` = J(omega_1/Gamma_D), which does not move with delta,
+    the regular points where omega_1 and the dressed pole are too close
+    to difference J (``merged``), and there the divided difference D and
+    dD/dzeta_0 by series (``diff``, ``diff_zeta``)."""
+
+    omega1: complex
+    j1: complex
+    merged: np.ndarray
+    diff: np.ndarray
+    diff_zeta: np.ndarray
 
 
-def _pump_pole(params: SystemParams):
-    return -params.delta_p - 0.5j
-
-
-def _pump_line(params: SystemParams):
-    """J(omega_1/Gamma_D) at the pump pole, or None with the pump off.
-
-    The pump pole does not move with delta: one scalar evaluation serves
-    a whole pass, kappa and its tangents alike.
-    """
+def _pole_split(dp: _DressedPole, params: SystemParams):
+    """The pass's :class:`_PoleSplit`, or None with the pump off."""
     if params.omega_p == 0.0:
         return None
-    return complex(gaussian_pole_integral(
-        _pump_pole(params) / params.gamma_doppler))
+    gd = params.gamma_doppler
+    omega1 = -params.delta_p - 0.5j
+    merged = np.abs(omega1 - dp.omega0) < _POLE_MERGE_RTOL * np.maximum(
+        gd, np.maximum(abs(omega1), np.abs(dp.omega0)))
+    return _PoleSplit(omega1, complex(gaussian_pole_integral(omega1 / gd)),
+                      merged, *gaussian_pole_difference(
+                          dp.omega0[merged] / gd, omega1 / gd))
 
 
-def _kappa(dp: _DressedPole, params: SystemParams, j1):
+def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
     gd = params.gamma_doppler
     out = np.zeros(dp.q.shape, dtype=complex)
     if params.omega_p == 0.0 or params.omega_c == 0.0:
         return out
 
-    omega1 = _pump_pole(params)
     if np.any(dp.degenerate):
         # coupling factor is the constant Gamma/Omega_c on resonance
         pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
             params.omega_p / params.omega_c
-        out[dp.degenerate] = pref0 * j1 / gd
-    omega0 = dp.omega0
+        out[dp.degenerate] = pref0 * split.j1 / gd
     pref = -(1.0 - params.b) * params.alpha * \
         params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
-    merged = _merged_poles(omega0, omega1, gd)
-    sep = np.where(merged, 1.0, omega1 - omega0)
-    vals = pref * (j1 - dp.j0) / sep / gd
-    if np.any(merged):
-        diff = gaussian_pole_difference(omega0[merged] / gd, omega1 / gd)
-        # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then
-        # not finite, which sample_spectral_amplitude reports, so no warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals[merged] = pref[merged] * diff / gd**2
+    sep = np.where(split.merged, 1.0, split.omega1 - dp.omega0)
+    vals = pref * (split.j1 - dp.j0) / sep / gd
+    # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then not
+    # finite, which sample_spectral_amplitude reports, so no warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals[split.merged] = pref[split.merged] * split.diff / gd**2
     out[dp.regular] = vals
     return out
 
@@ -517,8 +520,9 @@ def kappa_bar(delta, params: SystemParams):
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
     scalar, d = _as_delta_array(delta)
+    dp = _dressed_pole(d, params)
     return _as_scalar_or_array(
-        _kappa(_dressed_pole(d, params), params, _pump_line(params)), scalar)
+        _kappa(dp, params, _pole_split(dp, params)), scalar)
 
 
 def doppler_responses(delta, params: SystemParams, impurity_line=None):
@@ -538,14 +542,14 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
 
 
 def _responses(d, params: SystemParams, impurity_line):
-    """The dressed pole, the impurity and pump lines, rho and kappa at
-    array ``d``."""
+    """The dressed pole, the impurity line, the pole split, rho and kappa
+    at array ``d``."""
     dp = _dressed_pole(d, params)
     if impurity_line is None:
         impurity_line = _impurity_line(dp.p_pole, params)
-    j1 = _pump_line(params)
+    split = _pole_split(dp, params)
     rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
-    return dp, impurity_line, j1, rho, _kappa(dp, params, j1)
+    return dp, impurity_line, split, rho, _kappa(dp, params, split)
 
 
 def response_tangents(delta, params: SystemParams, impurity_line=None):
@@ -562,19 +566,21 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
       d omega_0/d Omega_c = Omega_c/(2q) and d omega_0/d gamma_dec =
       -i Omega_c^2/(4q^2), and J' = -2 zeta J - 2;
     * kappa's divided difference D moves with (D - J'(zeta_0))/(zeta_1 -
-      zeta_0), or with :func:`~biphoton.faddeeva.gaussian_pole_difference_dz0`
-      where the poles merge.
+      zeta_0), or, where the poles merge, with the dD/dzeta_0 that
+      :func:`~biphoton.faddeeva.gaussian_pole_difference` pairs with D.
+      kappa and its slopes share one pole split: the merged points and
+      their (D, dD/dzeta_0) series are evaluated once per call.
 
     On exact two-photon resonance with gamma_dec = 0 (q = 0, never a
     sample of a zero-symmetric grid with an even number of points) only
     d rho_m/d b is carried; the other derivatives there are zero.
     """
-    dp, impurity_line, j1, rho, kap = _responses(
+    dp, impurity_line, split, rho, kap = _responses(
         np.asarray(delta, dtype=float), params, impurity_line)
-    return rho, kap, _tangents(dp, impurity_line, j1, params)
+    return rho, kap, _tangents(dp, impurity_line, split, params)
 
 
-def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
+def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
     gd = params.gamma_doppler
     omega_c = params.omega_c
     keep = 1.0 - params.b
@@ -584,7 +590,7 @@ def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
     c = params.alpha / (8.0 * gd)
     # d rho/d zeta_0
     rho_zeta = -keep * c * j0_prime
-    kap_unit, kap_zeta = _kappa_slopes(dp, j1, params, zeta0, j0_prime,
+    kap_unit, kap_zeta = _kappa_slopes(dp, split, params, zeta0, j0_prime,
                                        inv_q)
 
     def full(values):
@@ -608,7 +614,7 @@ def _tangents(dp: _DressedPole, impurity_line, j1, params: SystemParams):
          full((-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g))]
 
 
-def _kappa_slopes(dp: _DressedPole, j1, params: SystemParams, zeta0,
+def _kappa_slopes(dp: _DressedPole, split, params: SystemParams, zeta0,
                   j0_prime, inv_q):
     """(kap_unit, kap_zeta) of ``_tangents``: kappa = (1 - b) Omega_c
     kap_unit, and kap_zeta = (1 - b) Omega_c d kap_unit/d zeta_0.
@@ -617,19 +623,15 @@ def _kappa_slopes(dp: _DressedPole, j1, params: SystemParams, zeta0,
     tangents are built: holding them until then costs the derivative
     pass about a quarter of its time in page faults.
     """
-    if j1 is None:
+    if split is None:
         zero = np.zeros_like(inv_q)
         return zero, zero
     gd = params.gamma_doppler
-    omega1 = _pump_pole(params)
-    zeta1 = omega1 / gd
-    merged = _merged_poles(dp.omega0, omega1, gd)
-    sep = np.where(merged, 1.0, zeta1 - zeta0)
-    diff = (j1 - dp.j0) / sep
+    sep = np.where(split.merged, 1.0, split.omega1 / gd - zeta0)
+    diff = (split.j1 - dp.j0) / sep
     diff_zeta = (diff - j0_prime) / sep
-    if np.any(merged):
-        diff[merged] = gaussian_pole_difference(zeta0[merged], zeta1)
-        diff_zeta[merged] = gaussian_pole_difference_dz0(zeta0[merged], zeta1)
+    diff[split.merged] = split.diff
+    diff_zeta[split.merged] = split.diff_zeta
     # np.divide, not /: a gd**2 that underflows to 0 gives inf, and
     # forward.predict reports the tangents as not finite
     k_unit = np.divide(-params.alpha * params.omega_p, 16.0 * gd**2) * inv_q

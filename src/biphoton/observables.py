@@ -31,10 +31,18 @@ class DetectionChain:
     fiber_factor: float = 1.9
 
     def __post_init__(self):
-        if not 0.0 < self.d_s <= 1.0 or not 0.0 < self.d_p <= 1.0:
-            raise ParameterError("detection efficiencies must lie in (0, 1]")
+        def bad(name, why):
+            raise ParameterError.on_field(f"DetectionChain.{name}",
+                                          getattr(self, name), why)
+
+        for name in ("d_s", "d_p", "fiber_factor"):
+            if not np.isfinite(getattr(self, name)):
+                bad(name, "must be finite")
+        for name in ("d_s", "d_p"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                bad(name, "must lie in (0, 1]")
         if self.fiber_factor < 1.0:
-            raise ParameterError("fiber_factor must be >= 1")
+            bad("fiber_factor", "must be >= 1")
 
 
 class HalfMaximum(NamedTuple):

@@ -250,6 +250,19 @@ class TestExitStatus:
         assert err[0].startswith("error: NUMERICAL spectral amplitude")
         assert "not finite" in err[0] and "decay" not in err[0]
 
+    @pytest.mark.parametrize("gamma_doppler", ["1e-100", "1e-150"])
+    def test_overflowing_normal_matrix_ends_in_one_line(
+            self, tmp_path, capsys, gamma_doppler):
+        # the tangents are finite but so large that J^T J overflows; the
+        # fit stops before a step, without a warning
+        cfg = write_series(tmp_path, SERIES_ROWS)
+        with open(cfg, "a") as f:
+            f.write(f"system.gamma_doppler = {gamma_doppler}\n" + FIT_INIT)
+        status, err = run(capsys, "fit", "--config", cfg,
+                          "--out", tmp_path / "out")
+        assert status == 4 and len(err) == 1, err
+        assert err[0].startswith("error: NUMERICAL normal matrix J^T J")
+
     def test_magnitudes_just_below_the_cap_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYSTEM_15MW.replace("11.4", "9.9e149")
                            + "system.omega_p = 9.9e149\n"
@@ -516,6 +529,65 @@ PROBES = [
                  "fit.init_omega_c = 1e+200 is outside [0.001, 1e+150]",
                  id="fit_init_omega_c_past_the_cap"),
 ]
+
+
+def with_meta(histogram_path, tmp_path, key, value):
+    """A copy of the histogram whose .meta sets ``key = value``."""
+    path = tmp_path / "hist.csv"
+    path.write_bytes(histogram_path.read_bytes())
+    meta = histogram_path.with_suffix(".meta").read_text().splitlines()
+    path.with_suffix(".meta").write_text("\n".join(
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in meta) + "\n")
+    return path
+
+
+class TestMetaValues:
+    @pytest.mark.parametrize("key, value, reason", [
+        ("singles_signal_per_s", "0", "must be positive"),
+        ("singles_signal_per_s", "-5", "must be positive"),
+        ("singles_signal_per_s", "nan", "must be finite"),
+        ("singles_signal_per_s", "inf", "must be finite"),
+        ("singles_probe_per_s", "0", "must be positive"),
+        ("fiber_factor", "inf", "must be finite"),
+        ("fiber_factor", "0.5", "must be >= 1"),
+        ("d_s", "nan", "must be finite"),
+        ("d_p", "1.5", "must lie in (0, 1]"),
+        ("bin_width_ns", "nan", "must be finite"),
+        ("accumulation_s", "inf", "must be finite"),
+        ("accumulation_s", "lots", "not a number"),
+        ("saturation_corrected", "maybe", "must be true or false"),
+    ])
+    def test_bad_value_names_key_and_file(self, tmp_path, capsys,
+                                          histogram_path, key, value,
+                                          reason):
+        path = with_meta(histogram_path, tmp_path, key, value)
+        status, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert status == 3
+        assert err == [f"error: DATA_PARSE {key} = {value}: {reason} "
+                       "(hist.meta)"]
+
+    def test_zero_pair_rate_round_trips(self, tmp_path, capsys):
+        # the default singles rates stay positive at a zero pair rate
+        path = tmp_path / "flat.csv"
+        save_histogram(make_synthetic_histogram(0.0, 20.0, DetectionChain(),
+                                                noiseless=True), path)
+        status, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert status == 0
+        assert err == ["warning: NO_WAVEPACKET no coincidence peak above "
+                       "background"]
+        observables = (tmp_path / "out" / "observables.csv").read_text()
+        assert "h_p,0.0,,true" in observables.splitlines()
+
+    def test_pair_rate_above_singles_warns(self, tmp_path, capsys,
+                                           histogram_path):
+        path = with_meta(histogram_path, tmp_path, "singles_signal_per_s", "1")
+        status, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert status == 0
+        assert err == ["warning: INCONSISTENT_RATES pair rate exceeds "
+                       "singles rate; h_p omitted"]
+        observables = (tmp_path / "out" / "observables.csv").read_text()
+        assert "h_p" not in observables
 
 
 class TestProbeInputs:

@@ -228,14 +228,14 @@ class TestJacobian:
     @pytest.fixture
     def merged_poles(self, monkeypatch):
         """The sizes of the merged-pole sets kappa's derivative meets."""
-        real = biphoton.kernels.gaussian_pole_difference_dz0
+        real = biphoton.kernels.gaussian_pole_difference
         sizes = []
 
         def counted(zeta0, zeta1):
             sizes.append(np.size(zeta0))
             return real(zeta0, zeta1)
 
-        monkeypatch.setattr(biphoton.kernels, "gaussian_pole_difference_dz0",
+        monkeypatch.setattr(biphoton.kernels, "gaussian_pole_difference",
                             counted)
         return sizes
 

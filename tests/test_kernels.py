@@ -19,7 +19,7 @@ from biphoton.faddeeva import (gaussian_pole_integral,
                                gaussian_pole_integral_along)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import auto_grid
+from biphoton.wavepacket import _CHUNK, amplitude_at, auto_grid
 
 from conftest import rel_err
 
@@ -441,13 +441,13 @@ class TestResponseTangents:
     def test_through_merged_poles(self, params_15mw, gamma_doppler,
                                   monkeypatch):
         merged = []
-        real = K.gaussian_pole_difference_dz0
+        real = K.gaussian_pole_difference
 
         def counted(z0, z1):
             merged.append(np.size(z0))
             return real(z0, z1)
 
-        monkeypatch.setattr(K, "gaussian_pole_difference_dz0", counted)
+        monkeypatch.setattr(K, "gaussian_pole_difference", counted)
         # gamma_dec = 0 is the lower end: its differences are one-sided
         p = params_15mw.replace(gamma_dec=0.0, gamma_doppler=gamma_doppler)
         roots = np.array(TestMergedPoles.roots(p))
@@ -455,6 +455,30 @@ class TestResponseTangents:
                                  np.linspace(-30.5, 30.5, 60)])
         self.assert_matches_differences(deltas, p, tol=1e-5)
         assert sum(merged) >= 4
+
+    def test_one_pole_split_per_slice(self, params_15mw, monkeypatch):
+        """kappa and its slopes share the merged points' (D, dD/dzeta_0)
+        series: one evaluation per response_tangents call, which is one
+        slice of amplitude_at."""
+        sizes = []
+        real = K.gaussian_pole_difference
+
+        def counted(z0, z1):
+            sizes.append(np.size(z0))
+            return real(z0, z1)
+
+        monkeypatch.setattr(K, "gaussian_pole_difference", counted)
+        p = params_15mw.replace(gamma_dec=0.0)
+        roots = np.array(TestMergedPoles.roots(p))
+        merged = np.concatenate([roots * (1.0 + 1e-4), roots * (1.0 - 1e-4)])
+        K.response_tangents(
+            np.concatenate([merged, np.linspace(-30.5, 30.5, 60)]), p)
+        assert sizes == [4]
+        sizes.clear()
+        # three slices, each with the merged samples
+        part = np.concatenate([merged, np.linspace(-30.5, 30.5, _CHUNK - 4)])
+        amplitude_at(np.tile(part, 3), p, derivatives=True)
+        assert len(sizes) == 3 and min(sizes) >= 4
 
     @pytest.mark.parametrize("off", ["omega_c", "omega_p"])
     def test_field_off(self, params_15mw, off):
