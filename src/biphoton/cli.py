@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, comma_list, file_path
 from .errors import BiphotonError, InconsistentRatesError, ParameterError
 from .fitting import (PARAM_NAMES, FitOptions, Theta, check_bounds,
                       fit_series, format_fit_report)
@@ -164,10 +164,10 @@ def cmd_sweep(args):
 def cmd_analyze(args):
     cfg = _load_config(args, required=False)
     out = _out_dir(args)
-    hist_path = args.histogram or cfg.get_str("analyze.histogram")
-    if hist_path is None:
-        raise ConfigError("CONFIG_MISSING_KEY", "analyze.histogram")
-    hist = load_histogram(hist_path)
+    if not args.histogram:
+        cfg.require("analyze.histogram")
+    hist = load_histogram(args.histogram
+                          or cfg.get("analyze.histogram", file_path))
     if not hist.saturation_corrected:
         raise ParameterError("histogram lacks saturation correction; "
                              "absolute rates would be biased",
@@ -204,17 +204,16 @@ def cmd_fit(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     cfg.require("fit.series")
-    series = load_series(cfg.get_str("fit.series"),
+    series = load_series(cfg.get("fit.series", file_path),
                          cfg.system_params(require=False))
 
     init = cfg.get_group({f"fit.init_{name}": float for name in PARAM_NAMES})
     if init is not None:
         init = Theta(*init)
         check_bounds(init, prefix="fit.init_")
-    max_iterations = cfg.get_int("fit.max_iterations",
-                                 FitOptions.max_iterations)
-    freeze = tuple(name.strip() for name in
-                   cfg.get_str("fit.freeze", "").split(",") if name.strip())
+    max_iterations = cfg.get("fit.max_iterations", int,
+                             FitOptions.max_iterations)
+    freeze = tuple(cfg.get("fit.freeze", comma_list(str), ()))
     options = cfg.build(lambda: FitOptions(max_iterations, freeze),
                         {"FitOptions.max_iterations": "fit.max_iterations",
                          "FitOptions.freeze": "fit.freeze"})

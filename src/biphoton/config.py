@@ -2,8 +2,13 @@
 
 The format is deliberately trivial (diff-friendly, parseable anywhere):
 one ``section.key = value`` per line, '#' comments, blank lines ignored.
-Unknown keys are rejected in strict mode and warned about otherwise.
-Key groups (the grid, the background window, fit.init_*) are all or none.
+The lines are read by :func:`~biphoton.ingest.read_pairs`, the reader of
+the ``.meta`` sidecar too.  Unknown keys are rejected in strict mode and
+warned about otherwise, one warning per line.  Every value is read by
+:meth:`RunConfig.get` with the cast its key needs (``float``, ``int``,
+:func:`comma_list`, :func:`file_path`); a value the cast refuses is
+CONFIG_BAD_VALUE ``<key> = <value>``.  Key groups (the grid, the
+background window, fit.init_*) are all or none.
 All user-facing frequencies are MHz/GHz and times ns; Rabi frequencies
 and atomic widths are in units of Gamma, matching how the source is
 characterized.
@@ -15,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BiphotonError, ParameterError
-from .ingest import read_lines
+from .ingest import read_pairs
 from .params import SystemParams
 from .units import mhz_to_gamma
 from .wavepacket import DetuningGrid
@@ -40,6 +45,22 @@ KNOWN_KEYS = {
     "analyze.histogram", "analyze.background_lo_ns", "analyze.background_hi_ns",
 }
 
+
+def comma_list(cast):
+    """The cast of a comma-separated list: ``cast`` of each non-blank
+    entry, stripped."""
+    return lambda raw: [cast(tok.strip()) for tok in raw.split(",")
+                        if tok.strip()]
+
+
+def file_path(raw) -> Path:
+    """A path to a file; an empty value, which Path would read as the
+    working directory, is refused."""
+    if not raw:
+        raise ValueError("empty path")
+    return Path(raw)
+
+
 # keys that must be present for the physics commands; everything else has
 # an apparatus default
 REQUIRED_SYSTEM_KEYS = ("system.b", "system.omega_c", "system.gamma_dec")
@@ -47,40 +68,35 @@ REQUIRED_SYSTEM_KEYS = ("system.b", "system.omega_c", "system.gamma_dec")
 
 @dataclass
 class RunConfig:
-    """Parsed key/value store with typed accessors."""
+    """Parsed key/value store; :meth:`get` reads a value with its cast."""
 
     values: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
     @classmethod
     def load(cls, path, strict=False) -> "RunConfig":
-        path = Path(path)
-        lines = read_lines(path, lambda detail, missing: ConfigError(
-            "CONFIG_NOT_FOUND" if missing else "CONFIG_UNREADABLE", detail))
-        values = {}
-        warnings = []
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError("CONFIG_BAD_LINE", f"{path.name}:{lineno}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
+        cfg = cls()
+        for key, value in read_pairs(
+                Path(path), lambda detail, missing: ConfigError(
+                    "CONFIG_NOT_FOUND" if missing else "CONFIG_UNREADABLE",
+                    detail),
+                lambda where: ConfigError("CONFIG_BAD_LINE", where)):
             if key not in KNOWN_KEYS:
                 if strict:
                     raise ConfigError("CONFIG_UNKNOWN_KEY", key)
-                warnings.append(f"ignoring unknown config key {key!r}")
+                cfg.warnings.append(f"ignoring unknown config key {key!r}")
                 continue
-            values[key] = value.strip()
-        return cls(values=values, warnings=warnings)
+            cfg.values[key] = value
+        return cfg
 
     def require(self, *keys):
         for key in keys:
             if key not in self.values:
                 raise ConfigError("CONFIG_MISSING_KEY", key)
 
-    def _get(self, key, cast, default):
+    def get(self, key, cast=str, default=None):
+        """``cast`` of the value of ``key``, or ``default`` when it is not
+        set; a value ``cast`` refuses (ValueError) is CONFIG_BAD_VALUE."""
         if key not in self.values:
             return default
         raw = self.values[key]
@@ -88,15 +104,6 @@ class RunConfig:
             return cast(raw)
         except ValueError:
             raise ConfigError("CONFIG_BAD_VALUE", f"{key} = {raw}") from None
-
-    def get_float(self, key, default=None):
-        return self._get(key, float, default)
-
-    def get_int(self, key, default=None):
-        return self._get(key, int, default)
-
-    def get_str(self, key, default=None):
-        return self._get(key, str, default)
 
     def get_group(self, casts: dict):
         """Values of a {key: cast} group in order; None if none is set."""
@@ -107,12 +114,7 @@ class RunConfig:
             raise ConfigError("CONFIG_BAD_VALUE",
                               f"{', '.join(missing)} missing: "
                               f"set all of {', '.join(casts)} or none")
-        return [self._get(key, cast, None) for key, cast in casts.items()]
-
-    def get_float_list(self, key, default=None):
-        def cast(raw):
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        return self._get(key, cast, default)
+        return [self.get(key, cast) for key, cast in casts.items()]
 
     def build(self, make, keys):
         """``make()``, with any package error it raises turned into
@@ -134,7 +136,7 @@ class RunConfig:
         """
         if require:
             self.require(*REQUIRED_SYSTEM_KEYS)
-        kwargs = {key.removeprefix("system."): self.get_float(key)
+        kwargs = {key.removeprefix("system."): self.get(key, float)
                   for key in self.values if key.startswith("system.")}
         fields = {f"SystemParams.{name.removesuffix('_ghz')}": f"system.{name}"
                   for name in kwargs}
@@ -154,7 +156,7 @@ class RunConfig:
 
     def sweep_detunings(self) -> np.ndarray:
         self.require("sweep.delta_c_ghz")
-        vals = np.asarray(self.get_float_list("sweep.delta_c_ghz"))
+        vals = np.asarray(self.get("sweep.delta_c_ghz", comma_list(float)))
         if vals.size < 2:
             raise ConfigError("CONFIG_SWEEP_TOO_SHORT",
                               f"need >= 2 detunings, got {vals.size}")

@@ -1,11 +1,15 @@
 """Input files, histogram normalization, and rate extraction.
 
-Every input file is UTF-8 text read by :func:`read_lines`.  A histogram
-is a CSV with header ``tau_ns,counts`` (one row per bin, '.' decimal
-separator) plus a sidecar metadata file with the same basename and a
-``.meta`` suffix holding line-oriented ``key = value`` pairs.  Required
-metadata keys: bin_width_ns, accumulation_s, singles_signal_per_s,
-singles_probe_per_s, d_s, d_p, fiber_factor, saturation_corrected.  A
+Every input file is UTF-8 text read by :func:`read_lines`.  The two
+``key = value`` formats, the run config and the ``.meta`` sidecar, share
+one reader, :func:`read_pairs`: '#' starts a comment, so a ``.meta``
+value may carry a trailing ``# note``, and blank lines are skipped.  A
+histogram is a CSV with header ``tau_ns,counts`` (one row per bin, '.'
+decimal separator) plus a sidecar metadata file with the same basename
+and a ``.meta`` suffix.  One schema table, :data:`_META_NUMBERS`, lists
+the seven numeric metadata keys with the record field each fills; with
+the flag ``saturation_corrected`` (true or false) they are the required
+keys, and :func:`save_histogram` writes them in the table's order.  A
 detuning series is a CSV with header :data:`SERIES_HEADER`.  All numbers
 are decimal text; no binary formats, so data files stay auditable.
 
@@ -28,21 +32,19 @@ from .errors import DataValueError, ParameterError, ParseError
 from .fitting import DetuningSeries
 from .observables import DetectionChain
 
-REQUIRED_META_KEYS = (
-    "bin_width_ns", "accumulation_s", "singles_signal_per_s",
-    "singles_probe_per_s", "d_s", "d_p", "fiber_factor",
-    "saturation_corrected",
-)
-# the metadata key of each record field a .meta number fills
-_META_FIELDS = {
-    "CoincidenceHistogram.bin_width": "bin_width_ns",
-    "CoincidenceHistogram.accumulation": "accumulation_s",
-    "CoincidenceHistogram.singles_signal": "singles_signal_per_s",
-    "CoincidenceHistogram.singles_probe": "singles_probe_per_s",
-    "DetectionChain.d_s": "d_s",
-    "DetectionChain.d_p": "d_p",
-    "DetectionChain.fiber_factor": "fiber_factor",
+# the numeric .meta keys in the order save_histogram writes them, each with
+# the record and field its value fills, as a ParameterError names them
+_META_NUMBERS = {
+    "bin_width_ns": ("CoincidenceHistogram", "bin_width"),
+    "accumulation_s": ("CoincidenceHistogram", "accumulation"),
+    "singles_signal_per_s": ("CoincidenceHistogram", "singles_signal"),
+    "singles_probe_per_s": ("CoincidenceHistogram", "singles_probe"),
+    "d_s": ("DetectionChain", "d_s"),
+    "d_p": ("DetectionChain", "d_p"),
+    "fiber_factor": ("DetectionChain", "fiber_factor"),
 }
+# the one .meta key that is not a number: true or false
+_META_FLAG = "saturation_corrected"
 
 # moving-average window (bins) used before peak/support detection
 SMOOTH_BINS = 5
@@ -134,19 +136,41 @@ def read_lines(path: Path, error) -> list[str]:
         raise error(f"{path}: not UTF-8 at byte {exc.start}", False) from None
 
 
-def _read_data(path: Path, what: str, missing_code=None) -> list[str]:
-    """read_lines for a data file: its failures are ParseErrors."""
-    return read_lines(path, lambda detail, missing: ParseError(
+def read_pairs(path: Path, error, bad_line):
+    """The ``(key, value)`` pairs of a ``key = value`` file, in file order.
+
+    '#' starts a comment and blank lines are skipped; keys and values are
+    stripped.  ``error`` is as for :func:`read_lines`; a line without '='
+    raises ``bad_line("<name>:<line>")`` when the reader reaches it.
+    """
+    for lineno, line in enumerate(read_lines(path, error), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise bad_line(f"{path.name}:{lineno}")
+        key, _, value = stripped.partition("=")
+        yield key.strip(), value.strip()
+
+
+def _data_error(what, missing_code=None):
+    """The :func:`read_lines` error factory of a data file: its failures
+    are ParseErrors."""
+    return lambda detail, missing: ParseError(
         f"{what} not found" if missing else f"cannot read {what}", detail,
-        missing_code if missing else "DATA_UNREADABLE"))
+        missing_code if missing else "DATA_UNREADABLE")
 
 
-def _parse_table(lines, header: str, name: str) -> np.ndarray:
-    """Numeric CSV rows under an exact ``header`` line, as an (n, k) array.
+def _read_table(path: Path, header: str, what: str, missing_code=None):
+    """Numeric CSV rows of the ``what`` file ``path`` under an exact
+    ``header`` line, as an (n, k) array.
 
     Blank lines are skipped.  A row with the wrong field count, a bad
-    number or a non-finite value raises ParseError naming ``name:line``.
+    number or a non-finite value raises ParseError naming ``<name>:<line>``;
+    a file that cannot be read raises the :func:`_data_error` of ``what``.
     """
+    lines = read_lines(path, _data_error(what, missing_code))
+    name = path.name
     if not lines or lines[0].strip() != header:
         raise ParseError(f"expected header '{header}'", context=f"{name}:1")
     width = header.count(",") + 1
@@ -174,25 +198,6 @@ def _parse_table(lines, header: str, name: str) -> np.ndarray:
     return table
 
 
-def _parse_meta(path: Path) -> dict:
-    meta = {}
-    lines = _read_data(path, "sidecar metadata file")
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ParseError("metadata line is not 'key = value'",
-                             context=f"{path.name}:{lineno}")
-        key, _, value = stripped.partition("=")
-        meta[key.strip()] = value.strip()
-    missing = [k for k in REQUIRED_META_KEYS if k not in meta]
-    if missing:
-        raise ParseError(f"missing metadata keys: {', '.join(missing)}",
-                         context=path.name)
-    return meta
-
-
 def meta_path_for(path) -> Path:
     return Path(path).with_suffix(".meta")
 
@@ -202,46 +207,48 @@ def load_histogram(path) -> CoincidenceHistogram:
     a bad metadata value raises "<key> = <value>: <reason> (<name>.meta)".
     """
     path = Path(path)
-    table = _parse_table(_read_data(path, "histogram file"), "tau_ns,counts",
-                         path.name)
+    table = _read_table(path, "tau_ns,counts", "histogram file")
     if not table.size:
         raise ParseError("histogram has no data rows", context=path.name)
 
     meta_file = meta_path_for(path)
-    meta = _parse_meta(meta_file)
+    meta = dict(read_pairs(meta_file, _data_error("sidecar metadata file"),
+                           lambda where: ParseError(
+                               "metadata line is not 'key = value'", where)))
+    missing = [k for k in (*_META_NUMBERS, _META_FLAG) if k not in meta]
+    if missing:
+        raise ParseError(f"missing metadata keys: {', '.join(missing)}",
+                         context=meta_file.name)
 
     def refused(key, reason):
         return ParseError(f"{key} = {meta[key]}: {reason}",
                           context=meta_file.name)
 
-    def num(key):
-        try:
-            return float(meta[key])
-        except ValueError:
-            raise refused(key, "not a number") from None
-
-    flag = meta["saturation_corrected"].lower()
+    flag = meta[_META_FLAG].lower()
     if flag not in ("true", "false"):
-        raise refused("saturation_corrected", "must be true or false")
+        raise refused(_META_FLAG, "must be true or false")
 
     counts = table[:, 1]
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise ParseError("counts must be non-negative integers",
                          context=path.name)
+    # the keyword arguments of each record, filled from the schema
+    fields = {"CoincidenceHistogram": {}, "DetectionChain": {}}
+    for key, (record, name) in _META_NUMBERS.items():
+        try:
+            fields[record][name] = float(meta[key])
+        except ValueError:
+            raise refused(key, "not a number") from None
     try:
         return CoincidenceHistogram(
             bin_start=table[:, 0].copy(),
             counts=counts.astype(np.int64),
-            bin_width=num("bin_width_ns"),
-            accumulation=num("accumulation_s"),
-            singles_signal=num("singles_signal_per_s"),
-            singles_probe=num("singles_probe_per_s"),
-            chain=DetectionChain(d_s=num("d_s"), d_p=num("d_p"),
-                                 fiber_factor=num("fiber_factor")),
+            chain=DetectionChain(**fields["DetectionChain"]),
             saturation_corrected=flag == "true",
-        )
+            **fields["CoincidenceHistogram"])
     except ParameterError as exc:
-        key = _META_FIELDS.get(exc.field)
+        key = next((key for key, field in _META_NUMBERS.items()
+                    if ".".join(field) == exc.field), None)
         if key is None:
             raise ParseError(str(exc), context=path.name) from exc
         raise refused(key, exc.reason) from exc
@@ -254,8 +261,7 @@ def load_series(path, fixed) -> DetuningSeries:
     rows is a usage error (SERIES_TOO_SHORT), any other fault a ParseError.
     """
     path = Path(path)
-    table = _parse_table(_read_data(path, "series file", "DATA_NOT_FOUND"),
-                         SERIES_HEADER, path.name)
+    table = _read_table(path, SERIES_HEADER, "series file", "DATA_NOT_FOUND")
     if table.shape[0] < 4:
         raise ParameterError(f"need >= 4 points, got {table.shape[0]}",
                              code="SERIES_TOO_SHORT")
@@ -312,17 +318,12 @@ def save_histogram(h: CoincidenceHistogram, path) -> None:
     write_table(path, "tau_ns,counts",
                 [np.asarray(h.bin_start, dtype=np.float64),
                  np.asarray(h.counts).astype(np.int64)])
-    meta = "\n".join([
-        f"bin_width_ns = {float(h.bin_width)!r}",
-        f"accumulation_s = {float(h.accumulation)!r}",
-        f"singles_signal_per_s = {float(h.singles_signal)!r}",
-        f"singles_probe_per_s = {float(h.singles_probe)!r}",
-        f"d_s = {float(h.chain.d_s)!r}",
-        f"d_p = {float(h.chain.d_p)!r}",
-        f"fiber_factor = {float(h.chain.fiber_factor)!r}",
-        f"saturation_corrected = {'true' if h.saturation_corrected else 'false'}",
-    ])
-    meta_path_for(path).write_text(meta + "\n")
+    records = {"CoincidenceHistogram": h, "DetectionChain": h.chain}
+    lines = [f"{key} = {float(getattr(records[record], name))!r}"
+             for key, (record, name) in _META_NUMBERS.items()]
+    flag = "true" if h.saturation_corrected else "false"
+    meta_path_for(path).write_text(
+        "\n".join([*lines, f"{_META_FLAG} = {flag}"]) + "\n")
 
 
 def _smoothed(values, width=SMOOTH_BINS):

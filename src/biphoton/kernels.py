@@ -458,13 +458,14 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
         pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
             params.omega_p / params.omega_c
         out[dp.degenerate] = pref0 * split.j1 / gd
-    pref = -(1.0 - params.b) * params.alpha * \
-        params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
     sep = np.where(split.merged, 1.0, split.omega1 - dp.omega0)
-    vals = pref * (split.j1 - dp.j0) / sep / gd
+    # the prefactor overflows past alpha Omega_p Omega_c ~ 1e308, and
     # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then not
     # finite, which sample_spectral_amplitude reports, so no warning
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pref = -(1.0 - params.b) * params.alpha * \
+            params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
+        vals = pref * (split.j1 - dp.j0) / sep / gd
         vals[split.merged] = pref[split.merged] * split.diff / gd**2
     out[dp.regular] = vals
     return out

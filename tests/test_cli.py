@@ -528,6 +528,25 @@ PROBES = [
                  "CONFIG_BAD_VALUE",
                  "fit.init_omega_c = 1e+200 is outside [0.001, 1e+150]",
                  id="fit_init_omega_c_past_the_cap"),
+    # the kappa prefactor overflows: one error line and no warning
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.alpha = 1e308\n"),
+                 4, "NUMERICAL", "spectral amplitude is not finite",
+                 id="system_alpha_overflows_kappa"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.alpha = 1e200\n"
+                               "system.omega_p = 1e149\n"),
+                 4, "NUMERICAL", "spectral amplitude is not finite",
+                 id="system_alpha_omega_p_overflow_kappa"),
+    pytest.param(_probe_fit_init("system.alpha = 1e308\n"), 4, "NUMERICAL",
+                 "spectral amplitude is not finite (at delta_c = 0.2 GHz)",
+                 id="fit_alpha_overflows_kappa"),
+    # an empty path would name the working directory
+    pytest.param(_probe_config("fit", "fit.series =\n"), 2,
+                 "CONFIG_BAD_VALUE", "fit.series = ", id="fit_series_empty"),
+    pytest.param(_probe_config("analyze", "analyze.histogram =\n"), 2,
+                 "CONFIG_BAD_VALUE", "analyze.histogram = ",
+                 id="analyze_histogram_empty"),
 ]
 
 

@@ -1,11 +1,13 @@
 """Run configuration: parsing, strictness, typed accessors, error codes."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biphoton.config import KNOWN_KEYS, ConfigError, RunConfig
+from biphoton.config import (KNOWN_KEYS, ConfigError, RunConfig,
+                             comma_list, file_path)
 from biphoton.fitting import FitOptions
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import mhz_to_gamma
@@ -61,14 +63,35 @@ class TestLoad:
         assert cfg.values == {"system.b": "0.3"}
         assert cfg.warnings == [f"ignoring unknown config key {key!r}"]
 
+    def test_unknown_key_before_a_malformed_line(self, tmp_path):
+        # the reader is lazy: in strict mode the first failing line wins
+        text = "system.typo = 1\nsystem.omega_c 11.4\n"
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, text, strict=True)
+        assert excinfo.value.code == "CONFIG_UNKNOWN_KEY"
+        assert excinfo.value.detail == "system.typo"
+        with pytest.raises(ConfigError) as excinfo:
+            load(tmp_path, text)
+        assert excinfo.value.code == "CONFIG_BAD_LINE"
+        assert excinfo.value.detail == "run.cfg:2"
+
+    def test_repeated_unknown_key_warns_once_per_line(self, tmp_path):
+        cfg = load(tmp_path, "system.typo = 1\nsystem.b = 0.3\n"
+                             "system.typo = 2\n")
+        assert cfg.values == {"system.b": "0.3"}
+        assert cfg.warnings == [
+            "ignoring unknown config key 'system.typo'"] * 2
+
 
 class TestAccessors:
     def test_typed_values_and_defaults(self, tmp_path):
         cfg = load(tmp_path, "fit.max_iterations = 7\n"
                              "sweep.delta_c_ghz = 0.5, 1.0,2\n")
-        assert cfg.get_int("fit.max_iterations") == 7
-        assert cfg.get_float("fit.init_b", 0.3) == 0.3
-        assert cfg.get_float_list("sweep.delta_c_ghz") == [0.5, 1.0, 2.0]
+        assert cfg.get("fit.max_iterations", int) == 7
+        assert cfg.get("fit.max_iterations") == "7"
+        assert cfg.get("fit.init_b", float, 0.3) == 0.3
+        assert cfg.get("sweep.delta_c_ghz", comma_list(float)) == \
+            [0.5, 1.0, 2.0]
         assert cfg.grid_hint() is None
 
     def test_group_all_or_none(self, tmp_path):
@@ -88,9 +111,17 @@ class TestAccessors:
     def test_bad_value(self, tmp_path):
         cfg = load(tmp_path, "fit.max_iterations = many\n")
         with pytest.raises(ConfigError) as excinfo:
-            cfg.get_int("fit.max_iterations")
+            cfg.get("fit.max_iterations", int)
         assert excinfo.value.code == "CONFIG_BAD_VALUE"
         assert excinfo.value.detail == "fit.max_iterations = many"
+
+    def test_empty_path_names_its_key(self, tmp_path):
+        cfg = load(tmp_path, "fit.series =\nanalyze.histogram = h.csv\n")
+        assert cfg.get("analyze.histogram", file_path) == Path("h.csv")
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.get("fit.series", file_path)
+        assert excinfo.value.code == "CONFIG_BAD_VALUE"
+        assert excinfo.value.detail == "fit.series = "
 
     def test_require(self, tmp_path):
         cfg = load(tmp_path, "system.b = 0.3\n")

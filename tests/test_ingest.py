@@ -64,6 +64,21 @@ class TestLoad:
         with pytest.raises(ParseError, match="d_s"):
             load_histogram(path)
 
+    def test_meta_comments(self, tmp_path):
+        meta = "# acquired 2025-01-07\n" + META_TEMPLATE.replace(
+            "d_s = 0.13\n", "d_s = 0.13  # calibrated at 795 nm\n")
+        h = load_histogram(write_pair(tmp_path, ["0.0,5", "0.8,7"], meta=meta))
+        assert h.chain.d_s == 0.13
+
+    def test_meta_line_without_equals_names_its_line(self, tmp_path):
+        meta = META_TEMPLATE.replace("d_p = 0.094\n", "d_p 0.094\n")
+        path = write_pair(tmp_path, ["0.0,5", "0.8,7"], meta=meta)
+        with pytest.raises(ParseError) as excinfo:
+            load_histogram(path)
+        assert str(excinfo.value) == \
+            "metadata line is not 'key = value' (hist.meta:6)"
+        assert excinfo.value.code == "DATA_PARSE"
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_pair(tmp_path, ["0.0,5", "0.8,seven"])
         with pytest.raises(ParseError, match="hist.csv:3"):
@@ -99,6 +114,10 @@ class TestLoad:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.with_suffix(".meta").read_bytes() == \
             p2.with_suffix(".meta").read_bytes()
+
+    def test_saved_meta_text(self, tmp_path):
+        save_histogram(flat_histogram(), tmp_path / "h.csv")
+        assert (tmp_path / "h.meta").read_bytes() == META_TEMPLATE.encode()
 
     def test_saved_rows_match_the_oracle(self, tmp_path):
         h = make_synthetic_histogram(1.7e5, 21.0, CHAIN, seed=3,
