@@ -1,6 +1,6 @@
 """Input files, histogram normalization, and rate extraction.
 
-Every input file is UTF-8 text read by :func:`read_lines`.  The two
+Every input file is UTF-8 text read by :func:`read_text`.  The two
 ``key = value`` formats, the run config and the ``.meta`` sidecar, share
 one reader, :func:`read_pairs`: '#' starts a comment, so a ``.meta``
 value may carry a trailing ``# note``, and blank lines are skipped.  A
@@ -12,6 +12,17 @@ the flag ``saturation_corrected`` (true or false) they are the required
 keys, and :func:`save_histogram` writes them in the table's order.  A
 detuning series is a CSV with header :data:`SERIES_HEADER`.  All numbers
 are decimal text; no binary formats, so data files stay auditable.
+
+A table's rows are read by numpy's C text reader in one call.  Only
+where it refuses a row, or its table has the wrong width or a non-finite
+value, are the rows walked one line at a time through Python ``float()``;
+the walk names the first bad row as ``<name>:<line>``, and it also reads
+the spellings that only ``float()`` takes (``1_0``, non-ASCII digits).
+A file holding U+001F, which the C reader strips around a number and
+``float()`` does not, is walked from the start.  So the accepted
+spellings are exactly those of ``float()``, blank lines are skipped, and
+every value must be finite.  A histogram count must also be an integer
+in [0, 2^53), where every integer is exact in float64.
 
 Every CSV the package writes, histograms and CLI tables alike, goes
 through :func:`write_table`: floats as their shortest round-trip ``repr``,
@@ -58,6 +69,8 @@ SUPPORT_NSIGMA = 3.0
 # histograms at 1-60 counts per bin reached 7.2 at most (600 seeds each)
 PEAK_MARGIN_NSIGMA = 4.0
 SERIES_HEADER = "delta_c_ghz,rg,rg_err,tau_w_ns,tau_w_err"
+# counts from here up are not all exact in float64, nor safe in an int64 cast
+_COUNT_LIMIT = 2.0 ** 53
 # rows that write_table formats and writes at a time
 _BLOCK_ROWS = 4096
 
@@ -120,14 +133,14 @@ class BackgroundEstimate:
     n_bins: int
 
 
-def read_lines(path: Path, error) -> list[str]:
-    """Lines of the UTF-8 text file ``path``.
+def read_text(path: Path, error) -> str:
+    """The text of the UTF-8 file ``path``, with universal newlines.
 
     A missing file raises ``error(str(path), True)``; an unreadable one (a
     directory, no permission, not UTF-8) ``error("<path>: <why>", False)``.
     """
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise error(str(path), True) from None
     except OSError as exc:
@@ -140,10 +153,11 @@ def read_pairs(path: Path, error, bad_line):
     """The ``(key, value)`` pairs of a ``key = value`` file, in file order.
 
     '#' starts a comment and blank lines are skipped; keys and values are
-    stripped.  ``error`` is as for :func:`read_lines`; a line without '='
+    stripped.  ``error`` is as for :func:`read_text`; a line without '='
     raises ``bad_line("<name>:<line>")`` when the reader reaches it.
     """
-    for lineno, line in enumerate(read_lines(path, error), start=1):
+    for lineno, line in enumerate(read_text(path, error).splitlines(),
+                                  start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -154,26 +168,30 @@ def read_pairs(path: Path, error, bad_line):
 
 
 def _data_error(what, missing_code=None):
-    """The :func:`read_lines` error factory of a data file: its failures
+    """The :func:`read_text` error factory of a data file: its failures
     are ParseErrors."""
     return lambda detail, missing: ParseError(
         f"{what} not found" if missing else f"cannot read {what}", detail,
         missing_code if missing else "DATA_UNREADABLE")
 
 
-def _read_table(path: Path, header: str, what: str, missing_code=None):
-    """Numeric CSV rows of the ``what`` file ``path`` under an exact
-    ``header`` line, as an (n, k) array.
+def _row_error(name, lines, bad, why):
+    """The ParseError ``why`` (formatted with the row's text) naming
+    ``<name>:<line>`` of the first table row flagged in the mask ``bad``;
+    the table's rows are the non-blank lines after the header."""
+    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    lineno = linenos[int(np.argmax(bad))]
+    return ParseError(why.format(repr(lines[lineno - 1])),
+                      context=f"{name}:{lineno}")
+
+
+def _walk_rows(lines, name, width):
+    """The table of the rows of ``lines`` after the header, each cell read
+    by Python ``float()``.
 
     Blank lines are skipped.  A row with the wrong field count, a bad
-    number or a non-finite value raises ParseError naming ``<name>:<line>``;
-    a file that cannot be read raises the :func:`_data_error` of ``what``.
+    number or a non-finite value raises ParseError naming ``<name>:<line>``.
     """
-    lines = read_lines(path, _data_error(what, missing_code))
-    name = path.name
-    if not lines or lines[0].strip() != header:
-        raise ParseError(f"expected header '{header}'", context=f"{name}:1")
-    width = header.count(",") + 1
     values = []
     append = values.append
     for lineno, line in enumerate(lines[1:], start=2):
@@ -191,11 +209,42 @@ def _read_table(path: Path, header: str, what: str, missing_code=None):
     table = np.array(values).reshape(-1, width)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        # the first row with this text is the first non-finite row
-        row = [line for line in lines[1:] if line.strip()][np.argmin(finite)]
-        raise ParseError(f"non-finite value in row {row!r}",
-                         context=f"{name}:{lines.index(row, 1) + 1}")
+        raise _row_error(name, lines, ~finite, "non-finite value in row {}")
     return table
+
+
+def _read_table(path: Path, header: str, what: str, missing_code=None):
+    """Numeric CSV rows of the ``what`` file ``path`` under an exact
+    ``header`` line, as an (n, k) array, and the file's lines.
+
+    numpy's C reader parses the rows in one call.  Where it refuses them,
+    or its table has the wrong width or a non-finite value, the rows are
+    read again by :func:`_walk_rows`, which names the first bad row or
+    returns the table of the spellings only ``float()`` accepts.  A text
+    holding U+001F goes to the walk directly.  A file that cannot be read
+    raises the :func:`_data_error` of ``what``.
+    """
+    text = read_text(path, _data_error(what, missing_code))
+    lines = text.splitlines()
+    name = path.name
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected header '{header}'", context=f"{name}:1")
+    width = header.count(",") + 1
+    if not any(lines[1:]):
+        # loadtxt warns when it gets no data
+        return np.empty((0, width)), lines
+    table = None
+    # loadtxt strips U+001F around a number, float() does not
+    if "\x1f" not in text:
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                               dtype=float, ndmin=2)
+        except ValueError:
+            pass
+    if (table is None or table.shape[1] != width
+            or not np.isfinite(table).all()):
+        table = _walk_rows(lines, name, width)
+    return table, lines
 
 
 def meta_path_for(path) -> Path:
@@ -207,7 +256,7 @@ def load_histogram(path) -> CoincidenceHistogram:
     a bad metadata value raises "<key> = <value>: <reason> (<name>.meta)".
     """
     path = Path(path)
-    table = _read_table(path, "tau_ns,counts", "histogram file")
+    table, lines = _read_table(path, "tau_ns,counts", "histogram file")
     if not table.size:
         raise ParseError("histogram has no data rows", context=path.name)
 
@@ -229,9 +278,11 @@ def load_histogram(path) -> CoincidenceHistogram:
         raise refused(_META_FLAG, "must be true or false")
 
     counts = table[:, 1]
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise ParseError("counts must be non-negative integers",
-                         context=path.name)
+    bad = ((counts < 0) | (counts >= _COUNT_LIMIT)
+           | (counts != np.floor(counts)))
+    if bad.any():
+        raise _row_error(path.name, lines, bad,
+                         "count in row {} is not an integer in [0, 2^53)")
     # the keyword arguments of each record, filled from the schema
     fields = {"CoincidenceHistogram": {}, "DetectionChain": {}}
     for key, (record, name) in _META_NUMBERS.items():
@@ -261,7 +312,8 @@ def load_series(path, fixed) -> DetuningSeries:
     rows is a usage error (SERIES_TOO_SHORT), any other fault a ParseError.
     """
     path = Path(path)
-    table = _read_table(path, SERIES_HEADER, "series file", "DATA_NOT_FOUND")
+    table, _ = _read_table(path, SERIES_HEADER, "series file",
+                           "DATA_NOT_FOUND")
     if table.shape[0] < 4:
         raise ParameterError(f"need >= 4 points, got {table.shape[0]}",
                              code="SERIES_TOO_SHORT")

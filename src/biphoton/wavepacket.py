@@ -329,11 +329,11 @@ def transform_tangents(sa: SpectralAmplitude, indices):
             amp[ends] *= 0.5
             d_amp[:, ends] *= 0.5
         rows = outer[lo // block:(lo + _CHUNK) // block]
-        g += np.sum((amp.reshape(-1, block) @ inner) * rows, axis=0)
+        g += np.sum(np.dot(amp.reshape(-1, block), inner) * rows, axis=0)
         amp_conj = amp.conj()
         for col, d_col in enumerate(d_amp):
-            d_g[col] += np.sum((d_col.reshape(-1, block) @ inner) * rows,
-                               axis=0)
+            d_g[col] += np.sum(np.dot(d_col.reshape(-1, block), inner)
+                               * rows, axis=0)
             d_energy[col] += 2.0 * np.sum((amp_conj * d_col).real)
     scale = sa.grid.spacing / (2.0 * np.pi)
     return scale * g, scale * d_g, d_energy

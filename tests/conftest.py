@@ -5,6 +5,23 @@ from biphoton.kernels import METHOD_ADAPTIVE, METHOD_TRAPEZOID, QuadratureSpec
 from biphoton.params import coupling_15mw_params, coupling_30mw_params
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--console-script", action="store_true",
+        help="run only the CLI tests that take the run_cli fixture, each "
+             "call through the installed biphoton script")
+
+
+def pytest_collection_modifyitems(config, items):
+    if not config.getoption("console_script"):
+        return
+    through_script = [item for item in items
+                      if "run_cli" in getattr(item, "fixturenames", ())]
+    config.hook.pytest_deselected(
+        items=[item for item in items if item not in through_script])
+    items[:] = through_script
+
+
 @pytest.fixture(scope="session")
 def params_15mw():
     return coupling_15mw_params()

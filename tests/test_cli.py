@@ -4,8 +4,16 @@ Each documented exit status is checked together with its single
 ``error: CODE detail`` line on stderr, every command is rerun to check
 that its output files come out byte-identical, and every CSV it writes
 must equal the per-value oracle's formatting of the columns it wrote.
+
+The tests that take the ``run_cli`` fixture, the success runs and the
+``PROBES`` table, also run through the installed ``biphoton`` script:
+``pytest tests/test_cli.py --console-script`` runs only them, each call
+in a subprocess.  The oracle check of the CSVs needs the columns, so it
+runs in-process only.
 """
 
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +52,23 @@ def run(capsys, *argv):
     return status, capsys.readouterr().err.splitlines()
 
 
+@pytest.fixture
+def run_cli(request, capsys):
+    """Exit status and stderr lines of one CLI call: in-process, or
+    through the installed ``biphoton`` script under ``--console-script``."""
+    if not request.config.getoption("console_script"):
+        return lambda *argv: run(capsys, *argv)
+    script = shutil.which("biphoton")
+    if script is None:
+        pytest.fail("--console-script: no biphoton script on PATH")
+
+    def run_script(*argv):
+        done = subprocess.run([script, *map(str, argv)], capture_output=True,
+                              text=True, timeout=600)
+        return done.returncode, done.stderr.splitlines()
+    return run_script
+
+
 def assert_one_error_line(err, code):
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1, err
@@ -56,9 +81,12 @@ def read_outputs(out):
 
 
 @pytest.fixture
-def tables(monkeypatch):
+def tables(request, monkeypatch):
     """Every table the CLI writes, as (path, header, columns); a test
-    checks them with ``assert_tables_match_oracle``."""
+    checks them with ``assert_tables_match_oracle``.  None under
+    ``--console-script``, whose writes happen in another process."""
+    if request.config.getoption("console_script"):
+        return None
     written = []
     real_write_table = biphoton.cli.write_table
 
@@ -73,6 +101,8 @@ def tables(monkeypatch):
 def assert_tables_match_oracle(tables, out):
     """Each CSV in ``out`` was written as a table whose bytes equal the
     oracle's formatting of its columns."""
+    if tables is None:
+        return
     written = {path: (header, columns) for path, header, columns in tables}
     csvs = sorted(out.glob("*.csv"))
     assert csvs and set(csvs) <= set(written)
@@ -104,10 +134,10 @@ def series_path(tmp_path_factory):
 
 
 class TestSuccess:
-    def test_simulate(self, tmp_path, capsys, tables):
+    def test_simulate(self, tmp_path, run_cli, tables):
         cfg = write_config(tmp_path, SYSTEM_15MW)
-        status, err = run(capsys, "simulate", "--config", cfg,
-                          "--out", tmp_path / "a")
+        status, err = run_cli("simulate", "--config", cfg,
+                              "--out", tmp_path / "a")
         assert status == 0 and err == []
         assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
@@ -117,53 +147,53 @@ class TestSuccess:
         assert observables[0] == "name,value,units,calibrated"
         assert [row.split(",")[0] for row in observables[1:]] == [
             "rg", "tau_w", "delta_omega"]
-        run(capsys, "simulate", "--config", cfg, "--out", tmp_path / "b")
+        run_cli("simulate", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_spectrum(self, tmp_path, capsys, tables):
+    def test_spectrum(self, tmp_path, run_cli, tables):
         cfg = write_config(tmp_path, SYSTEM_15MW)
-        status, _ = run(capsys, "spectrum", "--config", cfg,
-                        "--out", tmp_path / "a")
+        status, _ = run_cli("spectrum", "--config", cfg,
+                            "--out", tmp_path / "a")
         assert status == 0
         assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         assert set(outputs) == {"observables.csv", "spectrum.csv"}
-        run(capsys, "spectrum", "--config", cfg, "--out", tmp_path / "b")
+        run_cli("spectrum", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_sweep(self, tmp_path, capsys, tables):
+    def test_sweep(self, tmp_path, run_cli, tables):
         cfg = write_config(tmp_path,
                            SYSTEM_15MW + "sweep.delta_c_ghz = 0.5, 1.0\n")
-        status, err = run(capsys, "sweep", "--config", cfg,
-                          "--out", tmp_path / "a")
+        status, err = run_cli("sweep", "--config", cfg,
+                              "--out", tmp_path / "a")
         assert status == 0 and err == []
         assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         rows = outputs["sweep.csv"].decode().splitlines()
         assert rows[0] == "delta_c_ghz,rg_arb,tau_w_ns,domega_mhz"
         assert [row.split(",")[0] for row in rows[1:]] == ["0.5", "1.0"]
-        run(capsys, "sweep", "--config", cfg, "--out", tmp_path / "b")
+        run_cli("sweep", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_analyze(self, tmp_path, capsys, histogram_path, tables):
-        status, err = run(capsys, "analyze", histogram_path,
-                          "--out", tmp_path / "a")
+    def test_analyze(self, tmp_path, run_cli, histogram_path, tables):
+        status, err = run_cli("analyze", histogram_path,
+                              "--out", tmp_path / "a")
         assert status == 0
         assert not any(line.startswith("error:") for line in err)
         assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
         assert set(outputs) == {"g2.csv", "observables.csv"}
-        run(capsys, "analyze", histogram_path, "--out", tmp_path / "b")
+        run_cli("analyze", histogram_path, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
-    def test_fit_one_iteration(self, tmp_path, capsys, series_path, tables):
+    def test_fit_one_iteration(self, tmp_path, run_cli, series_path, tables):
         cfg = write_config(tmp_path, (
             f"fit.series = {series_path}\n"
             "fit.init_b = 0.375\nfit.init_omega_c = 12.0\n"
             "fit.init_gamma_dec = 0.013\nfit.init_scale = 1.8e9\n"
             "fit.max_iterations = 1\nfit.freeze = b, gamma_dec\n"))
-        status, err = run(capsys, "fit", "--config", cfg,
-                          "--out", tmp_path / "a")
+        status, err = run_cli("fit", "--config", cfg,
+                              "--out", tmp_path / "a")
         assert status == 0 and err == []
         assert_tables_match_oracle(tables, tmp_path / "a")
         outputs = read_outputs(tmp_path / "a")
@@ -172,7 +202,7 @@ class TestSuccess:
         assert "b: 0.375 +- 0.0" in report
         curve = outputs["fit_curve.csv"].decode().splitlines()
         assert len(curve) == 1 + 4
-        run(capsys, "fit", "--config", cfg, "--out", tmp_path / "b")
+        run_cli("fit", "--config", cfg, "--out", tmp_path / "b")
         assert read_outputs(tmp_path / "b") == outputs
 
 
@@ -226,12 +256,12 @@ class TestExitStatus:
         assert status == 4
         assert_one_error_line(err, "NUMERICAL")
 
-    def test_tiny_doppler_width_runs_clean(self, tmp_path, capsys):
+    def test_tiny_doppler_width_runs_clean(self, tmp_path, run_cli):
         # the poles sit past |zeta| = 1e154, where zeta**2 overflows
         cfg = write_config(tmp_path,
                            SYSTEM_15MW + "system.gamma_doppler = 1e-300\n")
-        status, err = run(capsys, "simulate", "--config", cfg,
-                          "--out", tmp_path / "out")
+        status, err = run_cli("simulate", "--config", cfg,
+                              "--out", tmp_path / "out")
         assert status == 0 and err == []
 
     @pytest.mark.parametrize("init", ["", FIT_INIT],
@@ -367,6 +397,23 @@ def _probe_background(config="", pair_rate=2e5, background=20.0, **kwargs):
     return build
 
 
+def _probe_histogram(row=None, meta=None):
+    """The test histogram with data row ``row`` = (index, text) replaced,
+    or with ``.meta`` line ``meta`` = (key, value) set."""
+    def build(tmp_path):
+        path = tmp_path / "hist.csv"
+        save_histogram(make_synthetic_histogram(2.0e5, 20.0, DetectionChain(),
+                                                seed=11), path)
+        if row is not None:
+            lines = path.read_text().splitlines()
+            lines[row[0]] = row[1]
+            path.write_text("\n".join(lines) + "\n")
+        if meta is not None:
+            with_meta(path, tmp_path, *meta)
+        return ["analyze", path, "--out", tmp_path / "out"]
+    return build
+
+
 def _probe_config(command, config):
     def build(tmp_path):
         return [command, "--config", write_config(tmp_path, config),
@@ -419,6 +466,28 @@ PROBES = [
                  "DATA_PARSE", "(s.csv:1)", id="series_bad_header"),
     pytest.param(_probe_series(SERIES_HEADER, *SERIES_ROWS), 3,
                  "DATA_PARSE", "(s.csv:2)", id="series_repeated_header"),
+    pytest.param(_probe_series(*SERIES_ROWS[:2], "1.0,1.2,0.1,\x00,1.0",
+                               SERIES_ROWS[3]),
+                 3, "DATA_PARSE", "(s.csv:4)", id="series_nul_cell"),
+    pytest.param(_probe_series(*SERIES_ROWS[:2], SERIES_ROWS[2] + ",",
+                               SERIES_ROWS[3]),
+                 3, "DATA_PARSE", "is not 5 numbers (s.csv:4)",
+                 id="series_trailing_comma"),
+    # the whitespace-only line counts in the line number, not as a row
+    pytest.param(_probe_series(*SERIES_ROWS[:2], " \t ", SERIES_ROWS[2],
+                               "2.2,1.3,nan,66.0,1.0"),
+                 3, "DATA_PARSE", "non-finite value in row "
+                 "'2.2,1.3,nan,66.0,1.0' (s.csv:6)",
+                 id="series_whitespace_line_between_rows"),
+    pytest.param(_probe_histogram(row=(5, "3.2,1e20")), 3, "DATA_PARSE",
+                 "count in row '3.2,1e20' is not an integer in [0, 2^53) "
+                 "(hist.csv:6)", id="histogram_count_past_float_integers"),
+    pytest.param(_probe_histogram(row=(5, "3.2,9007199254740993")), 3,
+                 "DATA_PARSE", "is not an integer in [0, 2^53) (hist.csv:6)",
+                 id="histogram_count_rounds_to_2_53"),
+    pytest.param(_probe_histogram(meta=("singles_signal_per_s", "0")), 3,
+                 "DATA_PARSE", "singles_signal_per_s = 0: must be positive "
+                 "(hist.meta)", id="meta_singles_rate_zero"),
     pytest.param(_probe_series(*SERIES_ROWS[:3]), 2, "SERIES_TOO_SHORT",
                  "got 3", id="series_too_short"),
     pytest.param(_probe_series(*SERIES_ROWS[:3], SERIES_ROWS[0]), 3,
@@ -541,6 +610,16 @@ PROBES = [
     pytest.param(_probe_fit_init("system.alpha = 1e308\n"), 4, "NUMERICAL",
                  "spectral amplitude is not finite (at delta_c = 0.2 GHz)",
                  id="fit_alpha_overflows_kappa"),
+    # gamma_doppler**2 underflows to 0: the tangents are not finite
+    pytest.param(_probe_fit_init("system.gamma_doppler = 1e-300\n"
+                                 + FIT_INIT),
+                 4, "NUMERICAL", "spectral amplitude derivatives are not "
+                 "finite (at delta_c = 0.2 GHz)", id="fit_tiny_doppler_width"),
+    # finite tangents so large that J^T J overflows: no step is taken
+    pytest.param(_probe_fit_init("system.gamma_doppler = 1e-100\n"
+                                 + FIT_INIT),
+                 4, "NUMERICAL", "normal matrix J^T J is not finite",
+                 id="fit_normal_matrix_overflows"),
     # an empty path would name the working directory
     pytest.param(_probe_config("fit", "fit.series =\n"), 2,
                  "CONFIG_BAD_VALUE", "fit.series = ", id="fit_series_empty"),
@@ -611,10 +690,11 @@ class TestMetaValues:
 
 class TestProbeInputs:
     @pytest.mark.parametrize("build, status, code, text", PROBES)
-    def test_documented_status_and_one_error_line(self, tmp_path, capsys,
+    def test_documented_status_and_one_error_line(self, tmp_path, run_cli,
                                                   build, status, code, text):
-        got, err = run(capsys, *build(tmp_path))
+        got, err = run_cli(*build(tmp_path))
         assert got == status
+        assert len(err) == 1, err
         assert_one_error_line(err, code)
         assert text in err[-1]
         # the remedy for an unusable default background window

@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from conftest import first_difference, oracle_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biphoton import ingest
 from biphoton.errors import ParameterError, ParseError
 from biphoton.ingest import (_BLOCK_ROWS, SERIES_HEADER, CoincidenceHistogram,
                              detected_pair_rate, estimate_background,
@@ -87,6 +90,38 @@ class TestLoad:
     def test_negative_counts_rejected(self, tmp_path):
         path = write_pair(tmp_path, ["0.0,5", "0.8,-1"])
         with pytest.raises(ParseError):
+            load_histogram(path)
+
+    @pytest.mark.parametrize("count", ["-1", "2.5", "1e20",
+                                       "9007199254740992",
+                                       "9007199254740993"])
+    def test_count_outside_exact_integers_names_its_row(self, tmp_path,
+                                                         count):
+        path = write_pair(tmp_path, ["0.0,5", "", f"0.8,{count}", "1.6,2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as excinfo:
+                load_histogram(path)
+        assert str(excinfo.value) == (
+            f"count in row '0.8,{count}' is not an integer in [0, 2^53) "
+            "(hist.csv:4)")
+
+    def test_largest_exact_count_loads(self, tmp_path):
+        h = load_histogram(write_pair(tmp_path, ["0.0,9007199254740991",
+                                                 "0.8,0"]))
+        assert h.counts.tolist() == [2**53 - 1, 0]
+
+    @pytest.mark.parametrize("rows", [["0.0,1_0", "0.8,7"],
+                                      ["0.0,\u0661\u0660", "0.8,7"],
+                                      ["\u3000", "0.0,10", "  ", "0.8,7"]])
+    def test_rows_the_c_reader_refuses_and_float_reads(self, tmp_path, rows):
+        h = load_histogram(write_pair(tmp_path, rows))
+        assert h.counts.tolist() == [10, 7]
+
+    def test_unit_separator_is_not_space_to_float(self, tmp_path):
+        # numpy's reader strips U+001F around a number; float() does not
+        path = write_pair(tmp_path, ["0.0,5", "0.8,7\x1f"])
+        with pytest.raises(ParseError, match=r"hist\.csv:3"):
             load_histogram(path)
 
     def test_long_synthetic_histogram_raises_no_warning(self):
@@ -226,6 +261,120 @@ class TestLoadSeries:
         with pytest.raises(ParseError) as excinfo:
             load_series(tmp_path / "absent.csv", SystemParams())
         assert excinfo.value.code == "DATA_NOT_FOUND"
+
+
+def walk_table(path, header):
+    """The table reader of record: every cell through ``float()``, one
+    line at a time."""
+    lines = ingest.read_text(path,
+                             ingest._data_error("table file")).splitlines()
+    name = path.name
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected header '{header}'", context=f"{name}:1")
+    width = header.count(",") + 1
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError
+            for v in parts:
+                values.append(float(v))
+        except ValueError:
+            raise ParseError(f"row {line!r} is not {width} numbers",
+                             context=f"{name}:{lineno}") from None
+    table = np.array(values).reshape(-1, width)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = [line for line in lines[1:] if line.strip()][np.argmin(finite)]
+        raise ParseError(f"non-finite value in row {row!r}",
+                         context=f"{name}:{lines.index(row, 1) + 1}")
+    return table
+
+
+def read_outcome(read, path, header):
+    """What a table reader makes of ``path``: the table's dtype, shape and
+    bytes, or the text and code of its ParseError."""
+    try:
+        table = read(path, header)
+    except ParseError as exc:
+        return "error", str(exc), exc.code
+    return "table", table.dtype.str, table.shape, table.tobytes()
+
+
+def _any_case(word):
+    """``word`` with each letter in either case."""
+    return st.lists(st.booleans(), min_size=len(word),
+                    max_size=len(word)).map(lambda upper: "".join(
+                        c.upper() if u else c for c, u in zip(word, upper)))
+
+
+# the cells of generated tables: float spellings, and spellings that only
+# float() or neither reader takes, in ASCII and Unicode whitespace
+SIGN = st.sampled_from(["", "+", "-"])
+DIGITS = st.text("0123456789", min_size=1, max_size=4)
+MANTISSA = st.one_of(
+    DIGITS, DIGITS.map("{}.".format),
+    st.builds("{}.{}".format, st.text("0123456789", max_size=3), DIGITS))
+EXPONENT = st.one_of(st.just(""), st.builds("{}{}{}".format,
+                                            st.sampled_from("eE"), SIGN,
+                                            DIGITS))
+NUMBER = st.builds("{}{}{}".format, SIGN, MANTISSA, EXPONENT)
+SPECIAL = st.builds("{}{}".format, SIGN,
+                    st.sampled_from(["nan", "inf", "infinity"])
+                    .flatmap(_any_case))
+ODD = st.sampled_from(["1_0", "1__0", "_1", "\u0661\u0662", "\u0663.5",
+                       "\x00", "1\x00", '"1"', "'1'", "#", "1#2", "", ".",
+                       "e5", "0x1f", "1e", "--1", "1 2", "nan(1)", "infinit",
+                       "\u200b1", "\uff11"])
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\x1f", "\xa0", "\u2009",
+                         "\u3000"])
+CELL = st.builds("{}{}{}".format, SPACE,
+                 st.one_of(NUMBER, NUMBER, SPECIAL, ODD), SPACE)
+BLANK = st.sampled_from(["", "", " ", "\t", "\u3000", "\x1f \xa0"])
+
+
+@st.composite
+def table_texts(draw):
+    """A header of 1-3 columns and a body of numeric, odd, blank and
+    whitespace-only rows of 1-3 cells, mostly of the header's width."""
+    width = draw(st.integers(1, 3))
+    header = ",".join("abc"[:width])
+    cells = st.sampled_from([width] * 6 + [1, 2, 3])
+    row = cells.flatmap(lambda n: st.lists(CELL, min_size=n, max_size=n)
+                        ).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, row, BLANK), max_size=8))
+    return header, "\n".join([header, *lines]) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "t.csv"
+
+
+class TestReadTable:
+    @settings(max_examples=400, deadline=None)
+    @given(text=table_texts())
+    def test_matches_the_per_line_reader(self, table_file, text):
+        header, body = text
+        table_file.write_text(body, encoding="utf-8")
+        want = read_outcome(walk_table, table_file, header)
+        got = read_outcome(
+            lambda path, header: ingest._read_table(path, header,
+                                                    "table file")[0],
+            table_file, header)
+        assert got == want
+
+    def test_only_blank_rows_give_an_empty_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, _ = ingest._read_table(path, "a,b", "table file")
+        assert table.shape == (0, 2) and table.dtype == np.float64
 
 
 class TestBackground:
