@@ -77,6 +77,16 @@ only on its own block, so an array sliced at a multiple of 32 gives the
 same bits as the whole, as long as each slice still takes the Taylor
 path: the spectral amplitude walks its grids in slices of
 ``ALONG_MIN_POINTS`` points for that reason.
+
+The blocks to carry are chosen from zeta alone, so one call takes every
+path of a slice (the kernels' dressed pole and impurity line) and loose
+points besides (their pump pole): the anchors of all paths, the points
+of every block that is not carried and the loose points go through a
+single pointwise call, whose cost is mostly fixed per call at these
+sizes.  Pointwise J does not depend on the size of the array, or the
+place in it, that a point is evaluated at (the out-of-place Horner above
+is there for that), so each path gets the same bits as in a call of its
+own.
 """
 
 import math
@@ -213,53 +223,89 @@ def gaussian_pole_integral(zeta):
     return out[0] if scalar else out
 
 
-def gaussian_pole_integral_along(zeta):
-    """:func:`gaussian_pole_integral` on dense samples of a path.
+def gaussian_pole_integral_along(*paths, points=None):
+    """:func:`gaussian_pole_integral` on dense samples of each of
+    ``paths``, and at ``points``, from one pointwise call.
 
-    ``zeta`` is a 1-d array of poles off the real axis in path order.  J
+    Each path is a 1-d array of poles off the real axis in path order.  J
     is evaluated pointwise at the middle point of each block of 32
     samples and carried to the rest of the block by a Taylor series, where
     the block is narrow enough (see the module docstring for the rules
-    and the error bound).  Arrays shorter than ``ALONG_MIN_POINTS`` points,
-    and arrays of any other shape, are evaluated pointwise and equal
-    :func:`gaussian_pole_integral` bit for bit; longer ones agree with it
-    within 5e-14 relative.
+    and the error bound).  A path shorter than ``ALONG_MIN_POINTS``
+    points, or of any other shape, is evaluated pointwise and equals
+    :func:`gaussian_pole_integral` bit for bit, as do ``points`` (of any
+    shape); a longer path agrees with it within 5e-14 relative.  Every
+    anchor, every sample of a block that is not carried and every one of
+    ``points`` go through a single :func:`gaussian_pole_integral` call.
+
+    Returns J on each path in turn, then J at ``points`` if given: one
+    result alone, or a list of them, as :func:`numpy.atleast_1d` does.
     """
-    zeta = np.asarray(zeta, dtype=complex)
+    plans = [_plan(np.asarray(zeta, dtype=complex)) for zeta in paths]
+    if points is not None:
+        plans.append(_pointwise(np.asarray(points, dtype=complex)))
+    j = gaussian_pole_integral(np.concatenate([at for at, _ in plans]))
+    out, lo = [], 0
+    for at, finish in plans:
+        out.append(finish(j[lo:lo + at.size]))
+        lo += at.size
+    return out[0] if len(out) == 1 else out
+
+
+def _pointwise(zeta):
+    """``_plan`` for an array that is evaluated pointwise throughout."""
+    return zeta.ravel(), lambda j: j.reshape(zeta.shape)[()]
+
+
+def _plan(zeta):
+    """(at, finish) for one path: the samples where J is evaluated
+    pointwise, and the function that takes J there to J on ``zeta``."""
     if zeta.ndim != 1 or zeta.size < ALONG_MIN_POINTS:
-        return gaussian_pole_integral(zeta)
+        return _pointwise(zeta)
     n_full = zeta.size - zeta.size % _ALONG_BLOCK
     out = np.empty_like(zeta)
     blocks = zeta[:n_full].reshape(-1, _ALONG_BLOCK)
     out_blocks = out[:n_full].reshape(-1, _ALONG_BLOCK)
     anchors = blocks[:, _ALONG_BLOCK // 2]
-    _carry(blocks, anchors, gaussian_pole_integral(anchors), out_blocks)
-    if n_full < zeta.size:
-        out[n_full:] = gaussian_pole_integral(zeta[n_full:])
-    return out
-
-
-def _carry(blocks, anchors, j_anchors, out):
-    """J on ``blocks`` (one per row) into ``out``: by the Taylor series
-    about ``anchors`` where the rules allow, pointwise elsewhere."""
     u = blocks - anchors[:, None]
     # |u| in the real parts of ``out``, every entry of which J overwrites
-    spread = np.abs(u, out=out.real).max(axis=1)
+    carried = _carried(anchors, np.abs(u, out=out_blocks.real).max(axis=1))
+    pointwise = blocks[~carried].ravel()
+    tail = zeta[n_full:]
+
+    def finish(j):
+        j_anchors, j_pointwise, j_tail = np.split(
+            j, [anchors.size, anchors.size + pointwise.size])
+        if not carried.all():
+            out_blocks[~carried] = j_pointwise.reshape(-1, _ALONG_BLOCK)
+        if carried.any():
+            _carry(anchors, j_anchors, u, carried, out_blocks)
+        out[n_full:] = j_tail
+        return out
+
+    return np.concatenate([anchors, pointwise, tail]), finish
+
+
+def _carried(anchors, spread):
+    """Which blocks the Taylor series carries, from their ``anchors`` and
+    ``spread`` r = max |zeta - zeta_a| alone (the rules of the module
+    docstring)."""
     modulus = np.abs(anchors)
     # r <= A/(2|zeta_a|^2), written so that it cannot overflow; below
     # |zeta_a| = 1 the radius rule is the stricter one
     floor = np.maximum(modulus, 1.0)
     limit = np.minimum(_ALONG_RADIUS,
                        (0.5 * _ALONG_AMPLIFICATION / floor) / floor)
-    carried = ((spread > 0.0) & (spread <= limit)
-               & (np.abs(modulus - _CF_RADIUS) > 2.0 * spread)
-               & (np.abs(anchors.imag) > spread))
+    return ((spread > 0.0) & (spread <= limit)
+            & (np.abs(modulus - _CF_RADIUS) > 2.0 * spread)
+            & (np.abs(anchors.imag) > spread))
+
+
+def _carry(anchors, j_anchors, u, carried, out):
+    """J on the ``carried`` blocks (rows) into ``out``, by the Taylor
+    series in the offsets ``u`` about ``anchors``, where J is
+    ``j_anchors``."""
     if not carried.all():
-        pointwise = ~carried
-        out[pointwise] = gaussian_pole_integral(
-            blocks[pointwise].ravel()).reshape(-1, _ALONG_BLOCK)
-        if not carried.any():
-            return
         anchors, j_anchors, u = (
             anchors[carried], j_anchors[carried], u[carried])
     # J^(k)(zeta_a)/k! for k = 0 .. _ALONG_TERMS - 1

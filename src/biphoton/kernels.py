@@ -17,20 +17,20 @@ axis, the average reduces exactly to Faddeeva evaluations of the Gaussian
 pole integral J, which is the only way the package evaluates the kernels.
 rho_c_bar and kappa_bar share the coupling-dressed pole omega_0(delta),
 so ``doppler_responses`` gives (rho_c_bar + rho_m_bar, kappa_bar) with
-J(omega_0/Gamma_D) evaluated once: two array Faddeeva evaluations per
-amplitude instead of three.  The other one, the impurity line
-J(-P/Gamma_D), moves with neither b, Omega_c nor gamma_dec;
-``impurity_line_integral`` gives it alone, and ``doppler_responses``
-takes it precomputed, so a fit evaluates it once per detuning.  Each
-formula is written once, in private pieces that the three public kernels
-and ``doppler_responses`` build from.  ``response_tangents`` adds the
-derivatives of both responses in (b, Omega_c, gamma_dec), in closed form
-from the same J arrays (J' = -2 zeta J - 2).  kappa is a divided
-difference D of J between the pump pole omega_1 and the dressed pole.
-One pole split per pass serves kappa and its tangents: the pump-line
-integral J(omega_1/Gamma_D), which does not move with delta, in one
-scalar evaluation, and where the two poles merge, the pair (D, dD/dzeta_0)
-from one :func:`~biphoton.faddeeva.gaussian_pole_difference` call.
+J(omega_0/Gamma_D) evaluated once.  The other array argument, the
+impurity line J(-P/Gamma_D), moves with neither b, Omega_c nor
+gamma_dec; ``impurity_line_integral`` gives it alone, and
+``doppler_responses`` takes it precomputed, so a fit evaluates it once
+per detuning.  Each formula is written once, in private pieces that the
+three public kernels and ``doppler_responses`` build from.
+``response_tangents`` adds the derivatives of both responses in (b,
+Omega_c, gamma_dec), in closed form from the same J arrays (J' = -2 zeta
+J - 2).  kappa is a divided difference D of J between the pump pole
+omega_1 and the dressed pole.  One pole split per pass serves kappa and
+its tangents: the pump-line integral J(omega_1/Gamma_D), which does not
+move with delta, and where the two poles merge, the pair (D, dD/dzeta_0)
+from one :func:`~biphoton.faddeeva.gaussian_pole_difference` call, which
+a pass where nothing merges skips.
 
 Both array arguments of J, the impurity line and the dressed pole, are
 dense samples of a path over the detuning grid, and go through
@@ -38,14 +38,17 @@ dense samples of a path over the detuning grid, and go through
 pointwise at the middle of each block of 32 detunings and carried to the
 rest of the block by its Taylor series, where the block is narrow enough
 (the rules and the error bound are in the :mod:`~biphoton.faddeeva`
-docstring).  Arrays shorter than 2^14 detunings are evaluated pointwise,
-so a kernel there equals its scalar values bit for bit.  On 2^14 or more
-detunings, the size of every grid the package samples, each J agrees with
-its scalar value within that bound, 5e-14 relative, not bit for bit.  A
-kernel passes that on as it passes on J's own error of up to 3e-13:
-magnified where its formula cancels, most in kappa's divided difference
-next to the merged-pole band (up to 8e-12 relative measured on auto
-grids, gamma_dec = 0 included).  ``doppler_responses``,
+docstring).  A pass hands it both paths, or the dressed pole alone when
+the impurity line is given, and the pump pole zeta_1, so that one
+pointwise Faddeeva call serves them all.  Arrays shorter than 2^14
+detunings are evaluated pointwise, so a kernel there equals its scalar
+values bit for bit.  On 2^14 or more detunings, the size of every grid
+the package samples, each J agrees with its scalar value within that
+bound, 5e-14 relative, not bit for bit.  A kernel passes that on as it
+passes on J's own error of up to 3e-13: magnified where its formula
+cancels, most in kappa's divided difference next to the merged-pole
+band (up to 8e-12 relative measured on auto grids, gamma_dec = 0
+included).  ``doppler_responses``,
 ``response_tangents`` and the three public kernels take the same path,
 so they stay equal to each other bit for bit.  A grid sliced at
 multiples of 2^14 gives the same bits as the whole, unless it holds the
@@ -377,7 +380,13 @@ def _probe_pole(d, params: SystemParams):
 
 
 def _impurity_line(p_pole, params: SystemParams):
-    return gaussian_pole_integral_along(-p_pole / params.gamma_doppler)
+    """The impurity line's poles -P/Gamma_D; every evaluation of the line
+    starts here."""
+    return -p_pole / params.gamma_doppler
+
+
+def _pump_pole(params: SystemParams):
+    return -params.delta_p - 0.5j
 
 
 def _rho_m(line, params: SystemParams):
@@ -386,30 +395,45 @@ def _rho_m(line, params: SystemParams):
 
 
 class _DressedPole(NamedTuple):
-    """What rho_c_bar and kappa_bar share: ``omega0`` and its J are given
-    only where ``regular`` (a slice if everywhere) is off q = 0."""
+    """What rho_c_bar and kappa_bar share: ``omega0``, ``zeta0`` =
+    omega_0/Gamma_D and its J are given only where ``regular`` (a slice
+    if everywhere) is off q = 0."""
 
     q: np.ndarray
     p_pole: np.ndarray
     degenerate: np.ndarray
     regular: np.ndarray | slice
     omega0: np.ndarray
+    zeta0: np.ndarray
     j0: np.ndarray
 
 
-def _dressed_pole(d, params: SystemParams) -> _DressedPole:
+def _dressed_pole(d, params: SystemParams, line=False, pump=False):
+    """(dp, line, j1): the :class:`_DressedPole` at ``d`` and, from the
+    same :func:`~biphoton.faddeeva.gaussian_pole_integral_along` call,
+    the impurity line if ``line`` and J(omega_1/Gamma_D) if ``pump``
+    (and the pump is on); None for what is not evaluated."""
+    gd = params.gamma_doppler
     q = d + 1j * params.gamma_dec
     p_pole = _probe_pole(d, params)
     degenerate = np.abs(q) <= _Q_FLOOR
     regular = ~degenerate if degenerate.any() else slice(None)
     omega0 = params.omega_c**2 / (4.0 * q[regular]) - p_pole[regular]
-    j0 = gaussian_pole_integral_along(omega0 / params.gamma_doppler)
-    return _DressedPole(q, p_pole, degenerate, regular, omega0, j0)
+    zeta0 = omega0 / gd
+    paths = [zeta0, _impurity_line(p_pole, params)] if line else [zeta0]
+    pump = pump and params.omega_p != 0.0
+    j = gaussian_pole_integral_along(
+        *paths, points=_pump_pole(params) / gd if pump else None)
+    j = j if isinstance(j, list) else [j]
+    return (_DressedPole(q, p_pole, degenerate, regular, omega0, zeta0, j[0]),
+            j[1] if line else None, complex(j[-1]) if pump else None)
 
 
 def _rho_c(dp: _DressedPole, params: SystemParams):
     gd = params.gamma_doppler
     pref = (1.0 - params.b) * params.alpha / (8.0 * gd)
+    if isinstance(dp.regular, slice):
+        return -pref * dp.j0
     out = np.zeros(dp.q.shape, dtype=complex)
     out[dp.regular] = -pref * dp.j0
     if np.any(dp.degenerate) and params.omega_c == 0.0:
@@ -425,7 +449,8 @@ class _PoleSplit(NamedTuple):
     pass: ``j1`` = J(omega_1/Gamma_D), which does not move with delta,
     the regular points where omega_1 and the dressed pole are too close
     to difference J (``merged``), and there the divided difference D and
-    dD/dzeta_0 by series (``diff``, ``diff_zeta``)."""
+    dD/dzeta_0 by series (``diff``, ``diff_zeta``, empty where nothing
+    merges)."""
 
     omega1: complex
     j1: complex
@@ -434,30 +459,27 @@ class _PoleSplit(NamedTuple):
     diff_zeta: np.ndarray
 
 
-def _pole_split(dp: _DressedPole, params: SystemParams):
-    """The pass's :class:`_PoleSplit`, or None with the pump off."""
+def _pole_split(dp: _DressedPole, params: SystemParams, j1):
+    """The pass's :class:`_PoleSplit` with J(omega_1/Gamma_D) = ``j1``, or
+    None with the pump off."""
     if params.omega_p == 0.0:
         return None
     gd = params.gamma_doppler
-    omega1 = -params.delta_p - 0.5j
+    omega1 = _pump_pole(params)
     merged = np.abs(omega1 - dp.omega0) < _POLE_MERGE_RTOL * np.maximum(
         gd, np.maximum(abs(omega1), np.abs(dp.omega0)))
-    return _PoleSplit(omega1, complex(gaussian_pole_integral(omega1 / gd)),
-                      merged, *gaussian_pole_difference(
-                          dp.omega0[merged] / gd, omega1 / gd))
+    if not merged.any():
+        empty = np.empty(0, dtype=complex)
+        return _PoleSplit(omega1, j1, merged, empty, empty)
+    return _PoleSplit(omega1, j1, merged, *gaussian_pole_difference(
+        dp.zeta0[merged], omega1 / gd))
 
 
 def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
     gd = params.gamma_doppler
-    out = np.zeros(dp.q.shape, dtype=complex)
     if params.omega_p == 0.0 or params.omega_c == 0.0:
-        return out
+        return np.zeros(dp.q.shape, dtype=complex)
 
-    if np.any(dp.degenerate):
-        # coupling factor is the constant Gamma/Omega_c on resonance
-        pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
-            params.omega_p / params.omega_c
-        out[dp.degenerate] = pref0 * split.j1 / gd
     sep = np.where(split.merged, 1.0, split.omega1 - dp.omega0)
     # the prefactor overflows past alpha Omega_p Omega_c ~ 1e308, and
     # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then not
@@ -467,6 +489,13 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
             params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
         vals = pref * (split.j1 - dp.j0) / sep / gd
         vals[split.merged] = pref[split.merged] * split.diff / gd**2
+    if isinstance(dp.regular, slice):
+        return vals
+    out = np.empty(dp.q.shape, dtype=complex)
+    # coupling factor is the constant Gamma/Omega_c on resonance
+    pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
+        params.omega_p / params.omega_c
+    out[dp.degenerate] = pref0 * split.j1 / gd
     out[dp.regular] = vals
     return out
 
@@ -491,8 +520,8 @@ def impurity_line_integral(delta, params: SystemParams):
     hand it to :func:`doppler_responses`.
     """
     scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(
-        _impurity_line(_probe_pole(d, params), params), scalar)
+    return _as_scalar_or_array(gaussian_pole_integral_along(
+        _impurity_line(_probe_pole(d, params), params)), scalar)
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -505,7 +534,7 @@ def rho_c_bar(delta, params: SystemParams):
     Omega_c = 0 as well, reduces to the two-level line).
     """
     scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(_rho_c(_dressed_pole(d, params), params),
+    return _as_scalar_or_array(_rho_c(_dressed_pole(d, params)[0], params),
                                scalar)
 
 
@@ -521,9 +550,9 @@ def kappa_bar(delta, params: SystemParams):
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
     scalar, d = _as_delta_array(delta)
-    dp = _dressed_pole(d, params)
+    dp, _, j1 = _dressed_pole(d, params, pump=True)
     return _as_scalar_or_array(
-        _kappa(dp, params, _pole_split(dp, params)), scalar)
+        _kappa(dp, params, _pole_split(dp, params, j1)), scalar)
 
 
 def doppler_responses(delta, params: SystemParams, impurity_line=None):
@@ -531,10 +560,10 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
 
     The values equal the three public kernels bit for bit, but the
     dressed-pole integral J(omega_0/Gamma_D) is evaluated once and shared
-    by rho_c_bar and kappa_bar: two array Faddeeva evaluations instead of
-    three.  ``impurity_line``, if given, is
+    by rho_c_bar and kappa_bar, and one pointwise Faddeeva call serves it,
+    the impurity line and the pump pole.  ``impurity_line``, if given, is
     ``impurity_line_integral(delta, params)`` computed earlier, and saves
-    the second evaluation.
+    evaluating the line.
     """
     scalar, d = _as_delta_array(delta)
     _, _, _, rho, kap = _responses(d, params, impurity_line)
@@ -545,10 +574,11 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
 def _responses(d, params: SystemParams, impurity_line):
     """The dressed pole, the impurity line, the pole split, rho and kappa
     at array ``d``."""
-    dp = _dressed_pole(d, params)
+    dp, line, j1 = _dressed_pole(d, params, line=impurity_line is None,
+                                 pump=True)
     if impurity_line is None:
-        impurity_line = _impurity_line(dp.p_pole, params)
-    split = _pole_split(dp, params)
+        impurity_line = line
+    split = _pole_split(dp, params, j1)
     rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
     return dp, impurity_line, split, rho, _kappa(dp, params, split)
 
@@ -586,7 +616,7 @@ def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
     omega_c = params.omega_c
     keep = 1.0 - params.b
     inv_q = 1.0 / dp.q[dp.regular]
-    zeta0 = dp.omega0 / gd
+    zeta0 = dp.zeta0
     j0_prime = -2.0 * zeta0 * dp.j0 - 2.0
     c = params.alpha / (8.0 * gd)
     # d rho/d zeta_0

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import biphoton.faddeeva as F
 import biphoton.wavepacket
 from biphoton import kernels as K
 from biphoton.errors import BiphotonError, GridOverflowError, ParameterError
@@ -181,6 +182,70 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * amp.nbytes
+
+
+class TestOnePointwiseCallPerSlice:
+    """Each slice of amplitude_at evaluates J pointwise in one
+    gaussian_pole_integral call: the anchors of both paths, the blocks
+    that are not carried and the pump pole together.  Only the merged-pole
+    series makes calls of its own, on slices where the poles merge."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The sizes of the pointwise J calls made outside the merged-pole
+        series, and of the gaussian_pole_difference calls."""
+        log = {"integral": [], "difference": []}
+        inside = []
+        real_integral = F.gaussian_pole_integral
+        real_difference = K.gaussian_pole_difference
+
+        def integral(zeta):
+            if not inside:
+                log["integral"].append(np.size(zeta))
+            return real_integral(zeta)
+
+        def difference(zeta0, zeta1):
+            log["difference"].append(np.size(zeta0))
+            inside.append(True)
+            try:
+                return real_difference(zeta0, zeta1)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(F, "gaussian_pole_integral", integral)
+        monkeypatch.setattr(K, "gaussian_pole_integral", integral)
+        monkeypatch.setattr(K, "gaussian_pole_difference", difference)
+        return log
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_one_call_per_slice(self, params_15mw, calls, derivatives,
+                                cached):
+        # the fit grid at 0.2 GHz: its middle slices have 33 blocks each
+        # that are evaluated pointwise
+        p = params_15mw.replace(delta_c=ghz_to_gamma(0.2))
+        delta = auto_grid(p).widened().values
+        line = K.impurity_line_integral(delta, p) if cached else None
+        calls["integral"].clear()
+        amplitude_at(delta, p, impurity_line=line, derivatives=derivatives)
+        assert len(calls["integral"]) == delta.size // _CHUNK
+        # per path one anchor per block, and the pump pole
+        anchors = (1 if cached else 2) * _CHUNK // F._ALONG_BLOCK + 1
+        assert min(calls["integral"]) == anchors
+        assert max(calls["integral"]) == anchors + 33 * F._ALONG_BLOCK
+        assert calls["difference"] == []
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_series_only_where_the_poles_merge(self, params_15mw, calls,
+                                               derivatives):
+        # at gamma_dec = 0 and 1 GHz the poles merge on the last of the
+        # four slices of this grid alone
+        p = params_15mw.replace(gamma_dec=0.0, delta_c=ghz_to_gamma(1.0))
+        delta = auto_grid(p).widened().widened().values
+        assert delta.size == 4 * _CHUNK
+        amplitude_at(delta, p, derivatives=derivatives)
+        assert len(calls["integral"]) == 4
+        assert calls["difference"] == [116]
 
 
 class TestWavePacket:
