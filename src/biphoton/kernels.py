@@ -54,7 +54,15 @@ so they stay equal to each other bit for bit.  A grid sliced at
 multiples of 2^14 gives the same bits as the whole, unless it holds the
 exact two-photon resonance q = 0, which no even grid does:
 :func:`~biphoton.wavepacket.amplitude_at`, the one caller that walks a
-grid, relies on that to evaluate it 2^14 detunings at a time.
+grid, relies on that to evaluate it 2^14 detunings at a time.  So does a
+grid widening, which evaluates only its two new outer quarters, joined
+into whole slices.  Every slice holds exactly 2^14 detunings, so every
+complex temporary of these formulas is 256 KiB, numpy's threshold for
+eliding temporaries: a slice of another size could take an out-of-place
+product where a 2^14-point slice takes an in-place one, and numpy's two
+complex products can round differently.  Where no pole merges, or
+gamma_dec rules out q = 0, the kernels skip the selects and masks that
+would change no value.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson
@@ -397,11 +405,12 @@ def _rho_m(line, params: SystemParams):
 class _DressedPole(NamedTuple):
     """What rho_c_bar and kappa_bar share: ``omega0``, ``zeta0`` =
     omega_0/Gamma_D and its J are given only where ``regular`` (a slice
-    if everywhere) is off q = 0."""
+    if everywhere) is off q = 0, and the ``degenerate`` points are the
+    rest (None when ``regular`` is a slice)."""
 
     q: np.ndarray
     p_pole: np.ndarray
-    degenerate: np.ndarray
+    degenerate: np.ndarray | None
     regular: np.ndarray | slice
     omega0: np.ndarray
     zeta0: np.ndarray
@@ -416,8 +425,11 @@ def _dressed_pole(d, params: SystemParams, line=False, pump=False):
     gd = params.gamma_doppler
     q = d + 1j * params.gamma_dec
     p_pole = _probe_pole(d, params)
-    degenerate = np.abs(q) <= _Q_FLOOR
-    regular = ~degenerate if degenerate.any() else slice(None)
+    if params.gamma_dec > _Q_FLOOR:     # then |q| >= gamma_dec
+        degenerate, regular = None, slice(None)
+    else:
+        degenerate = np.abs(q) <= _Q_FLOOR
+        regular = ~degenerate if degenerate.any() else slice(None)
     omega0 = params.omega_c**2 / (4.0 * q[regular]) - p_pole[regular]
     zeta0 = omega0 / gd
     paths = [zeta0, _impurity_line(p_pole, params)] if line else [zeta0]
@@ -436,7 +448,7 @@ def _rho_c(dp: _DressedPole, params: SystemParams):
         return -pref * dp.j0
     out = np.zeros(dp.q.shape, dtype=complex)
     out[dp.regular] = -pref * dp.j0
-    if np.any(dp.degenerate) and params.omega_c == 0.0:
+    if params.omega_c == 0.0:
         # cancelled two-level limit of the q -> 0, Omega_c = 0 case
         out[dp.degenerate] = -pref * gaussian_pole_integral(
             -dp.p_pole[dp.degenerate] / gd)
@@ -457,6 +469,13 @@ class _PoleSplit(NamedTuple):
     merged: np.ndarray
     diff: np.ndarray
     diff_zeta: np.ndarray
+
+    @property
+    def merging(self) -> bool:
+        """Whether any point merges; where none does, kappa and its
+        slopes skip the select and the masked writes, which would change
+        no value."""
+        return self.diff.size > 0
 
 
 def _pole_split(dp: _DressedPole, params: SystemParams, j1):
@@ -480,7 +499,9 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
     if params.omega_p == 0.0 or params.omega_c == 0.0:
         return np.zeros(dp.q.shape, dtype=complex)
 
-    sep = np.where(split.merged, 1.0, split.omega1 - dp.omega0)
+    sep = split.omega1 - dp.omega0
+    if split.merging:
+        sep = np.where(split.merged, 1.0, sep)
     # the prefactor overflows past alpha Omega_p Omega_c ~ 1e308, and
     # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then not
     # finite, which sample_spectral_amplitude reports, so no warning
@@ -488,7 +509,8 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
         pref = -(1.0 - params.b) * params.alpha * \
             params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
         vals = pref * (split.j1 - dp.j0) / sep / gd
-        vals[split.merged] = pref[split.merged] * split.diff / gd**2
+        if split.merging:
+            vals[split.merged] = pref[split.merged] * split.diff / gd**2
     if isinstance(dp.regular, slice):
         return vals
     out = np.empty(dp.q.shape, dtype=complex)
@@ -658,11 +680,14 @@ def _kappa_slopes(dp: _DressedPole, split, params: SystemParams, zeta0,
         zero = np.zeros_like(inv_q)
         return zero, zero
     gd = params.gamma_doppler
-    sep = np.where(split.merged, 1.0, split.omega1 / gd - zeta0)
+    sep = split.omega1 / gd - zeta0
+    if split.merging:
+        sep = np.where(split.merged, 1.0, sep)
     diff = (split.j1 - dp.j0) / sep
     diff_zeta = (diff - j0_prime) / sep
-    diff[split.merged] = split.diff
-    diff_zeta[split.merged] = split.diff_zeta
+    if split.merging:
+        diff[split.merged] = split.diff
+        diff_zeta[split.merged] = split.diff_zeta
     # np.divide, not /: a gd**2 that underflows to 0 gives inf, and
     # forward.predict reports the tangents as not finite
     k_unit = np.divide(-params.alpha * params.omega_p, 16.0 * gd**2) * inv_q

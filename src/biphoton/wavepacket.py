@@ -22,6 +22,15 @@ slice of a grid gives the same bits as the whole grid would).  With
 ``derivatives`` it samples dA/d(b, Omega_c, gamma_dec) in the same
 pass, for the fitter, and ``transform_tangents`` then sums a few samples
 of the transform and their derivatives directly.
+
+Every slice the package evaluates holds exactly 2^14 points, the
+widening's joined outer quarters included (see
+``sample_spectral_amplitude``).  Two things need that.  The Faddeeva
+layer carries J by Taylor series only on 2^14 points or more.  And numpy
+elides temporaries of 256 KiB and more, which is exactly a 2^14-point
+complex array: on a slice of that size an expression like ``a * b * c``
+reuses its temporary in place, on a shorter one it does not, and numpy's
+in-place and out-of-place complex products can round differently.
 """
 
 import math
@@ -52,7 +61,15 @@ OVERSAMPLE = 2
 @dataclass(frozen=True)
 class DetuningGrid:
     """Uniform two-photon-detuning grid on [-delta_max, delta_max]
-    (units of Gamma)."""
+    (units of Gamma).
+
+    The samples are (k - (n - 1)/2) spacing for k = 0 .. n - 1: the
+    offsets are exact half-integers, so the grid is symmetric about 0 bit
+    for bit and, n being even, never holds delta = 0.  A grid and the one
+    :meth:`widened` returns share their spacing bit for bit (for all but
+    about one span in 2n), so the parent's samples are exactly the middle
+    half of the widened grid's.
+    """
 
     delta_max: float
     n_points: int
@@ -79,15 +96,25 @@ class DetuningGrid:
 
     @property
     def values(self) -> np.ndarray:
-        return np.linspace(self.delta_min, self.delta_max, self.n_points)
+        n = self.n_points
+        return (np.arange(n) - (n - 1) / 2) * self.spacing
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.delta_max / (self.n_points - 1)
 
     def widened(self) -> "DetuningGrid":
-        """Double the span and the point count (same spacing class)."""
-        return DetuningGrid(2.0 * self.delta_max, 2 * self.n_points)
+        """The grid of twice the points at this spacing, so about twice
+        the span; its middle half then is this grid's samples.
+
+        For about one span in 2n, no float delta_max gives this spacing
+        back bit for bit: 2 delta_max/(2n - 1) steps by a little over one
+        ulp of the spacing per ulp of delta_max, so it skips a few values.
+        The widened spacing is then an ulp off, and the grid does not hold
+        this one's samples.
+        """
+        n = 2 * self.n_points
+        return DetuningGrid(0.5 * self.spacing * (n - 1), n)
 
 
 def _next_pow2(n):
@@ -129,16 +156,19 @@ class SpectralAmplitude:
     """A(delta) sampled on a detuning grid.
 
     ``tangents``, when asked for, is the (3, n) array of dA with respect
-    to b, Omega_c and gamma_dec on the same grid.
+    to b, Omega_c and gamma_dec on the same grid.  ``peak_magnitude`` is
+    max |A|, found from the amplitude when not given.
     """
 
     grid: DetuningGrid
     amplitude: np.ndarray
     tangents: np.ndarray | None = None
+    peak_magnitude: float | None = None
 
-    @property
-    def peak_magnitude(self) -> float:
-        return float(np.max(np.abs(self.amplitude)))
+    def __post_init__(self):
+        if self.peak_magnitude is None:
+            object.__setattr__(self, "peak_magnitude",
+                               float(np.max(np.abs(self.amplitude))))
 
 
 def amplitude_at(delta, params: SystemParams, impurity_line=None,
@@ -205,16 +235,65 @@ def _amplitude_tangents(delta, params: SystemParams, impurity_line):
         return _assemble(s, kap, etalon), d_amp
 
 
-def cached_impurity_line(impurity_lines, grid, delta, params):
-    """The impurity line of ``params`` on ``grid`` from the cache dict
-    ``impurity_lines`` (see :func:`sample_spectral_amplitude`), computed
-    and kept on a miss; None when there is no cache."""
+def cached_impurity_line(impurity_lines, grid, delta, params, parent=None):
+    """The impurity line of ``params`` on ``delta``, samples of ``grid``,
+    from the cache dict ``impurity_lines`` (see
+    :func:`sample_spectral_amplitude`); None when there is no cache.
+
+    Without ``parent``, ``delta`` is the whole grid, and a miss evaluates
+    the line on it and keeps it.  With ``parent``, a grid whose entry the
+    cache holds and whose samples are the middle half of ``grid``'s,
+    ``delta`` is the outer quarters of ``grid`` joined, and so is the
+    line returned; a miss evaluates the line on ``delta`` alone and keeps
+    it around the parent's entry.
+    """
     if impurity_lines is None:
         return None
-    key = (grid, params.delta_c, params.gamma_doppler)
-    if key not in impurity_lines:
-        impurity_lines[key] = impurity_line_integral(delta, params)
-    return impurity_lines[key]
+    rest = (params.delta_c, params.gamma_doppler)
+    entry = impurity_lines.get((grid, *rest))
+    if entry is not None:
+        return entry if parent is None else _ends(entry)
+    line = impurity_line_integral(delta, params)
+    if parent is None:
+        entry = line
+    else:
+        entry = _around(impurity_lines[(parent, *rest)], grid.n_points)
+        _set_ends(entry, line)
+    impurity_lines[(grid, *rest)] = entry
+    return line
+
+
+def _around(middle, n_points):
+    """A new array of ``n_points`` samples along the last axis, with
+    ``middle`` as its middle half; the outer quarters are left unset."""
+    out = np.empty(middle.shape[:-1] + (n_points,), dtype=middle.dtype)
+    out[..., n_points // 4:n_points - n_points // 4] = middle
+    return out
+
+
+def _ends(a):
+    """The outer quarters of ``a`` along its last axis, joined."""
+    q = a.shape[-1] // 4
+    return np.concatenate((a[..., :q], a[..., -q:]), axis=-1)
+
+
+def _set_ends(a, ends):
+    """Write ``ends``, outer quarters joined as :func:`_ends` gives them,
+    into ``a``."""
+    q = a.shape[-1] // 4
+    a[..., :q] = ends[..., :q]
+    a[..., -q:] = ends[..., q:]
+
+
+def _sample(delta, params, line, derivatives):
+    """(A, dA or None, max |A|) on ``delta`` from one :func:`amplitude_at`
+    call; raises NUMERICAL on an inf or NaN sample of A."""
+    sampled = amplitude_at(delta, params, line, derivatives)
+    amp, tangents = sampled if derivatives else (sampled, None)
+    peak = float(np.max(np.abs(amp)))
+    if not math.isfinite(peak):
+        raise BiphotonError("spectral amplitude is not finite")
+    return amp, tangents, peak
 
 
 def sample_spectral_amplitude(params: SystemParams,
@@ -223,34 +302,62 @@ def sample_spectral_amplitude(params: SystemParams,
                               derivatives: bool = False) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
-    Starts from ``grid_hint`` or the auto-sized grid and doubles the span
-    (keeping the spacing class) until |A| at both edges is below 1e-6 of
-    the peak, giving up after 3 widenings.  A pump-free amplitude is
+    Starts from ``grid_hint`` or the auto-sized grid and widens it
+    (:meth:`DetuningGrid.widened`: twice the points at the same spacing)
+    until |A| at both edges is below 1e-6 of the peak, giving up after 3
+    widenings.  The samples already taken are the middle half of the
+    widened grid, so a widening evaluates A only on its two new outer
+    quarters, joined into one :func:`amplitude_at` call: the joined array
+    has n points, a multiple of 2^14, so it is walked in whole slices as
+    the full grid would be, and A there is the same, bit for bit.  Only
+    when the widened spacing misses the parent's by an ulp (about one span
+    in 2n) is the widened grid sampled whole.  A pump-free amplitude is
     identically zero and returned as-is.  An amplitude with an inf or NaN
     sample raises on the grid that has it, as NUMERICAL, without widening.
 
-    With ``derivatives``, A and its ``tangents`` come from one pass of
-    :func:`amplitude_at`; A is the same, bit for bit, as without.
+    With ``derivatives``, A and its ``tangents`` come from the same
+    passes of :func:`amplitude_at`; A is the same, bit for bit, as
+    without.
 
     ``impurity_lines``, if given, is a dict that keeps the impurity-line
     integral of each (grid, delta_c, gamma_doppler) it has seen: a caller
     that varies only b, Omega_c or gamma_dec between calls then evaluates
-    it once per grid and detuning.  The amplitude is the same, bit for
-    bit, with or without it.
+    it once per grid and detuning, and a widened grid's entry extends its
+    parent's.  The amplitude is the same, bit for bit, with or without
+    it.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
-    for _ in range(MAX_WIDENINGS + 1):
+    delta = grid.values
+    amp, tangents, peak = _sample(
+        delta, params, cached_impurity_line(impurity_lines, grid, delta,
+                                            params), derivatives)
+    for widenings in range(MAX_WIDENINGS + 1):
+        if max(abs(amp[0]), abs(amp[-1])) <= EDGE_DECAY * peak:
+            return SpectralAmplitude(grid, amp, tangents, peak)
+        # past MAX_GRID_POINTS, widened() raises before the decay error
+        parent, grid = grid, grid.widened()
+        if widenings == MAX_WIDENINGS:
+            break
         delta = grid.values
-        line = cached_impurity_line(impurity_lines, grid, delta, params)
-        sampled = amplitude_at(delta, params, line, derivatives)
-        amp, tangents = sampled if derivatives else (sampled, None)
-        peak = float(np.max(np.abs(amp)))
-        if not math.isfinite(peak):
-            raise BiphotonError("spectral amplitude is not finite")
-        edge = max(abs(amp[0]), abs(amp[-1]))
-        if edge <= EDGE_DECAY * peak:
-            return SpectralAmplitude(grid, amp, tangents)
-        grid = grid.widened()
+        if grid.spacing != parent.spacing:
+            amp, tangents, peak = _sample(
+                delta, params, cached_impurity_line(impurity_lines, grid,
+                                                    delta, params),
+                derivatives)
+            continue
+        # rebinding frees the parent's arrays before the new samples exist
+        amp = _around(amp, grid.n_points)
+        if tangents is not None:
+            tangents = _around(tangents, grid.n_points)
+        delta = _ends(delta)
+        line = cached_impurity_line(impurity_lines, grid, delta, params,
+                                    parent)
+        new_amp, new_tangents, new_peak = _sample(delta, params, line,
+                                                  derivatives)
+        _set_ends(amp, new_amp)
+        if tangents is not None:
+            _set_ends(tangents, new_tangents)
+        peak = max(peak, new_peak)
     raise GridOverflowError(
         f"spectral amplitude does not decay below {EDGE_DECAY:.0e} of its "
         f"peak within {MAX_WIDENINGS} grid widenings")
@@ -342,7 +449,9 @@ def transform_tangents(sa: SpectralAmplitude, indices):
 def biphoton_spectrum(sa: SpectralAmplitude) -> np.ndarray:
     """|A(delta)|^2 over the grid, normalized to unit peak."""
     power = np.abs(sa.amplitude) ** 2
-    peak = float(np.max(power))
+    # max |A|^2, the same float as the largest entry of power: squaring
+    # rounds monotonically
+    peak = sa.peak_magnitude * sa.peak_magnitude
     if peak == 0.0:
         raise ParameterError("empty spectrum: amplitude is identically zero")
     return power / peak

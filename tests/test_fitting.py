@@ -379,6 +379,11 @@ class TestImpurityLineCache:
         assert sa.grid == hint.widened()
         rest = (params_15mw.delta_c, params_15mw.gamma_doppler)
         assert list(lines) == [(hint, *rest), (sa.grid, *rest)]
+        # the widened entry holds the parent's in its middle half; the
+        # second evaluation covers the new outer quarters
+        q = hint.n_points // 2
+        parent, widened = lines[(hint, *rest)], lines[(sa.grid, *rest)]
+        assert np.array_equal(widened[q:-q], parent)
         assert len(line_evaluations) == 2
         again = sample_spectral_amplitude(params_15mw, grid_hint=hint,
                                           impurity_lines=lines)
@@ -386,6 +391,8 @@ class TestImpurityLineCache:
         plain = sample_spectral_amplitude(params_15mw, grid_hint=hint)
         assert np.array_equal(sa.amplitude, plain.amplitude)
         assert np.array_equal(again.amplitude, plain.amplitude)
+        assert np.array_equal(widened, biphoton.kernels.impurity_line_integral(
+            sa.grid.values, params_15mw))
 
 
 class TestFit:

@@ -1,9 +1,12 @@
 """Spectral amplitude sampling and the delay-domain transform."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphoton.faddeeva as F
 import biphoton.wavepacket
@@ -27,6 +30,21 @@ TAUW_NS_15MW_1GHZ = 131.41749671071227
 # 1 GHz was 1.83 MHz = 0.305 Gamma, same order as the model line
 DOMEGA_15MW_DC0 = 1.1353171055468487
 DOMEGA_15MW_1GHZ = 0.12434521182031971
+# a span whose spacing at 2^14 points no span at 2^15 points gives back
+# exactly (DetuningGrid.widened); the 15 mW point widens it once
+SPAN_WITHOUT_NESTING = 23.57263057187578
+
+
+def assert_no_span_nests(grid):
+    """No span gives ``grid``'s spacing at twice its points.  Each ulp of
+    span moves that spacing by about an ulp, so the spans within 16 ulps
+    of the widened one are all the candidates."""
+    wide = grid.widened()
+    for direction in (0.0, math.inf):
+        span = wide.delta_max
+        for _ in range(16):
+            span = math.nextafter(span, direction)
+            assert 2.0 * span / (wide.n_points - 1) != grid.spacing
 
 
 class TestGrid:
@@ -79,6 +97,27 @@ class TestGrid:
         v = g.values
         assert v[0] == -30.0 and v[-1] == 30.0
         assert np.allclose(v + v[::-1], 0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log2_n=st.integers(14, 21), span=st.floats(1e-3, 1e4))
+    def test_widened_grid_nests_its_parent(self, log2_n, span):
+        grid = DetuningGrid(span, 2**log2_n)
+        v = grid.values
+        assert np.array_equal(v, -v[::-1]) and not np.any(v == 0.0)
+        wide = grid.widened()
+        assert wide.n_points == 2 * grid.n_points
+        if wide.spacing == grid.spacing:
+            q = grid.n_points // 2
+            assert np.array_equal(wide.values[q:-q], v)
+        else:
+            assert_no_span_nests(grid)
+        with pytest.raises(GridOverflowError, match="limit"):
+            DetuningGrid(span, MAX_GRID_POINTS).widened()
+
+    def test_a_span_whose_spacing_no_widening_keeps(self):
+        grid = DetuningGrid(SPAN_WITHOUT_NESTING, 2**14)
+        assert grid.widened().spacing != grid.spacing
+        assert_no_span_nests(grid)
 
 
 class TestSampling:
@@ -184,6 +223,67 @@ class TestSampling:
         assert peak <= 2.5 * amp.nbytes
 
 
+class TestIncrementalWidening:
+    """A widening keeps the samples already taken, the middle half of the
+    widened grid, and evaluates A on the two new outer quarters alone, in
+    one amplitude_at call; the result is A on the widened grid, bit for
+    bit."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The number of detunings of every amplitude_at call the sampler
+        makes."""
+        real = biphoton.wavepacket.amplitude_at
+        log = []
+
+        def counted(delta, *args):
+            log.append(np.size(delta))
+            return real(delta, *args)
+
+        monkeypatch.setattr(biphoton.wavepacket, "amplitude_at", counted)
+        return log
+
+    # from 2^14 points the joined quarters are one slice across the join;
+    # (20, 2^14) widens twice; the auto grid (2^15) is widened once
+    @pytest.mark.parametrize("hint", [(44.5, 2**14), (20.0, 2**14), None])
+    @pytest.mark.parametrize("mode", ["plain", "derivatives", "cached"])
+    def test_equals_the_whole_widened_grid(self, params_15mw, sizes, hint,
+                                           mode):
+        grid = DetuningGrid(*hint) if hint else auto_grid(params_15mw)
+        lines = {} if mode == "cached" else None
+        derivatives = mode == "derivatives"
+        sa = sample_spectral_amplitude(params_15mw, grid_hint=grid,
+                                       impurity_lines=lines,
+                                       derivatives=derivatives)
+        n = grid.n_points
+        widenings = (sa.grid.n_points // n).bit_length() - 1
+        assert widenings >= 1
+        # n points per widening from n
+        assert sizes == [n] + [n << k for k in range(widenings)]
+        delta = sa.grid.values
+        if derivatives:
+            want, d_want = amplitude_at(delta, params_15mw, derivatives=True)
+            assert np.array_equal(sa.tangents, d_want)
+        else:
+            want = amplitude_at(delta, params_15mw)
+        assert np.array_equal(sa.amplitude, want)
+        assert sa.peak_magnitude == float(np.max(np.abs(want)))
+        if lines is not None:
+            rest = (params_15mw.delta_c, params_15mw.gamma_doppler)
+            assert np.array_equal(lines[(sa.grid, *rest)],
+                                  K.impurity_line_integral(delta,
+                                                           params_15mw))
+
+    def test_a_grid_that_does_not_nest_is_sampled_whole(self, params_15mw,
+                                                        sizes):
+        grid = DetuningGrid(SPAN_WITHOUT_NESTING, 2**14)
+        sa = sample_spectral_amplitude(params_15mw, grid_hint=grid)
+        assert sa.grid == grid.widened()
+        assert sizes == [2**14, 2**15]
+        assert np.array_equal(sa.amplitude,
+                              amplitude_at(sa.grid.values, params_15mw))
+
+
 class TestOnePointwiseCallPerSlice:
     """Each slice of amplitude_at evaluates J pointwise in one
     gaussian_pole_integral call: the anchors of both paths, the blocks
@@ -245,7 +345,7 @@ class TestOnePointwiseCallPerSlice:
         assert delta.size == 4 * _CHUNK
         amplitude_at(delta, p, derivatives=derivatives)
         assert len(calls["integral"]) == 4
-        assert calls["difference"] == [116]
+        assert calls["difference"] == [117]
 
 
 class TestWavePacket:
@@ -276,7 +376,8 @@ class TestWavePacket:
 
     def test_doubling_grid_changes_nothing(self, params_15mw):
         coarse = predict(params_15mw)
-        hint = coarse.amplitude.grid.widened()  # doubles span and points
+        # twice the points at the same spacing: about twice the span
+        hint = coarse.amplitude.grid.widened()
         dense = predict(params_15mw, grid_hint=hint)
         assert dense.rg_arb == pytest.approx(coarse.rg_arb, rel=1e-6)
 
