@@ -150,7 +150,7 @@ class RunConfig:
             return None
         dmax_mhz, n = group
         dmax = mhz_to_gamma(dmax_mhz)
-        return self.build(lambda: DetuningGrid(dmax, n),
+        return self.build(lambda: DetuningGrid.spanning(dmax, n),
                           {"DetuningGrid.delta_max": "grid.delta_max_mhz",
                            "DetuningGrid.n_points": "grid.n_points"})
 

@@ -11,9 +11,9 @@ transform G2(tau) = | (1/2pi) Integral[ A(delta) exp(-i delta tau) ] |^2.
 The transform is a trapezoid-weighted DFT, zero-padded to OVERSAMPLE
 times the grid size and scaled by d_delta/2pi, so the 1/2pi
 normalization is exact for the sampled amplitude.  Starting the sum at
-delta_min instead of 0 multiplies G(tau) by the unit-modulus factor
-exp(-i delta_min tau); only |G|^2 is formed, so that factor is never
-applied, and fftshift puts tau in increasing order.
+the grid's first sample, -delta_max, instead of 0 multiplies G(tau) by
+the unit-modulus factor exp(i delta_max tau); only |G|^2 is formed, so
+that factor is never applied, and fftshift puts tau in increasing order.
 
 ``amplitude_at`` is the one place that walks a detuning grid: it takes
 ``_CHUNK`` = 2^14 points at a time, so no temporary of the grid's size
@@ -60,26 +60,20 @@ OVERSAMPLE = 2
 
 @dataclass(frozen=True)
 class DetuningGrid:
-    """Uniform two-photon-detuning grid on [-delta_max, delta_max]
-    (units of Gamma).
+    """Uniform two-photon-detuning grid of ``n_points`` samples
+    ``spacing`` apart on [-delta_max, delta_max] (units of Gamma).
 
     The samples are (k - (n - 1)/2) spacing for k = 0 .. n - 1: the
     offsets are exact half-integers, so the grid is symmetric about 0 bit
-    for bit and, n being even, never holds delta = 0.  A grid and the one
-    :meth:`widened` returns share their spacing bit for bit (for all but
-    about one span in 2n), so the parent's samples are exactly the middle
-    half of the widened grid's.
+    for bit and, n being even, never holds delta = 0.  The grid
+    :meth:`widened` returns has the same spacing, so its middle half is
+    exactly this grid's samples.
     """
 
-    delta_max: float
+    spacing: float
     n_points: int
 
     def __post_init__(self):
-        # the etalon squares delta, and delta_max**2 must stay finite
-        if not 0.0 < self.delta_max < _HUGE_RADIUS:
-            raise ParameterError.on_field(
-                "DetuningGrid.delta_max", self.delta_max,
-                f"must be positive and below {_HUGE_RADIUS:.0e} Gamma")
         n = self.n_points
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
             raise ParameterError.on_field(
@@ -89,32 +83,39 @@ class DetuningGrid:
             raise GridOverflowError.on_field(
                 "DetuningGrid.n_points", n,
                 f"passes the {MAX_GRID_POINTS}-point limit")
+        # the etalon squares delta, and delta_max**2 must stay finite
+        if not (0.0 < self.spacing and self.delta_max < _HUGE_RADIUS):
+            raise ParameterError.on_field(
+                "DetuningGrid.delta_max", self.delta_max,
+                f"must be positive and below {_HUGE_RADIUS:.0e} Gamma")
+
+    @classmethod
+    def spanning(cls, delta_max: float, n_points: int) -> "DetuningGrid":
+        """The grid of ``n_points`` samples from -delta_max to delta_max,
+        spaced 2 delta_max/(n_points - 1) apart; a span so small that
+        the spacing underflows to 0 is refused."""
+        # n_points below 2 goes on to the constructor, which refuses it
+        spacing = 2.0 * delta_max / max(n_points - 1, 1)
+        if spacing == 0.0 and delta_max > 0.0:
+            raise ParameterError.on_field(
+                "DetuningGrid.delta_max", delta_max,
+                f"must be wide enough to space {n_points} points apart")
+        return cls(spacing, n_points)
 
     @property
-    def delta_min(self) -> float:
-        return -self.delta_max
+    def delta_max(self) -> float:
+        """The outermost sample, the same float as ``values[-1]``."""
+        return (self.n_points - 1) / 2 * self.spacing
 
     @property
     def values(self) -> np.ndarray:
         n = self.n_points
         return (np.arange(n) - (n - 1) / 2) * self.spacing
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.delta_max / (self.n_points - 1)
-
     def widened(self) -> "DetuningGrid":
-        """The grid of twice the points at this spacing, so about twice
-        the span; its middle half then is this grid's samples.
-
-        For about one span in 2n, no float delta_max gives this spacing
-        back bit for bit: 2 delta_max/(2n - 1) steps by a little over one
-        ulp of the spacing per ulp of delta_max, so it skips a few values.
-        The widened spacing is then an ulp off, and the grid does not hold
-        this one's samples.
-        """
-        n = 2 * self.n_points
-        return DetuningGrid(0.5 * self.spacing * (n - 1), n)
+        """The grid of twice the points at this spacing, so a little over
+        twice the span; its middle half is this grid's samples."""
+        return DetuningGrid(self.spacing, 2 * self.n_points)
 
 
 def _next_pow2(n):
@@ -147,8 +148,8 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
         raise GridOverflowError(
             f"{narrowest} = {getattr(params, narrowest):g} over +-"
             f"{delta_max:g} Gamma{etalon} needs over {MAX_GRID_POINTS} points")
-    return DetuningGrid(delta_max,
-                        max(MIN_GRID_POINTS, _next_pow2(math.ceil(points))))
+    return DetuningGrid.spanning(
+        delta_max, max(MIN_GRID_POINTS, _next_pow2(math.ceil(points))))
 
 
 @dataclass(frozen=True)
@@ -309,11 +310,10 @@ def sample_spectral_amplitude(params: SystemParams,
     widened grid, so a widening evaluates A only on its two new outer
     quarters, joined into one :func:`amplitude_at` call: the joined array
     has n points, a multiple of 2^14, so it is walked in whole slices as
-    the full grid would be, and A there is the same, bit for bit.  Only
-    when the widened spacing misses the parent's by an ulp (about one span
-    in 2n) is the widened grid sampled whole.  A pump-free amplitude is
-    identically zero and returned as-is.  An amplitude with an inf or NaN
-    sample raises on the grid that has it, as NUMERICAL, without widening.
+    the full grid would be, and A there is the same, bit for bit.  A
+    pump-free amplitude is identically zero and returned as-is.  An
+    amplitude with an inf or NaN sample raises on the grid that has it, as
+    NUMERICAL, without widening.
 
     With ``derivatives``, A and its ``tangents`` come from the same
     passes of :func:`amplitude_at`; A is the same, bit for bit, as
@@ -338,13 +338,9 @@ def sample_spectral_amplitude(params: SystemParams,
         parent, grid = grid, grid.widened()
         if widenings == MAX_WIDENINGS:
             break
+        # taken before the amplitude is moved: in the other order the peak
+        # RSS was 6 MB higher after a 2^17-point widening
         delta = grid.values
-        if grid.spacing != parent.spacing:
-            amp, tangents, peak = _sample(
-                delta, params, cached_impurity_line(impurity_lines, grid,
-                                                    delta, params),
-                derivatives)
-            continue
         # rebinding frees the parent's arrays before the new samples exist
         amp = _around(amp, grid.n_points)
         if tangents is not None:

@@ -556,6 +556,11 @@ PROBES = [
                  2, "CONFIG_BAD_VALUE",
                  "grid.delta_max_mhz = 1e300: must be positive and below",
                  id="grid_span_squares_past_overflow"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW + (
+        "grid.delta_max_mhz = 1e-320\ngrid.n_points = 16384\n")),
+                 2, "CONFIG_BAD_VALUE", "grid.delta_max_mhz = 1e-320: must "
+                 "be wide enough to space 16384 points apart",
+                 id="grid_span_too_small_to_space_its_points"),
     pytest.param(_probe_config("simulate",
                                SYSTEM_15MW + "grid.n_points = 16384\n"),
                  2, "CONFIG_BAD_VALUE", "grid.delta_max_mhz missing",

@@ -1,6 +1,6 @@
 """Run configuration: parsing, strictness, typed accessors, error codes."""
 
-from dataclasses import fields
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,15 @@ def keys_of(section, unit_suffix):
             for key in KNOWN_KEYS if key.startswith(section + ".")}
 
 
-@pytest.mark.parametrize("record, section, unit_suffix", [
-    (SystemParams, "system", "_ghz"), (DetuningGrid, "grid", "_mhz")])
-def test_every_field_has_a_key(record, section, unit_suffix):
-    assert {f.name for f in fields(record)} == keys_of(section, unit_suffix)
+@pytest.mark.parametrize("make, section, unit_suffix", [
+    pytest.param(SystemParams, "system", "_ghz",
+                 id="SystemParams-system-_ghz"),
+    pytest.param(DetuningGrid.spanning, "grid", "_mhz",
+                 id="DetuningGrid-grid-_mhz")])
+def test_every_field_has_a_key(make, section, unit_suffix):
+    """Each parameter of the constructor the config calls has its key."""
+    assert (set(inspect.signature(make).parameters)
+            == keys_of(section, unit_suffix))
 
 
 class TestLoad:
@@ -197,12 +202,13 @@ class TestGridAndSweep:
         cfg = load(tmp_path, "grid.delta_max_mhz = 600\n"
                              "grid.n_points = 16384\n")
         grid = cfg.grid_hint()
-        assert grid.delta_max == mhz_to_gamma(600.0)
+        assert grid.spacing == 2.0 * mhz_to_gamma(600.0) / (16384 - 1)
         assert grid.n_points == 16384
 
     @pytest.mark.parametrize("text", [
         "grid.delta_max_mhz = 600\n",
         "grid.delta_max_mhz = 600\ngrid.n_points = 1000\n",
+        "grid.delta_max_mhz = 600\ngrid.n_points = 1\n",
         "grid.delta_max_mhz = 600\ngrid.n_points = 8388608\n"])
     def test_grid_hint_errors(self, tmp_path, text):
         with pytest.raises(ConfigError) as excinfo:

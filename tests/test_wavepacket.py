@@ -1,6 +1,5 @@
 """Spectral amplitude sampling and the delay-domain transform."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -16,10 +15,10 @@ from biphoton.forward import predict
 from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import (_CHUNK, MAX_GRID_POINTS, DetuningGrid,
-                                 SpectralAmplitude, amplitude_at, auto_grid,
-                                 biphoton_spectrum, sample_spectral_amplitude,
-                                 wave_packet)
+from biphoton.wavepacket import (_CHUNK, MAX_GRID_POINTS, MAX_WIDENINGS,
+                                 DetuningGrid, SpectralAmplitude,
+                                 amplitude_at, auto_grid, biphoton_spectrum,
+                                 sample_spectral_amplitude, wave_packet)
 
 # frozen full-pipeline regression values (analytic kernels, auto grid)
 RG_15MW_DC0 = 3.524736636384084e-05
@@ -30,27 +29,13 @@ TAUW_NS_15MW_1GHZ = 131.41749671071227
 # 1 GHz was 1.83 MHz = 0.305 Gamma, same order as the model line
 DOMEGA_15MW_DC0 = 1.1353171055468487
 DOMEGA_15MW_1GHZ = 0.12434521182031971
-# a span whose spacing at 2^14 points no span at 2^15 points gives back
-# exactly (DetuningGrid.widened); the 15 mW point widens it once
-SPAN_WITHOUT_NESTING = 23.57263057187578
-
-
-def assert_no_span_nests(grid):
-    """No span gives ``grid``'s spacing at twice its points.  Each ulp of
-    span moves that spacing by about an ulp, so the spans within 16 ulps
-    of the widened one are all the candidates."""
-    wide = grid.widened()
-    for direction in (0.0, math.inf):
-        span = wide.delta_max
-        for _ in range(16):
-            span = math.nextafter(span, direction)
-            assert 2.0 * span / (wide.n_points - 1) != grid.spacing
 
 
 class TestGrid:
     def test_auto_grid_resolves_decoherence_scale(self, params_15mw):
         g = auto_grid(params_15mw)
-        assert g.delta_max == max(20.0, 5.0 * params_15mw.gamma_etalon)
+        span = max(20.0, 5.0 * params_15mw.gamma_etalon)
+        assert g.spacing == 2.0 * span / (g.n_points - 1)
         assert g.spacing <= min(params_15mw.gamma_dec,
                                 params_15mw.gamma_etalon / 100.0) / 4.0
         assert g.n_points >= 2**14 and (g.n_points & (g.n_points - 1)) == 0
@@ -68,22 +53,22 @@ class TestGrid:
         p = SystemParams(b=0.375, omega_c=11.4, gamma_dec=0.0,
                          delta_c=ghz_to_gamma(3.0))
         grid = auto_grid(p)
-        denser = DetuningGrid(grid.delta_max, 4 * grid.n_points)
+        denser = DetuningGrid.spanning(grid.delta_max, 4 * grid.n_points)
         assert predict(p).rg_arb == pytest.approx(
             predict(p, grid_hint=denser).rg_arb, rel=1e-10, abs=0.0)
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
-            DetuningGrid(2.0, 2**14 + 1)
+            DetuningGrid.spanning(2.0, 2**14 + 1)
         with pytest.raises(ParameterError):
-            DetuningGrid(2.0, 2**10)
+            DetuningGrid.spanning(2.0, 2**10)
 
     def test_grid_size_is_capped(self):
         # every case raises before any grid array exists
         with pytest.raises(GridOverflowError, match=str(MAX_GRID_POINTS)):
-            DetuningGrid(2.0, 2 * MAX_GRID_POINTS)
+            DetuningGrid.spanning(2.0, 2 * MAX_GRID_POINTS)
         with pytest.raises(GridOverflowError, match="limit"):
-            DetuningGrid(2.0, MAX_GRID_POINTS).widened()
+            DetuningGrid.spanning(2.0, MAX_GRID_POINTS).widened()
 
     @pytest.mark.parametrize("field, value", [("gamma_dec", 1e-9),
                                               ("gamma_etalon", 1e-4)])
@@ -93,7 +78,7 @@ class TestGrid:
             auto_grid(params_15mw.replace(**{field: value}))
 
     def test_grid_symmetric_values(self):
-        g = DetuningGrid(30.0, 2**14)
+        g = DetuningGrid.spanning(30.0, 2**14)
         v = g.values
         assert v[0] == -30.0 and v[-1] == 30.0
         assert np.allclose(v + v[::-1], 0.0, atol=1e-12)
@@ -101,23 +86,19 @@ class TestGrid:
     @settings(max_examples=60, deadline=None)
     @given(log2_n=st.integers(14, 21), span=st.floats(1e-3, 1e4))
     def test_widened_grid_nests_its_parent(self, log2_n, span):
-        grid = DetuningGrid(span, 2**log2_n)
-        v = grid.values
-        assert np.array_equal(v, -v[::-1]) and not np.any(v == 0.0)
-        wide = grid.widened()
-        assert wide.n_points == 2 * grid.n_points
-        if wide.spacing == grid.spacing:
+        grid = DetuningGrid.spanning(span, 2**log2_n)
+        # every widening the sampler takes, up to the size cap
+        last = min(MAX_GRID_POINTS, grid.n_points << MAX_WIDENINGS)
+        while grid.n_points < last:
+            v = grid.values
+            assert np.array_equal(v, -v[::-1]) and not np.any(v == 0.0)
+            wide = grid.widened()
+            assert wide.n_points == 2 * grid.n_points
             q = grid.n_points // 2
             assert np.array_equal(wide.values[q:-q], v)
-        else:
-            assert_no_span_nests(grid)
+            grid = wide
         with pytest.raises(GridOverflowError, match="limit"):
-            DetuningGrid(span, MAX_GRID_POINTS).widened()
-
-    def test_a_span_whose_spacing_no_widening_keeps(self):
-        grid = DetuningGrid(SPAN_WITHOUT_NESTING, 2**14)
-        assert grid.widened().spacing != grid.spacing
-        assert_no_span_nests(grid)
+            DetuningGrid.spanning(span, MAX_GRID_POINTS).widened()
 
 
 class TestSampling:
@@ -249,7 +230,8 @@ class TestIncrementalWidening:
     @pytest.mark.parametrize("mode", ["plain", "derivatives", "cached"])
     def test_equals_the_whole_widened_grid(self, params_15mw, sizes, hint,
                                            mode):
-        grid = DetuningGrid(*hint) if hint else auto_grid(params_15mw)
+        grid = (DetuningGrid.spanning(*hint) if hint
+                else auto_grid(params_15mw))
         lines = {} if mode == "cached" else None
         derivatives = mode == "derivatives"
         sa = sample_spectral_amplitude(params_15mw, grid_hint=grid,
@@ -273,15 +255,6 @@ class TestIncrementalWidening:
             assert np.array_equal(lines[(sa.grid, *rest)],
                                   K.impurity_line_integral(delta,
                                                            params_15mw))
-
-    def test_a_grid_that_does_not_nest_is_sampled_whole(self, params_15mw,
-                                                        sizes):
-        grid = DetuningGrid(SPAN_WITHOUT_NESTING, 2**14)
-        sa = sample_spectral_amplitude(params_15mw, grid_hint=grid)
-        assert sa.grid == grid.widened()
-        assert sizes == [2**14, 2**15]
-        assert np.array_equal(sa.amplitude,
-                              amplitude_at(sa.grid.values, params_15mw))
 
 
 class TestOnePointwiseCallPerSlice:
@@ -358,7 +331,7 @@ class TestWavePacket:
         # inject A = exp(-delta^2/(2 sigma^2)); G2 ~ exp(-sigma^2 tau^2),
         # so the temporal FWHM must be 2 sqrt(ln 2)/sigma
         sigma = 2.0
-        grid = DetuningGrid(40.0, 2**15)
+        grid = DetuningGrid.spanning(40.0, 2**15)
         amp = np.exp(-grid.values**2 / (2.0 * sigma**2)).astype(complex)
         sa = SpectralAmplitude(grid, amp)
         wp = wave_packet(sa)
@@ -400,7 +373,7 @@ class TestWavePacket:
 
     def test_matches_the_phased_argsort_transform(self, params_15mw):
         # reference: the twofold zero-padded DFT with the
-        # exp(-i delta_min tau) phase applied and tau sorted by argsort
+        # exp(i delta_max tau) phase applied and tau sorted by argsort
         sa = sample_spectral_amplitude(params_15mw.replace(
             delta_c=ghz_to_gamma(1.0)))
         grid = sa.grid
@@ -411,7 +384,7 @@ class TestWavePacket:
         padded[grid.n_points - 1] *= 0.5
         tau = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
         g = (grid.spacing / (2.0 * np.pi)) * np.exp(
-            -1j * grid.delta_min * tau) * np.fft.fft(padded)
+            1j * grid.delta_max * tau) * np.fft.fft(padded)
         order = np.argsort(tau, kind="stable")
         want_g2 = np.abs(g[order]) ** 2
 
@@ -433,7 +406,7 @@ class TestWavePacket:
 
 class TestSpectrum:
     def test_gaussian_amplitude_squares(self):
-        grid = DetuningGrid(40.0, 2**14)
+        grid = DetuningGrid.spanning(40.0, 2**14)
         amp = np.exp(-grid.values**2 / 8.0).astype(complex)
         spec = biphoton_spectrum(SpectralAmplitude(grid, amp))
         assert spec.max() == 1.0
