@@ -8,11 +8,12 @@ The Faddeeva function w(z) = exp(-z^2) erfc(-iz) is evaluated in-repo:
   depth 13;
 * lower half-plane: the reflection w(z) = 2 exp(-z^2) - w(-z).
 
-The rational's polynomial is summed by Horner's rule in the operation
-order of numpy's polyval, so values are bit-identical to it, but with the
-running product taken out of place (``p = p * zz``): numpy's in-place
-complex multiply rounds differently for 1-element arrays, and a scalar
-w(z) must equal the same point evaluated inside an array.  A branch that
+Every function here takes 1-d arrays.  The rational's polynomial is
+summed by Horner's rule in the operation order of numpy's polyval, so
+values are bit-identical to it, but with the running product taken out
+of place (``p = p * zz``): numpy's in-place complex multiply rounds
+differently for 1-element arrays, and w at a point must not depend on
+the size of the array it sits in or its place there.  A branch that
 covers every point of an array is applied to it whole, without a gather
 and scatter; every pole of the kernels lies in one half-plane.
 
@@ -70,13 +71,13 @@ approximants or the real axis (where J jumps by the Gaussian residue),
 or when its points all coincide (r = 0).  So are the last points of an
 array whose length is not a multiple of 32.  Arrays shorter than
 ``ALONG_MIN_POINTS`` = 2^14 points are evaluated pointwise throughout and
-equal their scalar values bit for bit; longer ones agree with pointwise J
-within 5e-14 relative (1.7e-14 measured over the detuning grids of a
-sweep), and equal it bit for bit at the anchors.  Every value depends
-only on its own block, so an array sliced at a multiple of 32 gives the
-same bits as the whole, as long as each slice still takes the Taylor
-path: the spectral amplitude walks its grids in slices of
-``ALONG_MIN_POINTS`` points for that reason.
+equal pointwise J bit for bit; longer ones agree with it within 5e-14
+relative (1.7e-14 measured over the detuning grids of a sweep), and
+equal it bit for bit at the anchors.  Every value depends only on its
+own block, so an array sliced at a multiple of 32 gives the same bits as
+the whole, as long as each slice still takes the Taylor path: the
+spectral amplitude walks its grids in slices of ``ALONG_MIN_POINTS``
+points for that reason.
 
 The blocks to carry are chosen from zeta alone, so one call takes every
 path of a slice (the kernels' dressed pole and impurity line) and loose
@@ -185,7 +186,7 @@ def _w_upper(z):
 
 
 def faddeeva_w(z):
-    """Faddeeva function w(z) for scalar or array complex argument.
+    """Faddeeva function w(z) at each point of a 1-d array ``z``.
 
     Relative accuracy of the complex value is about 3e-13 or better in
     the closed upper half-plane (worst near z = 5.75).  The lower
@@ -193,11 +194,8 @@ def faddeeva_w(z):
     intrinsic exp(Im(z)^2 - Re(z)^2) growth of w there.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = split_apply(z, ~(z.imag < 0.0), _w_upper,
-                      lambda zl: 2.0 * np.exp(-zl**2) - _w_upper(-zl))
-    return out[0] if scalar else out
+    return split_apply(z, ~(z.imag < 0.0), _w_upper,
+                       lambda zl: 2.0 * np.exp(-zl**2) - _w_upper(-zl))
 
 
 def gaussian_pole_integral(zeta):
@@ -210,17 +208,15 @@ def gaussian_pole_integral(zeta):
         J(zeta) = -i sqrt(pi) w(-zeta)   for Im(zeta) < 0.
 
     Every Doppler-averaged response in :mod:`biphoton.kernels` reduces to
-    one or two evaluations of this function.
+    one or two evaluations of this function, on 1-d complex arrays.  J at
+    a point does not depend on the size of the array it sits in or its
+    place there.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    scalar = zeta.ndim == 0
-    zeta = np.atleast_1d(zeta)
     if np.any(zeta.imag == 0.0):
         raise ValueError("gaussian_pole_integral requires Im(zeta) != 0")
-    out = split_apply(zeta, zeta.imag > 0.0,
-                      lambda zu: 1j * SQRT_PI * _w_upper(zu),
-                      lambda zl: -1j * SQRT_PI * _w_upper(-zl))
-    return out[0] if scalar else out
+    return split_apply(zeta, zeta.imag > 0.0,
+                       lambda zu: 1j * SQRT_PI * _w_upper(zu),
+                       lambda zl: -1j * SQRT_PI * _w_upper(-zl))
 
 
 def gaussian_pole_integral_along(*paths, points=None):
@@ -232,36 +228,36 @@ def gaussian_pole_integral_along(*paths, points=None):
     samples and carried to the rest of the block by a Taylor series, where
     the block is narrow enough (see the module docstring for the rules
     and the error bound).  A path shorter than ``ALONG_MIN_POINTS``
-    points, or of any other shape, is evaluated pointwise and equals
-    :func:`gaussian_pole_integral` bit for bit, as do ``points`` (of any
-    shape); a longer path agrees with it within 5e-14 relative.  Every
-    anchor, every sample of a block that is not carried and every one of
-    ``points`` go through a single :func:`gaussian_pole_integral` call.
+    points is evaluated pointwise and equals :func:`gaussian_pole_integral`
+    bit for bit, as does the 1-d array ``points``; a longer path agrees
+    with it within 5e-14 relative.  Every anchor, every sample of a block
+    that is not carried and every one of ``points`` go through a single
+    :func:`gaussian_pole_integral` call.
 
-    Returns J on each path in turn, then J at ``points`` if given: one
-    result alone, or a list of them, as :func:`numpy.atleast_1d` does.
+    Returns the list of J on each path in turn, then J at ``points`` if
+    given.
     """
-    plans = [_plan(np.asarray(zeta, dtype=complex)) for zeta in paths]
+    plans = [_plan(zeta) for zeta in paths]
     if points is not None:
-        plans.append(_pointwise(np.asarray(points, dtype=complex)))
+        plans.append((points, _unchanged))
     j = gaussian_pole_integral(np.concatenate([at for at, _ in plans]))
     out, lo = [], 0
     for at, finish in plans:
         out.append(finish(j[lo:lo + at.size]))
         lo += at.size
-    return out[0] if len(out) == 1 else out
+    return out
 
 
-def _pointwise(zeta):
-    """``_plan`` for an array that is evaluated pointwise throughout."""
-    return zeta.ravel(), lambda j: j.reshape(zeta.shape)[()]
+def _unchanged(j):
+    """The ``finish`` of an array that is evaluated pointwise throughout."""
+    return j
 
 
 def _plan(zeta):
     """(at, finish) for one path: the samples where J is evaluated
     pointwise, and the function that takes J there to J on ``zeta``."""
-    if zeta.ndim != 1 or zeta.size < ALONG_MIN_POINTS:
-        return _pointwise(zeta)
+    if zeta.size < ALONG_MIN_POINTS:
+        return zeta, _unchanged
     n_full = zeta.size - zeta.size % _ALONG_BLOCK
     out = np.empty_like(zeta)
     blocks = zeta[:n_full].reshape(-1, _ALONG_BLOCK)
@@ -353,13 +349,12 @@ def gaussian_pole_difference(zeta0, zeta1):
       a b^2 g_(n-1) with g_p = h_p(a, b, b) = b g_(p-1) + h_p(a, b), so
       dD/dzeta0 = -sum_k c_k a b^2 g_(2k).
 
-    Elementwise over the broadcast pole pairs.  Relative accuracy is about
-    2e-11 or better for D and 1e-8 for its derivative, limited by J itself.
+    Elementwise over the pole pairs of the 1-d array ``zeta0`` and
+    ``zeta1``, an array of the same size or one pole.  Relative accuracy
+    is about 2e-11 or better for D and 1e-8 for its derivative, limited
+    by J itself.
     """
-    z0, z1 = np.broadcast_arrays(np.asarray(zeta0, dtype=complex),
-                                 np.asarray(zeta1, dtype=complex))
-    scalar = z0.ndim == 0
-    z0, z1 = np.atleast_1d(z0), np.atleast_1d(z1)
+    z0, z1 = np.broadcast_arrays(zeta0, zeta1)
     diff = np.empty(z0.shape, dtype=complex)
     slope = np.empty_like(diff)
     near = np.abs(0.5 * (z0 + z1)) < _CF_RADIUS
@@ -367,7 +362,7 @@ def gaussian_pole_difference(zeta0, zeta1):
                           (~near, _difference_asymptotic)):
         if where.any():
             diff[where], slope[where] = series(z0[where], z1[where])
-    return (diff[0], slope[0]) if scalar else (diff, slope)
+    return diff, slope
 
 
 def _difference_taylor(z0, z1):

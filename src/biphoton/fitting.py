@@ -352,8 +352,13 @@ def _standard_errors(jac, r, free):
     try:
         dof = max(r.size - int(free.sum()), 1)
         jac = jac[:, free]
+        # columns of unit norm, so that pinv's cutoff does not drop one
+        # whose units make it small (the scale's is ~1e-8 of the others)
+        norms = np.linalg.norm(jac, axis=0)
+        norms[norms == 0.0] = 1.0
+        jac = jac / norms
         cov = np.linalg.pinv(jac.T @ jac) * (_chi2(r) / dof)
-        errs[free] = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        errs[free] = np.sqrt(np.maximum(np.diag(cov), 0.0)) / norms
     except np.linalg.LinAlgError:
         errs[:] = np.nan
     return errs

@@ -40,12 +40,13 @@ rest of the block by its Taylor series, where the block is narrow enough
 (the rules and the error bound are in the :mod:`~biphoton.faddeeva`
 docstring).  A pass hands it both paths, or the dressed pole alone when
 the impurity line is given, and the pump pole zeta_1, so that one
-pointwise Faddeeva call serves them all.  Arrays shorter than 2^14
-detunings are evaluated pointwise, so a kernel there equals its scalar
-values bit for bit.  On 2^14 or more detunings, the size of every grid
-the package samples, each J agrees with its scalar value within that
-bound, 5e-14 relative, not bit for bit.  A kernel passes that on as it
-passes on J's own error of up to 3e-13: magnified where its formula
+pointwise Faddeeva call serves them all.  Every kernel takes a 1-d array
+of detunings.  Arrays shorter than 2^14 detunings are evaluated
+pointwise, so a kernel there gives each detuning the same bits as an
+array of that detuning alone.  On 2^14 or more detunings, the size of
+every grid the package samples, each J agrees with pointwise J within
+that bound, 5e-14 relative, not bit for bit.  A kernel passes that on
+as it passes on J's own error of up to 3e-13: magnified where its formula
 cancels, most in kappa's divided difference next to the merged-pole
 band (up to 8e-12 relative measured on auto grids, gamma_dec = 0
 included).  ``doppler_responses``,
@@ -107,9 +108,7 @@ def etalon_response(delta, gamma_etalon):
     """
     if not gamma_etalon > 0:
         raise ParameterError("gamma_etalon must be positive")
-    delta = np.asarray(delta, dtype=float)
-    out = (1.0 / (1.0 + 4.0 * delta**2 / gamma_etalon**2)) ** 2
-    return float(out) if out.ndim == 0 else out
+    return (1.0 / (1.0 + 4.0 * delta**2 / gamma_etalon**2)) ** 2
 
 
 # Below these |z| the closed forms S = (E - 1)/(2iz) and S' = (E - S)/z,
@@ -124,8 +123,8 @@ _SINC_PHASE_SLOPE_SERIES = [(k + 1) * (2j) ** (k + 1) / math.factorial(k + 2)
 
 
 def sinc_phase(z):
-    """S(z) = sinc(z) exp(iz) = (exp(2iz) - 1)/(2iz) for scalar or array
-    complex z, from one complex exponential.
+    """S(z) = sinc(z) exp(iz) = (exp(2iz) - 1)/(2iz) at each point of a
+    1-d complex array ``z``, from one complex exponential.
 
     Rounding leaves an absolute error of about eps (1 + |exp(2iz)|)/|2z|.
     That is within 1e-14 of S relative, and of :func:`complex_sinc`
@@ -135,10 +134,7 @@ def sinc_phase(z):
     stays exact, where sin(z) itself would overflow.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = _sinc_phase(z, np.exp(2j * z))
-    return complex(out[0]) if scalar else out
+    return _sinc_phase(z, np.exp(2j * z))
 
 
 def sinc_phase_tangent(z):
@@ -184,7 +180,8 @@ _SINC_SERIES_CUTOFF = 1e-4
 
 
 def complex_sinc(z):
-    """sin(z)/z for complex z with the removable singularity filled in.
+    """sin(z)/z at each point of a 1-d complex array ``z``, with the
+    removable singularity filled in.
 
     Below |z| = 1e-4 the Taylor series 1 - z^2/6 + z^4/120 is used; its
     truncation error there is ~1e-29, so the two branches agree to well
@@ -192,11 +189,8 @@ def complex_sinc(z):
     sinc(z) exp(iz) from :func:`sinc_phase`; this is its reference.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = split_apply(z, np.abs(z) < _SINC_SERIES_CUTOFF, _sinc_series,
-                      lambda zb: np.sin(zb) / zb)
-    return complex(out[0]) if scalar else out
+    return split_apply(z, np.abs(z) < _SINC_SERIES_CUTOFF, _sinc_series,
+                       lambda zb: np.sin(zb) / zb)
 
 
 def _sinc_series(z):
@@ -374,15 +368,6 @@ def kappa_integrand(delta, p: SystemParams):
 # ---------------------------------------------------------------------------
 # analytic reductions
 
-def _as_delta_array(delta):
-    arr = np.asarray(delta, dtype=float)
-    return arr.ndim == 0, np.atleast_1d(arr)
-
-
-def _as_scalar_or_array(out, scalar):
-    return complex(out[0]) if scalar else out
-
-
 def _probe_pole(d, params: SystemParams):
     return d + params.delta_c + 0.5j
 
@@ -435,10 +420,9 @@ def _dressed_pole(d, params: SystemParams, line=False, pump=False):
     paths = [zeta0, _impurity_line(p_pole, params)] if line else [zeta0]
     pump = pump and params.omega_p != 0.0
     j = gaussian_pole_integral_along(
-        *paths, points=_pump_pole(params) / gd if pump else None)
-    j = j if isinstance(j, list) else [j]
+        *paths, points=np.array([_pump_pole(params) / gd]) if pump else None)
     return (_DressedPole(q, p_pole, degenerate, regular, omega0, zeta0, j[0]),
-            j[1] if line else None, complex(j[-1]) if pump else None)
+            j[1] if line else None, complex(j[-1][0]) if pump else None)
 
 
 def _rho_c(dp: _DressedPole, params: SystemParams):
@@ -526,11 +510,9 @@ def rho_m_bar(delta, params: SystemParams):
     """Doppler-averaged impurity response at two-photon detuning ``delta``.
 
     Prefactor b*alpha/2 on the averaged two-level line; the imaginary part
-    is strictly positive (pure absorber).  Accepts scalars or arrays.
+    is strictly positive (pure absorber).
     """
-    scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(
-        _rho_m(impurity_line_integral(d, params), params), scalar)
+    return _rho_m(impurity_line_integral(delta, params), params)
 
 
 def impurity_line_integral(delta, params: SystemParams):
@@ -541,9 +523,8 @@ def impurity_line_integral(delta, params: SystemParams):
     gamma_dec, so a caller that varies those can evaluate it once and
     hand it to :func:`doppler_responses`.
     """
-    scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(gaussian_pole_integral_along(
-        _impurity_line(_probe_pole(d, params), params)), scalar)
+    return gaussian_pole_integral_along(
+        _impurity_line(_probe_pole(delta, params), params))[0]
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -555,9 +536,7 @@ def rho_c_bar(delta, params: SystemParams):
     two-photon resonance with gamma_dec = 0 the response vanishes (or, if
     Omega_c = 0 as well, reduces to the two-level line).
     """
-    scalar, d = _as_delta_array(delta)
-    return _as_scalar_or_array(_rho_c(_dressed_pole(d, params)[0], params),
-                               scalar)
+    return _rho_c(_dressed_pole(delta, params)[0], params)
 
 
 def kappa_bar(delta, params: SystemParams):
@@ -571,10 +550,8 @@ def kappa_bar(delta, params: SystemParams):
     a series (:func:`~biphoton.faddeeva.gaussian_pole_difference`), so the
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
-    scalar, d = _as_delta_array(delta)
-    dp, _, j1 = _dressed_pole(d, params, pump=True)
-    return _as_scalar_or_array(
-        _kappa(dp, params, _pole_split(dp, params, j1)), scalar)
+    dp, _, j1 = _dressed_pole(delta, params, pump=True)
+    return _kappa(dp, params, _pole_split(dp, params, j1))
 
 
 def doppler_responses(delta, params: SystemParams, impurity_line=None):
@@ -587,15 +564,13 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
     ``impurity_line_integral(delta, params)`` computed earlier, and saves
     evaluating the line.
     """
-    scalar, d = _as_delta_array(delta)
-    _, _, _, rho, kap = _responses(d, params, impurity_line)
-    return (_as_scalar_or_array(rho, scalar),
-            _as_scalar_or_array(kap, scalar))
+    _, _, _, rho, kap = _responses(delta, params, impurity_line)
+    return rho, kap
 
 
 def _responses(d, params: SystemParams, impurity_line):
     """The dressed pole, the impurity line, the pole split, rho and kappa
-    at array ``d``."""
+    at ``d``."""
     dp, line, j1 = _dressed_pole(d, params, line=impurity_line is None,
                                  pump=True)
     if impurity_line is None:
@@ -606,7 +581,7 @@ def _responses(d, params: SystemParams, impurity_line):
 
 
 def response_tangents(delta, params: SystemParams, impurity_line=None):
-    """``doppler_responses`` at array ``delta``, with its derivatives.
+    """``doppler_responses`` at ``delta``, with its derivatives.
 
     Returns (rho, kappa, tangents): rho and kappa equal
     ``doppler_responses`` bit for bit, and ``tangents`` is the list of the
@@ -628,8 +603,8 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
     sample of a zero-symmetric grid with an even number of points) only
     d rho_m/d b is carried; the other derivatives there are zero.
     """
-    dp, impurity_line, split, rho, kap = _responses(
-        np.asarray(delta, dtype=float), params, impurity_line)
+    dp, impurity_line, split, rho, kap = _responses(delta, params,
+                                                    impurity_line)
     return rho, kap, _tangents(dp, impurity_line, split, params)
 
 

@@ -156,36 +156,28 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
 class SpectralAmplitude:
     """A(delta) sampled on a detuning grid.
 
-    ``tangents``, when asked for, is the (3, n) array of dA with respect
-    to b, Omega_c and gamma_dec on the same grid.  ``peak_magnitude`` is
-    max |A|, found from the amplitude when not given.
+    ``peak_magnitude`` is max |A|.  ``tangents``, when asked for, is the
+    (3, n) array of dA with respect to b, Omega_c and gamma_dec on the
+    same grid.
     """
 
     grid: DetuningGrid
     amplitude: np.ndarray
+    peak_magnitude: float
     tangents: np.ndarray | None = None
-    peak_magnitude: float | None = None
-
-    def __post_init__(self):
-        if self.peak_magnitude is None:
-            object.__setattr__(self, "peak_magnitude",
-                               float(np.max(np.abs(self.amplitude))))
 
 
 def amplitude_at(delta, params: SystemParams, impurity_line=None,
                  derivatives=False):
-    """The integrand A(delta), at a scalar or along a 1-d array of
-    detunings, or (A, dA) with ``derivatives``.
+    """(A, dA): the integrand A(delta) along a 1-d array of detunings, and
+    with ``derivatives`` its tangents dA, else None.
 
-    An array is walked ``_CHUNK`` points at a time.  dA is the (3, n)
+    The array is walked ``_CHUNK`` points at a time.  dA is the (3, n)
     array of the derivatives of A with respect to b, Omega_c and
     gamma_dec, and A is the same, bit for bit, with or without it.
     ``impurity_line`` is an optional precomputed
     ``kernels.impurity_line_integral(delta, params)``.
     """
-    if np.ndim(delta) == 0 and not derivatives:
-        return _amplitude(delta, params, impurity_line)
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
     amp = np.empty(delta.size, dtype=complex)
     d_amp = np.empty((3, delta.size), dtype=complex) if derivatives else None
     for lo in range(0, delta.size, _CHUNK):
@@ -196,7 +188,7 @@ def amplitude_at(delta, params: SystemParams, impurity_line=None,
                                                             params, line)
         else:
             amp[part] = _amplitude(delta[part], params, line)
-    return (amp, d_amp) if derivatives else amp
+    return amp, d_amp
 
 
 def _amplitude(delta, params: SystemParams, impurity_line):
@@ -289,8 +281,7 @@ def _set_ends(a, ends):
 def _sample(delta, params, line, derivatives):
     """(A, dA or None, max |A|) on ``delta`` from one :func:`amplitude_at`
     call; raises NUMERICAL on an inf or NaN sample of A."""
-    sampled = amplitude_at(delta, params, line, derivatives)
-    amp, tangents = sampled if derivatives else (sampled, None)
+    amp, tangents = amplitude_at(delta, params, line, derivatives)
     peak = float(np.max(np.abs(amp)))
     if not math.isfinite(peak):
         raise BiphotonError("spectral amplitude is not finite")
@@ -333,7 +324,7 @@ def sample_spectral_amplitude(params: SystemParams,
                                             params), derivatives)
     for widenings in range(MAX_WIDENINGS + 1):
         if max(abs(amp[0]), abs(amp[-1])) <= EDGE_DECAY * peak:
-            return SpectralAmplitude(grid, amp, tangents, peak)
+            return SpectralAmplitude(grid, amp, peak, tangents)
         # past MAX_GRID_POINTS, widened() raises before the decay error
         parent, grid = grid, grid.widened()
         if widenings == MAX_WIDENINGS:

@@ -44,6 +44,12 @@ def adaptive_oracle():
     return QuadratureSpec(method=METHOD_ADAPTIVE, panel_tolerance=1e-11)
 
 
+def at_point(f, x, *args):
+    """``f`` at the one point ``x``, through a one-element array; the
+    numerical core takes 1-d arrays only."""
+    return f(np.array([x]), *args)[0]
+
+
 def rel_err(approx, exact):
     exact = complex(exact)
     if exact == 0:

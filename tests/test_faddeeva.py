@@ -24,6 +24,8 @@ from biphoton.faddeeva import (_ALONG_AMPLIFICATION, _ALONG_BLOCK,
                                gaussian_pole_integral,
                                gaussian_pole_integral_along)
 
+from conftest import at_point
+
 
 def j_oracle(z, half=30.0, n=3_000_001):
     t = np.linspace(-half, half, n)
@@ -51,34 +53,38 @@ REFERENCE_POINTS = [
 
 @pytest.mark.parametrize("z", REFERENCE_POINTS)
 def test_faddeeva_matches_quadrature_oracle(z):
-    assert abs(faddeeva_w(z) - w_oracle(z)) / abs(w_oracle(z)) < 1e-10
+    assert abs(at_point(faddeeva_w, z) - w_oracle(z)) / abs(w_oracle(z)) \
+        < 1e-10
 
 
 def test_branch_crossover_is_seamless():
     # same accuracy immediately on both sides of the |z| = 10 switchover
     for z in (9.999 + 0.3j, 10.001 + 0.3j, 0.1 + 9.999j, 0.1 + 10.001j):
-        assert abs(faddeeva_w(z) - w_oracle(z)) / abs(w_oracle(z)) < 1e-11
+        assert abs(at_point(faddeeva_w, z) - w_oracle(z)) \
+            / abs(w_oracle(z)) < 1e-11
 
 
 def test_known_values():
     # w(0) = 1; w(i y) = exp(y^2) erfc(y) is real
-    assert faddeeva_w(0.0) == pytest.approx(1.0)
-    wi = faddeeva_w(1j)
+    assert at_point(faddeeva_w, 0.0) == pytest.approx(1.0)
+    wi = at_point(faddeeva_w, 1j)
     assert wi.imag == pytest.approx(0.0, abs=1e-15)
     assert wi.real == pytest.approx(0.42758357615580700442, rel=1e-12)
 
 
 def test_lower_half_plane_reflection():
     z = 1.3 - 0.7j
-    expected = 2.0 * np.exp(-z**2) - faddeeva_w(-z)
-    assert faddeeva_w(z) == pytest.approx(expected, rel=1e-12)
+    expected = 2.0 * np.exp(-z**2) - at_point(faddeeva_w, -z)
+    assert at_point(faddeeva_w, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_vectorized_matches_scalar():
+    # a point alone, in a one-element array, gets the bits it gets inside
+    # a longer array, in every branch
     zs = np.array([0.5 + 0.5j, -2.0 + 1e-3j, 15.0 + 2.0j, 1.0 - 0.2j])
     vec = faddeeva_w(zs)
-    for i, z in enumerate(zs):
-        assert vec[i] == faddeeva_w(complex(z))
+    for i in range(zs.size):
+        assert faddeeva_w(zs[i:i + 1])[0] == vec[i]
 
 
 def rational_single_pass(z):
@@ -137,37 +143,44 @@ def test_blocked_rational_in_a_gathered_mixed_branch_array():
 def test_conjugation_symmetry(x, y):
     # w(-conj(z)) = conj(w(z)) maps the UHP to itself
     z = complex(x, y)
-    assert faddeeva_w(-np.conj(z)) == pytest.approx(np.conj(faddeeva_w(z)),
-                                                    rel=1e-12)
+    assert at_point(faddeeva_w, -np.conj(z)) == pytest.approx(
+        np.conj(at_point(faddeeva_w, z)), rel=1e-12)
 
 
 def test_asymptotic_tail():
     z = 3e7 + 4e7j
-    assert faddeeva_w(z) == pytest.approx(1j / (SQRT_PI * z), rel=1e-10)
+    assert at_point(faddeeva_w, z) == pytest.approx(1j / (SQRT_PI * z),
+                                                    rel=1e-10)
 
 
 class TestGaussianPoleIntegral:
     @pytest.mark.parametrize("zeta", [0.4 + 0.2j, -1.1 + 3.0j, 6.0 + 1e-3j])
     def test_upper_half_plane(self, zeta):
-        assert gaussian_pole_integral(zeta) == pytest.approx(j_oracle(zeta),
-                                                             rel=1e-10)
+        assert at_point(gaussian_pole_integral, zeta) == pytest.approx(
+            j_oracle(zeta), rel=1e-10)
 
     @pytest.mark.parametrize("zeta", [0.4 - 0.2j, -1.1 - 3.0j, 6.0 - 1e-3j])
     def test_lower_half_plane(self, zeta):
-        assert gaussian_pole_integral(zeta) == pytest.approx(j_oracle(zeta),
-                                                             rel=1e-10)
+        assert at_point(gaussian_pole_integral, zeta) == pytest.approx(
+            j_oracle(zeta), rel=1e-10)
 
     def test_half_plane_jump_is_the_gaussian_residue(self):
         # J jumps by 2 i sqrt(pi) exp(-x^2) across the real axis
         x = 0.8
-        up = gaussian_pole_integral(x + 1e-9j)
-        dn = gaussian_pole_integral(x - 1e-9j)
+        up, dn = gaussian_pole_integral(np.array([x + 1e-9j, x - 1e-9j]))
         assert (up - dn) / (2j * SQRT_PI) == pytest.approx(np.exp(-x**2),
                                                            rel=1e-6)
 
     def test_real_axis_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_pole_integral(1.0 + 0.0j)
+            gaussian_pole_integral(np.array([1.0 + 0.0j]))
+
+
+def difference_at(z0, z1):
+    """``gaussian_pole_difference``'s pair (D, dD/dzeta0) at one pair of
+    poles."""
+    diff, slope = gaussian_pole_difference(np.array([z0]), z1)
+    return diff[0], slope[0]
 
 
 # midpoints on both sides of the |m| = 8 switch between the Taylor and the
@@ -178,7 +191,7 @@ class TestGaussianPoleIntegral:
 def test_pole_difference_matches_quadrature_oracle(m, rel_sep):
     h = rel_sep * max(1.0, abs(m)) * np.exp(0.4j)
     z0, z1 = m - h / 2, m + h / 2
-    got, _ = gaussian_pole_difference(z0, z1)
+    got, _ = difference_at(z0, z1)
     want = difference_oracle(z0, z1)
     assert abs(got - want) / abs(want) < 1e-10
 
@@ -187,7 +200,7 @@ def test_pole_difference_is_the_plain_difference_when_apart():
     z0, z1 = 2.0 - 0.3j, 2.001 - 0.3j
     j0, j1 = gaussian_pole_integral(np.array([z0, z1]))
     plain = (j1 - j0) / (z1 - z0)
-    diff, _ = gaussian_pole_difference(z0, z1)
+    diff, _ = difference_at(z0, z1)
     assert diff == pytest.approx(plain, rel=1e-9)
     vec, _ = gaussian_pole_difference(np.array([z0, 9.0 - 1j]), z1)
     assert vec[0] == diff
@@ -195,7 +208,7 @@ def test_pole_difference_is_the_plain_difference_when_apart():
 
 def difference_slope(z0, z1):
     """The d/dzeta0 half of ``gaussian_pole_difference``'s pair."""
-    return gaussian_pole_difference(z0, z1)[1]
+    return difference_at(z0, z1)[1]
 
 
 class TestPoleDifferenceDerivative:
@@ -210,8 +223,8 @@ class TestPoleDifferenceDerivative:
         h = rel_sep * max(1.0, abs(m)) * np.exp(0.4j)
         z0, z1 = m - h / 2, m + h / 2
         step = 1e-5 * max(1.0, abs(m))
-        want = (gaussian_pole_difference(z0 + step, z1)[0]
-                - gaussian_pole_difference(z0 - step, z1)[0]) / (2 * step)
+        want = (difference_at(z0 + step, z1)[0]
+                - difference_at(z0 - step, z1)[0]) / (2 * step)
         got = difference_slope(z0, z1)
         assert abs(got - want) / abs(got) < 1e-8
 
@@ -228,11 +241,15 @@ class TestPoleDifferenceDerivative:
         assert abs(got - closed) / abs(closed) < 1e-8
 
     def test_vectorized_matches_scalar(self):
-        z1 = 2.0 - 0.3j
+        # a pole pair alone, in one-element arrays, gets the bits it gets
+        # inside longer arrays, in both series
         z0 = np.array([2.0005 - 0.3j, 9.0 - 1.0j + 1e-3])
-        vec = difference_slope(z0, np.array([z1, 9.0 - 1.0j]))
-        assert vec[0] == difference_slope(z0[0], z1)
-        assert vec[1] == difference_slope(z0[1], 9.0 - 1.0j)
+        z1 = np.array([2.0 - 0.3j, 9.0 - 1.0j])
+        vec = gaussian_pole_difference(z0, z1)
+        for i in range(z0.size):
+            alone = gaussian_pole_difference(z0[i:i + 1], z1[i:i + 1])
+            assert alone[0][0] == vec[0][i]
+            assert alone[1][0] == vec[1][i]
 
 
 # the bound gaussian_pole_integral_along keeps against pointwise J
@@ -273,23 +290,23 @@ class TestGaussianPoleIntegralAlong:
         zeta = np.linspace(start, stop, n)
         want = gaussian_pole_integral(zeta)
         counted = self.counting(monkeypatch)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         assert relative_deviation(got, want) <= ALONG_RTOL
         # nearly every block is carried from its anchor alone
         assert sum(counted) <= 2 * n // _ALONG_BLOCK
 
     def test_anchors_are_pointwise_bit_for_bit(self):
         zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2**15)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         mid = slice(_ALONG_BLOCK // 2, None, _ALONG_BLOCK)
         assert np.array_equal(got[mid], gaussian_pole_integral(zeta[mid]))
 
     def test_slices_give_the_same_bits_as_the_whole(self):
         zeta = np.linspace(-5.0 - 0.05j, 9.0 - 0.05j, 4 * ALONG_MIN_POINTS)
-        whole = gaussian_pole_integral_along(zeta)
+        whole, = gaussian_pole_integral_along(zeta)
         for lo in range(0, zeta.size, ALONG_MIN_POINTS):
             part = slice(lo, lo + ALONG_MIN_POINTS)
-            assert np.array_equal(gaussian_pole_integral_along(zeta[part]),
+            assert np.array_equal(gaussian_pole_integral_along(zeta[part])[0],
                                   whole[part])
 
     @pytest.mark.parametrize("n", [ALONG_MIN_POINTS + 1,
@@ -297,29 +314,23 @@ class TestGaussianPoleIntegralAlong:
                                    3 * ALONG_MIN_POINTS + 45])
     def test_lengths_that_are_not_a_multiple_of_the_block(self, n):
         zeta = np.linspace(-4.0 - 0.02j, 4.0 - 0.02j, n)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         assert relative_deviation(got, gaussian_pole_integral(zeta)) \
             <= ALONG_RTOL
         full = n - n % _ALONG_BLOCK
         # the remainder is pointwise; the blocks before it do not see it
         assert np.array_equal(got[full:], gaussian_pole_integral(zeta[full:]))
         assert np.array_equal(got[:full],
-                              gaussian_pole_integral_along(zeta[:full]))
+                              gaussian_pole_integral_along(zeta[:full])[0])
 
     def test_short_arrays_equal_their_scalar_values(self):
+        # a short path is pointwise, and each point of it gets the bits
+        # it gets alone, in a one-element path
         zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, ALONG_MIN_POINTS - 1)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         assert np.array_equal(got, gaussian_pole_integral(zeta))
         for i in range(0, zeta.size, 997):
-            assert got[i] == gaussian_pole_integral(complex(zeta[i]))
-
-    def test_other_shapes_are_pointwise(self):
-        zeta = np.linspace(-3.0 - 0.01j, 3.0 - 0.01j, 2 * ALONG_MIN_POINTS)
-        grid = zeta.reshape(2, -1)
-        assert np.array_equal(gaussian_pole_integral_along(grid),
-                              gaussian_pole_integral(grid))
-        assert gaussian_pole_integral_along(zeta[7]) == \
-            gaussian_pole_integral(zeta[7])
+            assert got[i] == gaussian_pole_integral_along(zeta[i:i + 1])[0][0]
 
     def test_block_straddling_the_switch_is_pointwise(self):
         # |zeta| crosses 8 once, inside a block; every block is narrow
@@ -328,7 +339,7 @@ class TestGaussianPoleIntegralAlong:
         step = 1.2e-4
         zeta = (np.sqrt(_CF_RADIUS**2 - 0.25) - 0.5j
                 + (np.arange(ALONG_MIN_POINTS) - crossing + 0.5) * step)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         want = gaussian_pole_integral(zeta)
         blocks = np.abs(zeta).reshape(-1, _ALONG_BLOCK)
         straddles = (blocks.min(axis=1) < _CF_RADIUS) & \
@@ -344,7 +355,7 @@ class TestGaussianPoleIntegralAlong:
         # J jumps across the real axis; the path crosses it between samples
         zeta = np.linspace(1.0 - 0.2j, 1.0 + 0.2j + 1e-7, ALONG_MIN_POINTS)
         assert not np.any(zeta.imag == 0.0)
-        got = gaussian_pole_integral_along(zeta)
+        got, = gaussian_pole_integral_along(zeta)
         assert relative_deviation(got, gaussian_pole_integral(zeta)) \
             <= ALONG_RTOL
         crossing = np.flatnonzero(np.diff(np.sign(zeta.imag)))[0]
@@ -470,8 +481,8 @@ def along_calls(draw):
              for _ in range(draw(st.integers(1, 3)))]
     poles = st.builds(complex, st.floats(-1e150, 1e150),
                       st.floats(-1e150, 1e150).filter(bool))
-    points = draw(st.one_of(st.none(), poles,
-                            st.lists(poles, max_size=4).map(np.array)))
+    points = draw(st.one_of(st.none(), st.lists(poles, max_size=4).map(
+        lambda zs: np.array(zs, dtype=complex))))
     return paths, points
 
 
@@ -492,8 +503,6 @@ class TestOneCallAlongPaths:
         paths, points = call
         assume(all(np.all(zeta.imag != 0.0) for zeta in paths))
         got = gaussian_pole_integral_along(*paths, points=points)
-        if len(paths) == 1 and points is None:
-            got = [got]
         assert len(got) == len(paths) + (points is not None)
         for zeta, j in zip(paths, got):
             assert same_bits(j, along_reference(zeta))
@@ -505,5 +514,5 @@ class TestOneCallAlongPaths:
                  np.linspace(7.9 - 0.5j, 8.1 - 0.5j, ALONG_MIN_POINTS),
                  np.linspace(1.0 + 0.2j, 1.1 + 0.2j, 100)]
         counted = TestGaussianPoleIntegralAlong.counting(monkeypatch)
-        gaussian_pole_integral_along(*paths, points=0.3 - 0.5j)
+        gaussian_pole_integral_along(*paths, points=np.array([0.3 - 0.5j]))
         assert len(counted) == 1

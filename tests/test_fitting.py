@@ -441,6 +441,19 @@ class TestFit:
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_errors_follow_the_units_of_the_rates(self):
+        """Rates and their error bars 1e6 times larger scale the scale's
+        error by 1e6 and leave b's: pinv drops no column of the Jacobian
+        for its units alone."""
+        series = synthesize_series(THETA_TRUE, DETUNINGS, noise=0.02, seed=7)
+        big = replace(series, rg=1e6 * series.rg, rg_err=1e6 * series.rg_err)
+        base = fit_series(series, init=INIT)
+        scaled = fit_series(big, init=INIT._replace(scale=1e6 * INIT.scale))
+        assert scaled.theta_err.scale == pytest.approx(
+            1e6 * base.theta_err.scale, rel=1e-6)
+        assert scaled.theta_err.b == pytest.approx(base.theta_err.b,
+                                                   rel=1e-9)
+
     def test_zero_amplitude_at_the_start(self, clean_series):
         # with the pump off, A is zero at every detuning
         series = replace(clean_series,
