@@ -19,9 +19,12 @@ derivatives in (b, omega_c, gamma_dec) (``forward.predict`` with
 loop asks for them at every theta it evaluates, since a step it takes
 needs the Jacobian there next, and holds the residuals r and the
 Jacobian J of its current theta, so nothing is evaluated twice and no
-per-theta cache is kept.  Four smooth parameters need nothing fancier;
-everything is deterministic for fixed inputs.  A Jacobian whose J^T J
-is not finite ends the fit with a NUMERICAL error before any step.
+value is kept per theta.  The one input theta does not move, each
+detuning's Doppler-averaged impurity line, the forward model evaluates
+once per fit and passes down to every sweep.  Four smooth parameters
+need nothing fancier; everything is deterministic for fixed inputs.  A
+Jacobian whose J^T J is not finite ends the fit with a NUMERICAL error
+before any step.
 """
 
 import math
@@ -35,6 +38,7 @@ from .errors import (BiphotonError, ExtractionError, GridOverflowError,
                      ParameterError)
 from .faddeeva import _HUGE_RADIUS
 from .forward import detuning_sweep
+from .kernels import impurity_line_integral
 from .params import SystemParams
 from .units import ghz_to_gamma, tau_to_ns
 from .wavepacket import DetuningGrid, auto_grid
@@ -83,17 +87,21 @@ class DetuningSeries:
     label: str = ""
 
     def __post_init__(self):
-        arrays = (self.delta_c_ghz, self.rg, self.rg_err,
-                  self.tau_w_ns, self.tau_w_err)
+        arrays = {name: getattr(self, name) for name in (
+            "delta_c_ghz", "rg", "rg_err", "tau_w_ns", "tau_w_err")}
         n = self.delta_c_ghz.size
-        if any(a.ndim != 1 or a.size != n for a in arrays):
+        if any(a.ndim != 1 or a.size != n for a in arrays.values()):
             raise ParameterError("series columns must be 1-d and equal length")
         if n < 4:
             raise ParameterError("series needs at least 4 detuning points")
+        for name, a in arrays.items():
+            # NaN fails the comparison, so a NaN error bar stops here
+            if name.endswith("_err") and not np.all(a > 0):
+                raise ParameterError(f"error bars {name} must be positive")
+            if not np.all(np.isfinite(a)):
+                raise ParameterError(f"series column {name} must be finite")
         if np.unique(self.delta_c_ghz).size != n:
             raise ParameterError("detunings must be distinct")
-        if not (np.all(self.rg_err > 0) and np.all(self.tau_w_err > 0)):
-            raise ParameterError("error bars must be positive")
 
     @property
     def n_points(self) -> int:
@@ -141,12 +149,13 @@ class _ForwardModel:
     zero for noiseless data.
 
     The model keeps no values per theta: the fit holds those of its
-    current theta.  It keeps the impurity-line integral of each detuning
-    and grid (see ``sample_spectral_amplitude``), which theta does not
-    move: n_delta_c complex arrays of the grid's size, so 5 MB for a
-    5-point series on a 2^16-point grid, and more only if a point widens
-    its grid.  The values are the same, bit for bit, as without that
-    cache, and with or without derivatives.
+    current theta.  It evaluates the impurity-line integral of each
+    detuning on the frozen grid once, since theta does not move it, and
+    hands the lines to every sweep: n_delta_c complex arrays of the
+    grid's size, so 5 MB for a 5-point series on a 2^16-point grid.  A
+    point that widens its grid evaluates the line on the new samples
+    with its amplitude.  The values are the same, bit for bit, as
+    without the lines, and with or without derivatives.
     """
 
     def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
@@ -159,7 +168,13 @@ class _ForwardModel:
             raise
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
         self.delta_c = ghz_to_gamma(self.delta_c_ghz)
-        self._impurity_lines: dict = {}
+        self.impurity_lines = []
+        for dc_ghz, dc in zip(self.delta_c_ghz, self.delta_c):
+            try:
+                self.impurity_lines.append(impurity_line_integral(
+                    self.grid.values, fixed.replace(delta_c=float(dc))))
+            except BiphotonError as exc:
+                raise _at_detuning(exc, dc_ghz)
 
     def __call__(self, theta, derivatives=False):
         """(rg_arb, tau_w_ns, d_rg_arb, d_tau_w_ns) at every detuning, for
@@ -175,8 +190,7 @@ class _ForwardModel:
                                     gamma_dec=theta[2])
         points = []
         for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
-                params, self.delta_c, grid_hint=self.grid,
-                impurity_lines=self._impurity_lines,
+                params, self.delta_c, self.grid, self.impurity_lines,
                 derivatives=derivatives)):
             if isinstance(pred, BiphotonError):
                 raise _at_detuning(pred, dc_ghz)

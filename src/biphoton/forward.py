@@ -7,8 +7,9 @@ and its tangents come from one sweep of the grid (forward mode, as in
 Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 """
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -47,13 +48,14 @@ class ModelPrediction:
 
 def predict(params: SystemParams,
             grid_hint: DetuningGrid | None = None,
-            impurity_lines: dict | None = None,
+            impurity_line: np.ndarray | None = None,
             derivatives: bool = False) -> ModelPrediction:
     """Run the pipeline and extract (R_g, tau_w, delta_omega).
 
     A zero amplitude (pump off) yields rg_arb = 0 with NaN widths rather
     than an extraction error, so sweeps can record the degenerate point.
-    ``impurity_lines`` is the optional cache of
+    ``impurity_line`` is the optional impurity-line integral of ``params``
+    on ``grid_hint``, passed on to
     :func:`~biphoton.wavepacket.sample_spectral_amplitude`.
 
     ``derivatives`` adds ``d_rg_arb`` and ``d_tau_w`` (NaN for a zero
@@ -64,9 +66,8 @@ def predict(params: SystemParams,
     amplitude a, and d tau_w follows the linear interpolation of ``fwhm``
     with d g2 = 2 Re(conj(G) dG).
     """
-    sa = sample_spectral_amplitude(params, grid_hint=grid_hint,
-                                   impurity_lines=impurity_lines,
-                                   derivatives=derivatives)
+    sa = sample_spectral_amplitude(params, grid_hint, impurity_line,
+                                   derivatives)
     wp = wave_packet(sa)
     rg = generation_rate(wp)
     d_rg = d_tau_w = None
@@ -99,20 +100,23 @@ def _rate_and_width_tangents(sa: SpectralAmplitude, wp: WavePacket):
 
 def detuning_sweep(params: SystemParams, delta_c_values,
                    grid_hint: DetuningGrid | None = None,
-                   impurity_lines: dict | None = None,
+                   impurity_lines: Sequence[np.ndarray] | None = None,
                    derivatives: bool = False
                    ) -> Iterator[ModelPrediction | BiphotonError]:
-    """Yield the forward model at each coupling detuning (units of Gamma).
+    """Yield the forward model at each coupling detuning, a 1-d float
+    array ``delta_c_values`` (units of Gamma).
 
     Points run in order as they are consumed, all from ``grid_hint``; a
     point whose pipeline fails yields its BiphotonError in its place.
-    ``impurity_lines`` and ``derivatives`` are passed on to every
-    :func:`predict`.
+    ``impurity_lines``, if given, holds each detuning's impurity-line
+    integral on ``grid_hint``, in the order of ``delta_c_values``; each
+    point's line and ``derivatives`` are passed on to its :func:`predict`.
     """
-    for dc in np.atleast_1d(np.asarray(delta_c_values, dtype=float)):
+    lines = repeat(None) if impurity_lines is None else impurity_lines
+    for dc, line in zip(delta_c_values, lines):
         try:
             yield predict(params.replace(delta_c=float(dc)),
-                          grid_hint=grid_hint, impurity_lines=impurity_lines,
+                          grid_hint=grid_hint, impurity_line=line,
                           derivatives=derivatives)
         except BiphotonError as exc:
             yield exc

@@ -40,9 +40,8 @@ import numpy as np
 
 from .errors import BiphotonError, GridOverflowError, ParameterError
 from .faddeeva import _HUGE_RADIUS, ALONG_MIN_POINTS as _CHUNK
-from .kernels import (doppler_responses, etalon_response,
-                      impurity_line_integral, response_tangents, sinc_phase,
-                      sinc_phase_tangent)
+from .kernels import (doppler_responses, etalon_response, response_tangents,
+                      sinc_phase, sinc_phase_tangent)
 from .params import SystemParams
 
 # a grid holds at least one slice of amplitude_at.  _CHUNK is also a
@@ -228,34 +227,6 @@ def _amplitude_tangents(delta, params: SystemParams, impurity_line):
         return _assemble(s, kap, etalon), d_amp
 
 
-def cached_impurity_line(impurity_lines, grid, delta, params, parent=None):
-    """The impurity line of ``params`` on ``delta``, samples of ``grid``,
-    from the cache dict ``impurity_lines`` (see
-    :func:`sample_spectral_amplitude`); None when there is no cache.
-
-    Without ``parent``, ``delta`` is the whole grid, and a miss evaluates
-    the line on it and keeps it.  With ``parent``, a grid whose entry the
-    cache holds and whose samples are the middle half of ``grid``'s,
-    ``delta`` is the outer quarters of ``grid`` joined, and so is the
-    line returned; a miss evaluates the line on ``delta`` alone and keeps
-    it around the parent's entry.
-    """
-    if impurity_lines is None:
-        return None
-    rest = (params.delta_c, params.gamma_doppler)
-    entry = impurity_lines.get((grid, *rest))
-    if entry is not None:
-        return entry if parent is None else _ends(entry)
-    line = impurity_line_integral(delta, params)
-    if parent is None:
-        entry = line
-    else:
-        entry = _around(impurity_lines[(parent, *rest)], grid.n_points)
-        _set_ends(entry, line)
-    impurity_lines[(grid, *rest)] = entry
-    return line
-
-
 def _around(middle, n_points):
     """A new array of ``n_points`` samples along the last axis, with
     ``middle`` as its middle half; the outer quarters are left unset."""
@@ -290,7 +261,7 @@ def _sample(delta, params, line, derivatives):
 
 def sample_spectral_amplitude(params: SystemParams,
                               grid_hint: DetuningGrid | None = None,
-                              impurity_lines: dict | None = None,
+                              impurity_line: np.ndarray | None = None,
                               derivatives: bool = False) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
@@ -310,23 +281,22 @@ def sample_spectral_amplitude(params: SystemParams,
     passes of :func:`amplitude_at`; A is the same, bit for bit, as
     without.
 
-    ``impurity_lines``, if given, is a dict that keeps the impurity-line
-    integral of each (grid, delta_c, gamma_doppler) it has seen: a caller
-    that varies only b, Omega_c or gamma_dec between calls then evaluates
-    it once per grid and detuning, and a widened grid's entry extends its
-    parent's.  The amplitude is the same, bit for bit, with or without
-    it.
+    ``impurity_line``, if given, is
+    ``kernels.impurity_line_integral(grid_hint.values, params)``, which
+    does not depend on b, Omega_c or gamma_dec: a caller that varies only
+    those evaluates it once and passes it to every call.  It serves the
+    first grid; a widening evaluates the line on its new quarters in the
+    same pass as A.  The amplitude is the same, bit for bit, with or
+    without it.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     delta = grid.values
-    amp, tangents, peak = _sample(
-        delta, params, cached_impurity_line(impurity_lines, grid, delta,
-                                            params), derivatives)
+    amp, tangents, peak = _sample(delta, params, impurity_line, derivatives)
     for widenings in range(MAX_WIDENINGS + 1):
         if max(abs(amp[0]), abs(amp[-1])) <= EDGE_DECAY * peak:
             return SpectralAmplitude(grid, amp, peak, tangents)
         # past MAX_GRID_POINTS, widened() raises before the decay error
-        parent, grid = grid, grid.widened()
+        grid = grid.widened()
         if widenings == MAX_WIDENINGS:
             break
         # taken before the amplitude is moved: in the other order the peak
@@ -337,14 +307,11 @@ def sample_spectral_amplitude(params: SystemParams,
         if tangents is not None:
             tangents = _around(tangents, grid.n_points)
         delta = _ends(delta)
-        line = cached_impurity_line(impurity_lines, grid, delta, params,
-                                    parent)
-        new_amp, new_tangents, new_peak = _sample(delta, params, line,
-                                                  derivatives)
-        _set_ends(amp, new_amp)
+        ends, d_ends, ends_peak = _sample(delta, params, None, derivatives)
+        _set_ends(amp, ends)
         if tangents is not None:
-            _set_ends(tangents, new_tangents)
-        peak = max(peak, new_peak)
+            _set_ends(tangents, d_ends)
+        peak = max(peak, ends_peak)
     raise GridOverflowError(
         f"spectral amplitude does not decay below {EDGE_DECAY:.0e} of its "
         f"peak within {MAX_WIDENINGS} grid widenings")

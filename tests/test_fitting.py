@@ -27,7 +27,7 @@ from biphoton.fitting import (_LOWER, _UPPER, PARAM_NAMES, DetuningSeries,
                               synthesize_series)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import _CHUNK, auto_grid, sample_spectral_amplitude
+from biphoton.wavepacket import _CHUNK
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -102,6 +102,18 @@ class TestSeries:
                            rg=np.ones(4), rg_err=np.ones(4),
                            tau_w_ns=np.ones(4),
                            tau_w_err=np.array([1.0, 1.0, np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["delta_c_ghz", "rg", "rg_err",
+                                        "tau_w_ns", "tau_w_err"])
+    def test_non_finite_entry_names_its_column(self, column, bad):
+        columns = {"delta_c_ghz": np.array([0.1, 0.5, 0.9, 1.0]),
+                   "rg": np.ones(4), "rg_err": np.ones(4),
+                   "tau_w_ns": np.ones(4), "tau_w_err": np.ones(4)}
+        columns[column][2] = bad
+        # \b: the rate column is not named by its error bars' name
+        with pytest.raises(ParameterError, match=rf"\b{column}\b"):
+            DetuningSeries(**columns)
 
 
 class TestSynthesize:
@@ -213,6 +225,18 @@ class TestForwardModel:
     def test_grid_from_the_initial_gamma_dec(self, gamma_dec, n_points):
         model = _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
         assert model.grid.n_points == n_points
+
+    def test_line_failure_names_its_detuning(self, clean_series):
+        # finite in GHz, but inf in units of Gamma: the model's impurity
+        # line at that point cannot be built
+        dc = clean_series.delta_c_ghz.copy()
+        dc[1] = 1e307
+        with pytest.raises(ParameterError) as excinfo, \
+                np.errstate(over="ignore"):
+            fit_series(replace(clean_series, delta_c_ghz=dc), init=INIT)
+        assert str(excinfo.value) == (
+            "SystemParams.delta_c = inf: must be finite "
+            "(at delta_c = 1e+307 GHz)")
 
     @pytest.mark.parametrize("gamma_dec", [1e-4, 1e-5])
     def test_too_narrow_initial_gamma_dec(self, gamma_dec):
@@ -368,31 +392,6 @@ class TestImpurityLineCache:
                                         delta_c=ghz_to_gamma(DETUNINGS[-1]))
         plain = predict(params, grid_hint=model.grid)
         assert plain.rg_arb == rg[-1] and plain.tau_w_ns == tw[-1]
-
-    def test_widened_grid_gets_its_own_entry(self, params_15mw,
-                                             line_evaluations):
-        hint = auto_grid(params_15mw)
-        lines = {}
-        sa = sample_spectral_amplitude(params_15mw, grid_hint=hint,
-                                       impurity_lines=lines)
-        # the auto grid of this point is widened once
-        assert sa.grid == hint.widened()
-        rest = (params_15mw.delta_c, params_15mw.gamma_doppler)
-        assert list(lines) == [(hint, *rest), (sa.grid, *rest)]
-        # the widened entry holds the parent's in its middle half; the
-        # second evaluation covers the new outer quarters
-        q = hint.n_points // 2
-        parent, widened = lines[(hint, *rest)], lines[(sa.grid, *rest)]
-        assert np.array_equal(widened[q:-q], parent)
-        assert len(line_evaluations) == 2
-        again = sample_spectral_amplitude(params_15mw, grid_hint=hint,
-                                          impurity_lines=lines)
-        assert len(line_evaluations) == 2
-        plain = sample_spectral_amplitude(params_15mw, grid_hint=hint)
-        assert np.array_equal(sa.amplitude, plain.amplitude)
-        assert np.array_equal(again.amplitude, plain.amplitude)
-        assert np.array_equal(widened, biphoton.kernels.impurity_line_integral(
-            sa.grid.values, params_15mw))
 
 
 class TestFit:
