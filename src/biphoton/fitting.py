@@ -22,9 +22,19 @@ Jacobian J of its current theta, so nothing is evaluated twice and no
 value is kept per theta.  The one input theta does not move, each
 detuning's Doppler-averaged impurity line, the forward model evaluates
 once per fit and passes down to every sweep.  Four smooth parameters
-need nothing fancier; everything is deterministic for fixed inputs.  A
-Jacobian whose J^T J is not finite ends the fit with a NUMERICAL error
-before any step.
+need nothing fancier; everything is deterministic for fixed inputs.
+
+The fit has converged when the Gauss-Newton decrement over the columns a
+step moves, d = g_s^T (J_s^T J_s)^+ g_s with J_s the Jacobian scaled to
+unit-norm columns and g_s = J_s^T r, is at most 1e-6: no full
+Gauss-Newton step could lower chi2 by more than 1e-6, so theta is within
+about 1e-3 standard errors of a stationary point.  Unlike a bound on
+J^T r, d does not change when the data or the parameters are rescaled
+(Moré, Lecture Notes in Math. 630 (1978)).  The same test ends the loop
+and sets ``converged``; ``stop_reason`` names the exit that ended it: the
+decrement, a relative chi2 drop below 1e-10, no damping that lowers
+chi2, or the iteration budget.  A Jacobian whose J^T J is not finite ends
+the fit with a NUMERICAL error, tested before its decrement.
 """
 
 import math
@@ -51,9 +61,9 @@ _UPPER = np.array([1.0, math.nextafter(_HUGE_RADIUS, 0.0), np.inf, np.inf])
 # nominal relative error bar attached to noiseless synthetic series so the
 # weighted fit stays defined
 _NOISELESS_SIGMA_REL = 0.01
-# optimizer settings: projected-gradient and relative chi2-drop stopping
-# tolerances, initial Levenberg damping
-_GRADIENT_TOL = 1e-6
+# optimizer settings: Gauss-Newton decrement (chi2 units) and relative
+# chi2-drop stopping tolerances, initial Levenberg damping
+_DECREMENT_TOL = 1e-6
 _CHI2_REL_TOL = 1e-10
 _LAMBDA_INIT = 1e-3
 # gamma_dec of the default starting point, and so of its model's grid
@@ -135,6 +145,9 @@ class FitResult:
     per_point: np.ndarray       # columns: delta_c_ghz, rg_pred, tau_w_pred_ns
     converged: bool
     iterations: int
+    # why the loop stopped: "decrement", "chi2_stall", "no_improving_step"
+    # or "iteration_budget"
+    stop_reason: str
 
 
 class _ForwardModel:
@@ -273,8 +286,37 @@ def _gradient(x, r, jac, free):
     return grad, free & ~held
 
 
-def _stationary(grad, move):
-    return np.max(np.abs(grad[move]), initial=0.0) < _GRADIENT_TOL
+def _normal_matrix(jac, iteration):
+    """J^T J; a NUMERICAL error naming ``iteration`` where it is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jtj = jac.T @ jac
+    if not np.isfinite(jtj).all():
+        raise BiphotonError(
+            f"normal matrix J^T J is not finite at iteration {iteration}")
+    return jtj
+
+
+def _scaled_normal_inverse(jac):
+    """(J_s^T J_s)^+ and the column norms of ``jac``, where J_s is ``jac``
+    with each column divided by its norm (a column of norm 0 by 1).
+
+    Scaled so that pinv's cutoff does not drop a column whose units make
+    it small (the scale's is ~1e-8 of the others).
+    """
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    jac = jac / norms
+    return np.linalg.pinv(jac.T @ jac), norms
+
+
+def _decrement(jac, grad, move):
+    """The Gauss-Newton decrement g_s^T (J_s^T J_s)^+ g_s over the ``move``
+    columns, with g_s = J_s^T r the gradient ``grad`` in the scaled
+    columns: the drop in chi2 that a full Gauss-Newton step predicts."""
+    inverse, norms = _scaled_normal_inverse(jac[:, move])
+    g = grad[move] / norms
+    return float(g @ inverse @ g)
 
 
 def fit_series(series: DetuningSeries, init: Theta | None = None,
@@ -309,18 +351,15 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     lam = _LAMBDA_INIT
     # FitOptions holds max_iterations >= 1, so the loop binds iterations
     for iterations in range(1, options.max_iterations + 1):
+        jtj = _normal_matrix(jac, iterations)
         grad, move = _gradient(x, r, jac, free)
-        if _stationary(grad, move):
+        if _decrement(jac, grad, move) <= _DECREMENT_TOL:
+            stop_reason = "decrement"
             break
 
         # the damped step leaves out the columns that do not move; solving
         # for a held one too would tilt the step of the others towards a
         # move that the clip below then undoes
-        with np.errstate(over="ignore", invalid="ignore"):
-            jtj = jac.T @ jac
-        if not np.isfinite(jtj).all():
-            raise BiphotonError(
-                f"normal matrix J^T J is not finite at iteration {iterations}")
         jtj = jtj[np.ix_(move, move)]
         diag = np.maximum(np.diag(jtj), 1e-30)
         for _ in range(25):
@@ -341,23 +380,30 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
                 break
             lam *= 8.0
         else:
-            break       # no damping lowered chi2
+            stop_reason = "no_improving_step"
+            break
         rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
         x, values, r, jac, chi2 = x_try, values_try, r_try, jac_try, chi2_try
         lam = max(lam / 3.0, 1e-14)
         if rel_drop < _CHI2_REL_TOL:
+            stop_reason = "chi2_stall"
             break
+    else:
+        stop_reason = "iteration_budget"
 
-    # the loop may have stopped on stalled chi2, so converged means the
-    # projected gradient at the final x cleared the tolerance
-    converged = bool(_stationary(*_gradient(x, r, jac, free)))
+    converged = stop_reason == "decrement"
+    if stop_reason in ("chi2_stall", "iteration_budget"):
+        # these end the loop on a step, at a theta it has not tested
+        _normal_matrix(jac, iterations)
+        converged = (_decrement(jac, *_gradient(x, r, jac, free))
+                     <= _DECREMENT_TOL)
     errs = _standard_errors(jac, r, free)
     rg_model, tw_model = values[:2]
     per_point = np.column_stack(
         [series.delta_c_ghz, x[3] * rg_model, tw_model])
     return FitResult(theta=Theta(*x), theta_err=Theta(*errs), chi2=chi2,
                      per_point=per_point, converged=converged,
-                     iterations=iterations)
+                     iterations=iterations, stop_reason=stop_reason)
 
 
 def _standard_errors(jac, r, free):
@@ -365,13 +411,8 @@ def _standard_errors(jac, r, free):
     errs = np.zeros(4)
     try:
         dof = max(r.size - int(free.sum()), 1)
-        jac = jac[:, free]
-        # columns of unit norm, so that pinv's cutoff does not drop one
-        # whose units make it small (the scale's is ~1e-8 of the others)
-        norms = np.linalg.norm(jac, axis=0)
-        norms[norms == 0.0] = 1.0
-        jac = jac / norms
-        cov = np.linalg.pinv(jac.T @ jac) * (_chi2(r) / dof)
+        inverse, norms = _scaled_normal_inverse(jac[:, free])
+        cov = inverse * (_chi2(r) / dof)
         errs[free] = np.sqrt(np.maximum(np.diag(cov), 0.0)) / norms
     except np.linalg.LinAlgError:
         errs[:] = np.nan
@@ -443,6 +484,7 @@ def format_fit_report(result: FitResult, series: DetuningSeries) -> str:
     lines = [f"series: {series.label or '(unlabeled)'}",
              f"converged: {str(result.converged).lower()}",
              f"iterations: {result.iterations}",
+             f"stop_reason: {result.stop_reason}",
              f"chi2: {float(result.chi2)!r}"]
     for name in PARAM_NAMES:
         val = float(getattr(result.theta, name))

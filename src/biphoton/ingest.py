@@ -42,6 +42,7 @@ import numpy as np
 from .errors import DataValueError, ParameterError, ParseError
 from .fitting import DetuningSeries
 from .observables import DetectionChain
+from .units import ghz_to_gamma
 
 # the numeric .meta keys in the order save_histogram writes them, each with
 # the record and field its value fills, as a ParameterError names them
@@ -312,8 +313,14 @@ def load_series(path, fixed) -> DetuningSeries:
     rows is a usage error (SERIES_TOO_SHORT), any other fault a ParseError.
     """
     path = Path(path)
-    table, _ = _read_table(path, SERIES_HEADER, "series file",
-                           "DATA_NOT_FOUND")
+    table, lines = _read_table(path, SERIES_HEADER, "series file",
+                               "DATA_NOT_FOUND")
+    # finite in GHz is not enough: the model works in units of Gamma
+    with np.errstate(over="ignore"):
+        far = ~np.isfinite(ghz_to_gamma(table[:, 0]))
+    if far.any():
+        raise _row_error(path.name, lines, far, "delta_c_ghz in row {} is "
+                         "not finite in units of Gamma")
     if table.shape[0] < 4:
         raise ParameterError(f"need >= 4 points, got {table.shape[0]}",
                              code="SERIES_TOO_SHORT")

@@ -479,6 +479,13 @@ PROBES = [
                  3, "DATA_PARSE", "non-finite value in row "
                  "'2.2,1.3,nan,66.0,1.0' (s.csv:6)",
                  id="series_whitespace_line_between_rows"),
+    # finite in GHz, inf in units of Gamma: a fault of the data file, and
+    # no overflow warning
+    pytest.param(_probe_series(SERIES_ROWS[0], "1e307,1.1,0.1,62.0,1.0",
+                               *SERIES_ROWS[2:]),
+                 3, "DATA_PARSE", "delta_c_ghz in row '1e307,1.1,0.1,62.0,1.0'"
+                 " is not finite in units of Gamma (s.csv:3)",
+                 id="series_detuning_overflows_in_gamma_units"),
     pytest.param(_probe_histogram(row=(5, "3.2,1e20")), 3, "DATA_PARSE",
                  "count in row '3.2,1e20' is not an integer in [0, 2^53) "
                  "(hist.csv:6)", id="histogram_count_past_float_integers"),

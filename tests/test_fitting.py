@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import biphoton.fitting
 import biphoton.forward
 import biphoton.kernels
 from biphoton.config import ConfigError
@@ -21,7 +22,7 @@ from biphoton.errors import ExtractionError, GridOverflowError, ParameterError
 from biphoton.forward import predict
 from biphoton.fitting import (_LOWER, _UPPER, PARAM_NAMES, DetuningSeries,
                               FitOptions, Theta, _ForwardModel, _gradient,
-                              _linearize, _residual_vector,
+                              _chi2, _linearize, _residual_vector,
                               apply_multiplicative_noise, default_init,
                               fit_series, format_fit_report, residuals,
                               synthesize_series)
@@ -67,6 +68,16 @@ def central_difference_jacobian(x, series, model, rel_step=1e-6, floor=1e-4):
 @pytest.fixture(scope="module")
 def clean_series():
     return synthesize_series(THETA_TRUE, DETUNINGS, noise=0.0, seed=123)
+
+
+@pytest.fixture(scope="module")
+def rescaled_fits():
+    """Fits from INIT of a 2 %-noisy series, and of the same series with
+    its rates and their error bars 1e6 times larger."""
+    series = synthesize_series(THETA_TRUE, DETUNINGS, noise=0.02, seed=7)
+    big = replace(series, rg=1e6 * series.rg, rg_err=1e6 * series.rg_err)
+    return (fit_series(series, init=INIT),
+            fit_series(big, init=INIT._replace(scale=1e6 * INIT.scale)))
 
 
 class TestSeries:
@@ -440,14 +451,11 @@ class TestFit:
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_errors_follow_the_units_of_the_rates(self):
+    def test_errors_follow_the_units_of_the_rates(self, rescaled_fits):
         """Rates and their error bars 1e6 times larger scale the scale's
         error by 1e6 and leave b's: pinv drops no column of the Jacobian
         for its units alone."""
-        series = synthesize_series(THETA_TRUE, DETUNINGS, noise=0.02, seed=7)
-        big = replace(series, rg=1e6 * series.rg, rg_err=1e6 * series.rg_err)
-        base = fit_series(series, init=INIT)
-        scaled = fit_series(big, init=INIT._replace(scale=1e6 * INIT.scale))
+        base, scaled = rescaled_fits
         assert scaled.theta_err.scale == pytest.approx(
             1e6 * base.theta_err.scale, rel=1e-6)
         assert scaled.theta_err.b == pytest.approx(base.theta_err.b,
@@ -487,6 +495,7 @@ class TestFit:
         result = fit_series(clean_series, init=init,
                             options=FitOptions(max_iterations=1))
         assert result.converged is False
+        assert result.stop_reason == "iteration_budget"
         assert np.isfinite(result.chi2)
 
     def test_freezing_b_degrades_impurity_data_fit(self, clean_series):
@@ -519,7 +528,8 @@ class TestFit:
         report = format_fit_report(result, clean_series)
         assert "per_point: delta_c_ghz,rg_meas,rg_pred,tauw_meas,tauw_pred" \
             in report
-        assert report.count("\n") == 9 + clean_series.n_points
+        assert f"stop_reason: {result.stop_reason}\n" in report
+        assert report.count("\n") == 10 + clean_series.n_points
 
     def test_default_init_lands_in_basin(self, clean_series):
         init = default_init(clean_series)
@@ -527,3 +537,79 @@ class TestFit:
         assert init.scale > 0
         r = residuals(init, clean_series)
         assert np.all(np.isfinite(r))
+
+
+class TestStopRule:
+    """A fit stops when a full Gauss-Newton step would lower chi2 by no
+    more than 1e-6, a test that rescaling the data does not move."""
+
+    def test_scale_only_fit_reaches_the_closed_form_optimum(self,
+                                                            clean_series):
+        result = fit_series(clean_series, init=INIT, options=FitOptions(
+            freeze=("b", "omega_c", "gamma_dec")))
+        # the rates are linear in the scale, so its optimum is closed form
+        model = _ForwardModel(clean_series.fixed, DETUNINGS, INIT.gamma_dec)
+        rg, tw, _, _ = model(np.asarray(INIT))
+        weight = clean_series.rg_err ** -2.0
+        scale = (np.sum(weight * rg * clean_series.rg)
+                 / np.sum(weight * rg * rg))
+        best = _chi2(_residual_vector(INIT._replace(scale=scale),
+                                      clean_series, rg, tw))
+        assert result.stop_reason == "decrement" and result.converged
+        assert abs(result.chi2 - best) <= 1e-6
+        assert result.theta[:3] == INIT[:3]
+
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_noisy_fits_converge_on_the_decrement(self, seed):
+        series = synthesize_series(THETA_TRUE, DETUNINGS, noise=0.02,
+                                   seed=seed)
+        result = fit_series(series, init=INIT)
+        assert result.stop_reason == "decrement" and result.converged
+        assert result.chi2 <= _chi2(residuals(THETA_TRUE, series))
+
+    def test_rescaled_rates_stop_the_same_way(self, rescaled_fits):
+        base, scaled = rescaled_fits
+        assert base.converged
+        assert ((scaled.iterations, scaled.converged, scaled.stop_reason)
+                == (base.iterations, base.converged, base.stop_reason))
+
+    def test_clean_fit_takes_at_most_five_passes(self, clean_series,
+                                                 monkeypatch):
+        real = _ForwardModel.__call__
+        passes = []
+
+        def counted(model, theta, derivatives=False):
+            passes.append(derivatives)
+            return real(model, theta, derivatives)
+
+        monkeypatch.setattr(_ForwardModel, "__call__", counted)
+        result = fit_series(clean_series, init=INIT)
+        assert result.stop_reason == "decrement" and result.converged
+        assert len(passes) <= 5 and all(passes)
+
+    def test_no_improving_step(self, clean_series, monkeypatch):
+        # every trial theta has a NaN rate, so no damping lowers chi2
+        real = _ForwardModel.__call__
+        start = []
+
+        def nan_after_the_start(model, theta, derivatives=False):
+            if not start:
+                start.append(real(model, theta, derivatives))
+                return start[0]
+            rg, tw, d_rg, d_tw = start[0]
+            return np.full_like(rg, np.nan), tw, d_rg, d_tw
+
+        monkeypatch.setattr(_ForwardModel, "__call__", nan_after_the_start)
+        result = fit_series(clean_series, init=INIT)
+        assert result.stop_reason == "no_improving_step"
+        assert not result.converged and result.iterations == 1
+        assert result.theta == INIT
+
+    def test_chi2_stall(self, clean_series, monkeypatch):
+        # with a relative tolerance of 1, every accepted step stalls; the
+        # verdict then comes from the decrement at the step's theta
+        monkeypatch.setattr(biphoton.fitting, "_CHI2_REL_TOL", 1.0)
+        result = fit_series(clean_series, init=INIT)
+        assert result.stop_reason == "chi2_stall"
+        assert not result.converged and result.iterations == 1
+        assert result.theta != INIT

@@ -240,6 +240,18 @@ class TestLoadSeries:
             load_series(write_series(tmp_path, rows), SystemParams())
         assert (excinfo.value.code, excinfo.value.status) == ("DATA_PARSE", 3)
 
+    @pytest.mark.parametrize("dc", ["1e307", "-1e307"])
+    def test_detuning_past_gamma_units_names_its_row(self, tmp_path, dc):
+        # finite in GHz, but it overflows in units of Gamma; refused
+        # without an overflow warning (pytest makes one an error)
+        rows = SERIES_ROWS[:2] + [f"{dc},1.2,0.1,64.0,1.0"] + SERIES_ROWS[3:]
+        with pytest.raises(ParseError) as excinfo:
+            load_series(write_series(tmp_path, rows), SystemParams())
+        assert str(excinfo.value) == (
+            f"delta_c_ghz in row '{dc},1.2,0.1,64.0,1.0' is not finite in "
+            "units of Gamma (s.csv:4)")
+        assert excinfo.value.code == "DATA_PARSE"
+
     def test_header_checked(self, tmp_path):
         path = write_series(tmp_path, SERIES_ROWS, header="a,b,c,d,e")
         with pytest.raises(ParseError, match=r"s\.csv:1"):
