@@ -51,7 +51,7 @@ from .forward import detuning_sweep
 from .kernels import impurity_line_integral
 from .params import SystemParams
 from .units import ghz_to_gamma, tau_to_ns
-from .wavepacket import DetuningGrid, auto_grid
+from .wavepacket import MAX_GRID_POINTS, DetuningGrid, auto_grid
 
 PARAM_NAMES = ("b", "omega_c", "gamma_dec", "scale")
 _LOWER = np.array([0.0, 1e-3, 0.0, 1e-300])
@@ -153,19 +153,26 @@ class FitResult:
 class _ForwardModel:
     """The uncalibrated forward-model series of a fit, theta by theta.
 
-    The detuning grid is frozen once per fit (one widening beyond the
-    auto-sized grid of the initial gamma_dec, the only fitted parameter
-    the grid depends on) so the model stays a smooth function of theta:
-    letting the grid re-size itself as gamma_dec moves would step the
-    discretization under the fit.  The series generator uses the same
-    policy, so a residual evaluated at the generating theta is exactly
-    zero for noiseless data.
+    The detuning grid is frozen once per fit so the model stays a smooth
+    function of theta: letting the grid re-size itself as gamma_dec moves
+    would step the discretization under the fit.  It is the auto grid of
+    twice the initial gamma_dec (the only fitted parameter the grid
+    depends on), widened once: the span of the widened auto grid, at 2
+    samples per gamma_dec where the auto grid takes 4.  The fit reads
+    only integrals of the amplitude: R_g, a trapezoid sum of |A|^2 whose
+    error falls exponentially with the spacing (Trefethen and Weideman,
+    SIAM Rev. 56, 385 (2014)), and tau_w, read on a tau grid whose step
+    the span sets.  Only the pointwise width of |A|^2, which the fit
+    never reads, needs 4 samples per gamma_dec.  At gamma_dec = 0 and at
+    the auto grid's floor, doubling gamma_dec leaves the grid as it is.
+    The series generator uses the same policy, so a residual evaluated
+    at the generating theta is exactly zero for noiseless data.
 
     The model keeps no values per theta: the fit holds those of its
     current theta.  It evaluates the impurity-line integral of each
     detuning on the frozen grid once, since theta does not move it, and
     hands the lines to every sweep: n_delta_c complex arrays of the
-    grid's size, so 5 MB for a 5-point series on a 2^16-point grid.  A
+    grid's size, so 2.5 MB for a 5-point series on a 2^15-point grid.  A
     point that widens its grid evaluates the line on the new samples
     with its amplitude.  The values are the same, bit for bit, as
     without the lines, and with or without derivatives.
@@ -175,12 +182,20 @@ class _ForwardModel:
         self.fixed = fixed
         try:
             self.grid: DetuningGrid = auto_grid(
-                fixed.replace(gamma_dec=gamma_dec)).widened()
+                fixed.replace(gamma_dec=2.0 * gamma_dec)).widened()
         except GridOverflowError as exc:
-            exc.args = (f"fit grid at gamma_dec = {gamma_dec:g}: {exc}",)
+            exc.args = (f"fit grid at gamma_dec = {gamma_dec:g}: passes "
+                        f"the {MAX_GRID_POINTS}-point limit",)
             raise
         self.delta_c_ghz = np.asarray(delta_c_ghz, dtype=float)
-        self.delta_c = ghz_to_gamma(self.delta_c_ghz)
+        # finite in GHz is not enough: the model works in units of Gamma
+        with np.errstate(over="ignore"):
+            self.delta_c = ghz_to_gamma(self.delta_c_ghz)
+        far = ~np.isfinite(self.delta_c)
+        if far.any():
+            raise ParameterError(
+                f"delta_c_ghz = {float(self.delta_c_ghz[far][0])!r} is not "
+                "finite in units of Gamma")
         self.impurity_lines = []
         for dc_ghz, dc in zip(self.delta_c_ghz, self.delta_c):
             try:

@@ -27,8 +27,8 @@ from biphoton.fitting import (_LOWER, _UPPER, PARAM_NAMES, DetuningSeries,
                               fit_series, format_fit_report, residuals,
                               synthesize_series)
 from biphoton.params import SystemParams
-from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import _CHUNK
+from biphoton.units import ghz_to_gamma, tau_to_ns
+from biphoton.wavepacket import _CHUNK, DetuningGrid
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -230,31 +230,67 @@ class TestResiduals:
 
 
 class TestForwardModel:
-    # building the model sizes its grid without sampling anything
+    # building the model sizes its grid without sampling anything: the
+    # auto grid of twice the initial gamma_dec, widened once, which at
+    # gamma_dec = 0 and at the floor (0.03) is that of gamma_dec itself
     @pytest.mark.parametrize("gamma_dec, n_points", [(0.0, 2**15),
-                                                     (0.013, 2**16)])
+                                                     (0.013, 2**15),
+                                                     (0.03, 2**15)])
     def test_grid_from_the_initial_gamma_dec(self, gamma_dec, n_points):
         model = _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
         assert model.grid.n_points == n_points
+        # the span of the auto grid of gamma_dec itself, widened: 89.0014
+        if gamma_dec == 0.013:
+            assert model.grid.delta_max == pytest.approx(89.0014, abs=0.01)
+
+    @pytest.mark.parametrize("theta", [
+        THETA_TRUE, Theta(b=0.315, omega_c=16.6, gamma_dec=0.010, scale=1.0)],
+        ids=["15mW", "30mW"])
+    def test_fit_grid_resolves_what_the_fit_reads(self, theta):
+        """R_g and tau_w and their derivatives on the fit grid match those
+        on a grid of a quarter of its spacing over the same span."""
+        model = _ForwardModel(SystemParams(), DETUNINGS, theta.gamma_dec)
+        rg, tw, d_rg, d_tw = model(np.asarray(theta), derivatives=True)
+        fine = DetuningGrid(model.grid.spacing / 4, 4 * model.grid.n_points)
+        params = SystemParams().replace(b=theta.b, omega_c=theta.omega_c,
+                                        gamma_dec=theta.gamma_dec)
+        for i, dc in enumerate(model.delta_c):
+            ref = predict(params.replace(delta_c=float(dc)), grid_hint=fine,
+                          derivatives=True)
+            assert ref.amplitude.grid == fine
+            assert rg[i] == pytest.approx(ref.rg_arb, rel=1e-10, abs=0)
+            assert tw[i] == pytest.approx(ref.tau_w_ns, rel=1e-9, abs=0)
+            assert np.allclose(d_rg[i], ref.d_rg_arb, rtol=1e-8, atol=0)
+            assert np.allclose(d_tw[i], tau_to_ns(ref.d_tau_w), rtol=1e-6,
+                               atol=0)
 
     def test_line_failure_names_its_detuning(self, clean_series):
-        # finite in GHz, but inf in units of Gamma: the model's impurity
-        # line at that point cannot be built
+        # finite in GHz, but inf in units of Gamma: refused before the
+        # model builds a line, with no overflow warning (the suite fails
+        # a test on any RuntimeWarning)
         dc = clean_series.delta_c_ghz.copy()
         dc[1] = 1e307
-        with pytest.raises(ParameterError) as excinfo, \
-                np.errstate(over="ignore"):
+        with pytest.raises(ParameterError) as excinfo:
             fit_series(replace(clean_series, delta_c_ghz=dc), init=INIT)
         assert str(excinfo.value) == (
-            "SystemParams.delta_c = inf: must be finite "
-            "(at delta_c = 1e+307 GHz)")
+            "delta_c_ghz = 1e+307 is not finite in units of Gamma")
 
-    @pytest.mark.parametrize("gamma_dec", [1e-4, 1e-5])
+    def test_synthesized_detuning_past_gamma_units(self):
+        with pytest.raises(ParameterError) as excinfo:
+            synthesize_series(THETA_TRUE, [0.2, -1e307, 1.0, 1.5], noise=0.0,
+                              seed=0)
+        assert str(excinfo.value) == (
+            "delta_c_ghz = -1e+307 is not finite in units of Gamma")
+
+    # 5e-5 sizes a grid at the cap, which the fit widens past it; 1e-5
+    # passes the cap at once; 1e-4 widens to the cap itself, and fits
+    @pytest.mark.parametrize("gamma_dec", [5e-5, 1e-5])
     def test_too_narrow_initial_gamma_dec(self, gamma_dec):
-        # 1e-4 sizes a grid at the cap, which the fit widens past it
-        with pytest.raises(GridOverflowError,
-                           match=f"^fit grid at gamma_dec = {gamma_dec:g}: "):
+        with pytest.raises(GridOverflowError) as excinfo:
             _ForwardModel(SystemParams(), DETUNINGS, gamma_dec)
+        assert str(excinfo.value) == (
+            f"fit grid at gamma_dec = {gamma_dec:g}: passes the "
+            "4194304-point limit")
 
 
 class TestJacobian:

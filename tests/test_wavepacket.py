@@ -292,8 +292,8 @@ class TestOnePointwiseCallPerSlice:
     @pytest.mark.parametrize("cached", [False, True])
     def test_one_call_per_slice(self, params_15mw, calls, derivatives,
                                 cached):
-        # the fit grid at 0.2 GHz: its middle slices have 33 blocks each
-        # that are evaluated pointwise
+        # the widened auto grid at 0.2 GHz: its middle slices have 33
+        # blocks each that are evaluated pointwise
         p = params_15mw.replace(delta_c=ghz_to_gamma(0.2))
         delta = auto_grid(p).widened().values
         line = K.impurity_line_integral(delta, p) if cached else None
