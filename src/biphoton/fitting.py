@@ -55,8 +55,10 @@ from .wavepacket import MAX_GRID_POINTS, DetuningGrid, auto_grid
 
 PARAM_NAMES = ("b", "omega_c", "gamma_dec", "scale")
 _LOWER = np.array([0.0, 1e-3, 0.0, 1e-300])
-# omega_c stops below the cap of SystemParams
-_UPPER = np.array([1.0, math.nextafter(_HUGE_RADIUS, 0.0), np.inf, np.inf])
+# omega_c stops below the cap of SystemParams, and gamma_dec there too,
+# so that the fit grid's 2 gamma_dec stays finite
+_UPPER = np.array([1.0, math.nextafter(_HUGE_RADIUS, 0.0),
+                   math.nextafter(_HUGE_RADIUS, 0.0), np.inf])
 
 # nominal relative error bar attached to noiseless synthetic series so the
 # weighted fit stays defined

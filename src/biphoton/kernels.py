@@ -52,8 +52,7 @@ band (up to 8e-12 relative measured on auto grids, gamma_dec = 0
 included).  ``doppler_responses``,
 ``response_tangents`` and the three public kernels take the same path,
 so they stay equal to each other bit for bit.  A grid sliced at
-multiples of 2^14 gives the same bits as the whole, unless it holds the
-exact two-photon resonance q = 0, which no even grid does:
+multiples of 2^14 gives the same bits as the whole:
 :func:`~biphoton.wavepacket.amplitude_at`, the one caller that walks a
 grid, relies on that to evaluate it 2^14 detunings at a time.  So does a
 grid widening, which evaluates only its two new outer quarters, joined
@@ -61,9 +60,13 @@ into whole slices.  Every slice holds exactly 2^14 detunings, so every
 complex temporary of these formulas is 256 KiB, numpy's threshold for
 eliding temporaries: a slice of another size could take an out-of-place
 product where a 2^14-point slice takes an in-place one, and numpy's two
-complex products can round differently.  Where no pole merges, or
-gamma_dec rules out q = 0, the kernels skip the selects and masks that
-would change no value.
+complex products can round differently.  Special points are
+substituted and patched, never gathered out, so every formula runs on
+the whole slice: where the poles merge, kappa takes the series' values,
+and on the exact two-photon resonance q = 0 (|q| <= 1e-200) q is taken
+as 1 and the results are overwritten with their limits.  Where no pole
+merges, or no point sits on q = 0, the kernels skip the selects and
+masked writes, which would change no value.
 
 The section marked "test reference" holds the integrands themselves and a
 brute-force Gaussian average by dense trapezoid or adaptive Simpson
@@ -88,8 +91,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .faddeeva import (SQRT_PI, gaussian_pole_difference,
-                       gaussian_pole_integral, gaussian_pole_integral_along,
-                       split_apply)
+                       gaussian_pole_integral_along, split_apply)
 from .params import SystemParams
 
 # |delta + i*gamma_dec| below this is treated as exactly on two-photon
@@ -388,63 +390,57 @@ def _rho_m(line, params: SystemParams):
 
 
 class _DressedPole(NamedTuple):
-    """What rho_c_bar and kappa_bar share: ``omega0``, ``zeta0`` =
-    omega_0/Gamma_D and its J are given only where ``regular`` (a slice
-    if everywhere) is off q = 0, and the ``degenerate`` points are the
-    rest (None when ``regular`` is a slice)."""
+    """What rho_c_bar and kappa_bar share: q = delta + i gamma_dec, the
+    dressed pole ``omega0``, ``zeta0`` = omega_0/Gamma_D and its J.  q is
+    taken as 1 at the ``resonant`` points, those on q = 0 (None if there
+    are none), and the kernels overwrite their results there."""
 
     q: np.ndarray
-    p_pole: np.ndarray
-    degenerate: np.ndarray | None
-    regular: np.ndarray | slice
+    resonant: np.ndarray | None
     omega0: np.ndarray
     zeta0: np.ndarray
     j0: np.ndarray
 
 
-def _dressed_pole(d, params: SystemParams, line=False, pump=False):
+def _dressed_pole(d, params: SystemParams, line=False):
     """(dp, line, j1): the :class:`_DressedPole` at ``d`` and, from the
     same :func:`~biphoton.faddeeva.gaussian_pole_integral_along` call,
-    the impurity line if ``line`` and J(omega_1/Gamma_D) if ``pump``
-    (and the pump is on); None for what is not evaluated."""
+    the impurity line if ``line`` and J(omega_1/Gamma_D) if the pump is
+    on; None for what is not evaluated."""
     gd = params.gamma_doppler
     q = d + 1j * params.gamma_dec
     p_pole = _probe_pole(d, params)
-    if params.gamma_dec > _Q_FLOOR:     # then |q| >= gamma_dec
-        degenerate, regular = None, slice(None)
-    else:
-        degenerate = np.abs(q) <= _Q_FLOOR
-        regular = ~degenerate if degenerate.any() else slice(None)
-    omega0 = params.omega_c**2 / (4.0 * q[regular]) - p_pole[regular]
+    resonant = None
+    if params.gamma_dec <= _Q_FLOOR:    # else |q| >= gamma_dec
+        at_zero = np.abs(q) <= _Q_FLOOR
+        if at_zero.any():
+            resonant = at_zero
+            q[resonant] = 1.0
+    omega0 = params.omega_c**2 / (4.0 * q) - p_pole
     zeta0 = omega0 / gd
     paths = [zeta0, _impurity_line(p_pole, params)] if line else [zeta0]
-    pump = pump and params.omega_p != 0.0
+    pump = params.omega_p != 0.0
     j = gaussian_pole_integral_along(
         *paths, points=np.array([_pump_pole(params) / gd]) if pump else None)
-    return (_DressedPole(q, p_pole, degenerate, regular, omega0, zeta0, j[0]),
+    return (_DressedPole(q, resonant, omega0, zeta0, j[0]),
             j[1] if line else None, complex(j[-1][0]) if pump else None)
 
 
 def _rho_c(dp: _DressedPole, params: SystemParams):
-    gd = params.gamma_doppler
-    pref = (1.0 - params.b) * params.alpha / (8.0 * gd)
-    if isinstance(dp.regular, slice):
-        return -pref * dp.j0
-    out = np.zeros(dp.q.shape, dtype=complex)
-    out[dp.regular] = -pref * dp.j0
-    if params.omega_c == 0.0:
-        # cancelled two-level limit of the q -> 0, Omega_c = 0 case
-        out[dp.degenerate] = -pref * gaussian_pole_integral(
-            -dp.p_pole[dp.degenerate] / gd)
-    # degenerate with Omega_c != 0: numerator q kills the response -> 0
+    pref = (1.0 - params.b) * params.alpha / (8.0 * params.gamma_doppler)
+    out = -pref * dp.j0
+    # the numerator q kills the response on resonance; at Omega_c = 0 the
+    # dressed pole is the impurity line's, the cancelled two-level limit
+    if dp.resonant is not None and params.omega_c != 0.0:
+        out[dp.resonant] = 0.0
     return out
 
 
 class _PoleSplit(NamedTuple):
     """What kappa and its slopes take from the pump pole ``omega1`` in one
     pass: ``j1`` = J(omega_1/Gamma_D), which does not move with delta,
-    the regular points where omega_1 and the dressed pole are too close
-    to difference J (``merged``), and there the divided difference D and
+    the points where omega_1 and the dressed pole are too close to
+    difference J (``merged``), and there the divided difference D and
     dD/dzeta_0 by series (``diff``, ``diff_zeta``, empty where nothing
     merges)."""
 
@@ -491,19 +487,16 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
     # finite, which sample_spectral_amplitude reports, so no warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pref = -(1.0 - params.b) * params.alpha * \
-            params.omega_p * params.omega_c / (16.0 * dp.q[dp.regular])
+            params.omega_p * params.omega_c / (16.0 * dp.q)
         vals = pref * (split.j1 - dp.j0) / sep / gd
         if split.merging:
             vals[split.merged] = pref[split.merged] * split.diff / gd**2
-    if isinstance(dp.regular, slice):
-        return vals
-    out = np.empty(dp.q.shape, dtype=complex)
-    # coupling factor is the constant Gamma/Omega_c on resonance
-    pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
-        params.omega_p / params.omega_c
-    out[dp.degenerate] = pref0 * split.j1 / gd
-    out[dp.regular] = vals
-    return out
+    if dp.resonant is not None:
+        # coupling factor is the constant Gamma/Omega_c on resonance
+        pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
+            params.omega_p / params.omega_c
+        vals[dp.resonant] = pref0 * split.j1 / gd
+    return vals
 
 
 def rho_m_bar(delta, params: SystemParams):
@@ -521,10 +514,12 @@ def impurity_line_integral(delta, params: SystemParams):
 
     It depends on delta, Delta_c and Gamma_D only, not on b, Omega_c or
     gamma_dec, so a caller that varies those can evaluate it once and
-    hand it to :func:`doppler_responses`.
+    hand it to :func:`doppler_responses`.  Poles past the float range
+    give inf or NaN without a warning, as in the amplitude.
     """
-    return gaussian_pole_integral_along(
-        _impurity_line(_probe_pole(delta, params), params))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return gaussian_pole_integral_along(
+            _impurity_line(_probe_pole(delta, params), params))[0]
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -550,7 +545,7 @@ def kappa_bar(delta, params: SystemParams):
     a series (:func:`~biphoton.faddeeva.gaussian_pole_difference`), so the
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
-    dp, _, j1 = _dressed_pole(delta, params, pump=True)
+    dp, _, j1 = _dressed_pole(delta, params)
     return _kappa(dp, params, _pole_split(dp, params, j1))
 
 
@@ -571,8 +566,7 @@ def doppler_responses(delta, params: SystemParams, impurity_line=None):
 def _responses(d, params: SystemParams, impurity_line):
     """The dressed pole, the impurity line, the pole split, rho and kappa
     at ``d``."""
-    dp, line, j1 = _dressed_pole(d, params, line=impurity_line is None,
-                                 pump=True)
+    dp, line, j1 = _dressed_pole(d, params, line=impurity_line is None)
     if impurity_line is None:
         impurity_line = line
     split = _pole_split(dp, params, j1)
@@ -600,8 +594,9 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
       their (D, dD/dzeta_0) series are evaluated once per call.
 
     On exact two-photon resonance with gamma_dec = 0 (q = 0, never a
-    sample of a zero-symmetric grid with an even number of points) only
-    d rho_m/d b is carried; the other derivatives there are zero.
+    sample of a zero-symmetric grid with an even number of points) every
+    formula is evaluated at q = 1 and then overwritten: only d rho_m/d b
+    is carried there, and the other derivatives are zero.
     """
     dp, impurity_line, split, rho, kap = _responses(delta, params,
                                                     impurity_line)
@@ -612,7 +607,7 @@ def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
     gd = params.gamma_doppler
     omega_c = params.omega_c
     keep = 1.0 - params.b
-    inv_q = 1.0 / dp.q[dp.regular]
+    inv_q = 1.0 / dp.q
     zeta0 = dp.zeta0
     j0_prime = -2.0 * zeta0 * dp.j0 - 2.0
     c = params.alpha / (8.0 * gd)
@@ -620,26 +615,24 @@ def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
     rho_zeta = -keep * c * j0_prime
     kap_unit, kap_zeta = _kappa_slopes(dp, split, params, zeta0, j0_prime,
                                        inv_q)
-
-    def full(values):
-        if isinstance(dp.regular, slice):
-            return values
-        out = np.zeros(dp.q.shape, dtype=complex)
-        out[dp.regular] = values
-        return out
-
     # d zeta_0 = Omega_c/(2 q Gamma_D) per unit Omega_c and
     # -i Omega_c^2/(4 q^2 Gamma_D) per unit gamma_dec, and d(1/q) = -i/q^2
     zeta_c = (omega_c / (2.0 * gd)) * inv_q
     zeta_g = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
-    return [
+    tangents = [
         # b
-        (full(c * dp.j0) - c * impurity_line, full(-omega_c * kap_unit)),
+        (c * dp.j0 - c * impurity_line, -omega_c * kap_unit),
         # Omega_c
-        (full(rho_zeta * zeta_c), full(keep * kap_unit + kap_zeta * zeta_c)),
+        (rho_zeta * zeta_c, keep * kap_unit + kap_zeta * zeta_c),
         # gamma_dec
-        (full(rho_zeta * zeta_g),
-         full((-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g))]
+        (rho_zeta * zeta_g,
+         (-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g)]
+    if dp.resonant is not None:     # only d rho_m/d b moves there
+        for d_rho, d_kap in tangents:
+            d_rho[dp.resonant] = 0.0
+            d_kap[dp.resonant] = 0.0
+        tangents[0][0][dp.resonant] = -c * impurity_line[dp.resonant]
+    return tangents
 
 
 def _kappa_slopes(dp: _DressedPole, split, params: SystemParams, zeta0,

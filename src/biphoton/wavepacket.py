@@ -139,14 +139,16 @@ def auto_grid(params: SystemParams) -> DetuningGrid:
     if params.gamma_dec > 0.0:
         scales["gamma_dec"] = params.gamma_dec
     narrowest = min(scales, key=scales.get)
-    points = 2.0 * delta_max / (scales[narrowest] / 4.0)
-    # compared as a float: the count can pass any integer size, or inf
-    if points > MAX_GRID_POINTS:
+    scale = scales[narrowest]
+    # points > MAX_GRID_POINTS, scaled by powers of two (exact) so as not
+    # to divide by a scale that can be 0 or subnormal
+    if delta_max / MAX_GRID_POINTS > scale / 8.0:
         etalon = (f" (set by gamma_etalon = {params.gamma_etalon:g})"
                   if delta_max > 20.0 else "")
         raise GridOverflowError(
             f"{narrowest} = {getattr(params, narrowest):g} over +-"
             f"{delta_max:g} Gamma{etalon} needs over {MAX_GRID_POINTS} points")
+    points = 2.0 * delta_max / (scale / 4.0)
     return DetuningGrid.spanning(
         delta_max, max(MIN_GRID_POINTS, _next_pow2(math.ceil(points))))
 
@@ -182,49 +184,45 @@ def amplitude_at(delta, params: SystemParams, impurity_line=None,
     for lo in range(0, delta.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         line = None if impurity_line is None else impurity_line[part]
-        if derivatives:
-            amp[part], d_amp[:, part] = _amplitude_tangents(delta[part],
-                                                            params, line)
-        else:
-            amp[part] = _amplitude(delta[part], params, line)
+        amp[part] = _amplitude(delta[part], params, line,
+                               None if d_amp is None else d_amp[:, part])
     return amp, d_amp
 
 
-def _amplitude(delta, params: SystemParams, impurity_line):
-    rho, kap = doppler_responses(delta, params, impurity_line=impurity_line)
-    return _assemble(sinc_phase(rho), kap,
-                     etalon_response(delta, params.gamma_etalon))
-
-
 def _assemble(s, kap, etalon):
-    """S kappa B, taken in place in S: the one formula for A, so that
-    both slice bodies round it alike."""
+    """S kappa B, taken in place in S: the one formula for A, so that A
+    rounds alike with and without derivatives."""
     s *= kap
     s *= etalon
     return s
 
 
-def _amplitude_tangents(delta, params: SystemParams, impurity_line):
-    """(A, dA) on one slice.  With S = sinc(rho) exp(i rho),
+def _amplitude(delta, params: SystemParams, impurity_line, d_amp):
+    """A on one slice, and with ``d_amp`` given, dA written into it.
+    With S = sinc(rho) exp(i rho), A = kappa S B and
     dA = (d kappa S + kappa S'(rho) d rho) B.
 
-    A Doppler width far below Gamma (1e-300, say) drives the tangents'
-    intermediate products past the float range; they then come out inf
-    or NaN without a warning, and the caller reports that as NUMERICAL.
+    Extreme parameters drive intermediate products past the float range:
+    a Doppler width far below Gamma (1e-300, say) or a kappa prefactor
+    past 1e308.  They then come out inf or NaN without a warning, and
+    :func:`_sample` reports the amplitude as NUMERICAL.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        etalon = etalon_response(delta, params.gamma_etalon)
+        if d_amp is None:
+            rho, kap = doppler_responses(delta, params,
+                                         impurity_line=impurity_line)
+            return _assemble(sinc_phase(rho), kap, etalon)
         rho, kap, responses = response_tangents(delta, params,
                                                 impurity_line=impurity_line)
         s, ds = sinc_phase_tangent(rho)
-        etalon = etalon_response(delta, params.gamma_etalon)
         s_etalon = s * etalon       # before S turns into A in place
         kap_ds = _assemble(ds, kap, etalon)
-        d_amp = np.empty((3, rho.size), dtype=complex)
         for row, (d_rho, d_kap) in zip(d_amp, responses):
             np.multiply(d_kap, s_etalon, out=row)
             d_rho *= kap_ds
             row += d_rho
-        return _assemble(s, kap, etalon), d_amp
+        return _assemble(s, kap, etalon)
 
 
 def _around(middle, n_points):

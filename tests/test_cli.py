@@ -310,6 +310,46 @@ class TestExitStatus:
         assert "--quadrature" in capsys.readouterr().err
 
 
+EDGE_KEYS = ("gamma_doppler", "gamma_etalon", "gamma_dec", "alpha", "omega_p",
+             "omega_c")
+EDGE_VALUES = ("5e-324", "1e-320", "2.2250738585072014e-308", "1e-300",
+               "1e149", "1e151", "1e200", "1e308")
+
+
+class TestEdgeValues:
+    """simulate at the float range's edges, one system key at a time:
+    success with nothing on stderr, or exactly one error line.  A
+    RuntimeWarning fails the test (see pyproject.toml)."""
+
+    @staticmethod
+    def simulate(tmp_path, capsys, key, value):
+        config = "".join(line for line in SYSTEM_15MW.splitlines(True)
+                         if not line.startswith(f"system.{key} ="))
+        cfg = write_config(tmp_path, config + f"system.{key} = {value}\n")
+        return run(capsys, "simulate", "--config", cfg,
+                   "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_success_or_one_error_line(self, tmp_path, capsys, key, value):
+        status, err = self.simulate(tmp_path, capsys, key, value)
+        if status == 0:
+            assert err == []
+        else:
+            assert status in (2, 4)
+            assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_decoherence_past_any_scale(self, tmp_path, capsys):
+        # the gamma_dec -> inf limit: kappa ~ 1/q vanishes, so no pairs
+        # and no width to measure
+        status, err = self.simulate(tmp_path, capsys, "gamma_dec", "1e308")
+        assert status == 0 and err == []
+        rows = (tmp_path / "out" / "observables.csv").read_text().splitlines()
+        values = dict(row.split(",")[:2] for row in rows[1:])
+        assert values["rg"] == "0.0"
+        assert values["tau_w"] == values["delta_omega"] == "nan"
+
+
 def write_series(tmp_path, rows, header=SERIES_HEADER):
     path = tmp_path / "s.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -632,6 +672,48 @@ PROBES = [
                                  + FIT_INIT),
                  4, "NUMERICAL", "normal matrix J^T J is not finite",
                  id="fit_normal_matrix_overflows"),
+    # a decoherence or etalon scale that divides to 0: one grid overflow
+    # line, and no ZeroDivisionError or divide warning
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_etalon = 5e-324\n"),
+                 4, "NUMERICAL", "gamma_etalon = 4.94066e-324 over +-20 Gamma "
+                 "needs over 4194304 points", id="auto_grid_etalon_subnormal"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
+        "0.013", "5e-324")), 4, "NUMERICAL", "gamma_dec = 4.94066e-324 over",
+                 id="auto_grid_gamma_dec_subnormal"),
+    pytest.param(_probe_fit_init(FIT_INIT.replace("0.012", "5e-324")), 4,
+                 "NUMERICAL", "fit grid at gamma_dec = 4.94066e-324: passes",
+                 id="fit_init_gamma_dec_subnormal"),
+    pytest.param(_probe_fit_init(FIT_INIT.replace("0.012", "1e-320")), 4,
+                 "NUMERICAL", "fit grid at gamma_dec = 9.99989e-321: passes",
+                 id="fit_init_gamma_dec_1e-320"),
+    pytest.param(_probe_fit_init(FIT_INIT.replace(
+        "0.012", "2.2250738585072014e-308")), 4, "NUMERICAL",
+                 "fit grid at gamma_dec = 2.22507e-308: passes",
+                 id="fit_init_gamma_dec_smallest_normal"),
+    # 2 init_gamma_dec would overflow to a field the user never set
+    pytest.param(_probe_fit_init(FIT_INIT.replace("0.012", "1e308")), 2,
+                 "CONFIG_BAD_VALUE",
+                 "fit.init_gamma_dec = 1e+308 is outside [0, 1e+150]",
+                 id="fit_init_gamma_dec_past_the_cap"),
+    # a Doppler width whose poles pass the float range: the amplitude,
+    # and the fit's impurity lines, are not finite, without a warning
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_doppler = 1e-320\n"),
+                 4, "NUMERICAL", "spectral amplitude is not finite",
+                 id="system_gamma_doppler_subnormal"),
+    pytest.param(_probe_config("simulate", SYSTEM_15MW
+                               + "system.gamma_doppler = "
+                               "2.2250738585072014e-308\n"),
+                 4, "NUMERICAL", "spectral amplitude is not finite",
+                 id="system_gamma_doppler_smallest_normal"),
+    pytest.param(_probe_fit_init("system.gamma_doppler = 1e-320\n"), 4,
+                 "NUMERICAL", "spectral amplitude is not finite (at "
+                 "delta_c = 0.2 GHz)", id="fit_gamma_doppler_subnormal"),
+    pytest.param(_probe_fit_init("system.gamma_doppler = "
+                                 "2.2250738585072014e-308\n"), 4,
+                 "NUMERICAL", "spectral amplitude is not finite (at "
+                 "delta_c = 0.2 GHz)", id="fit_gamma_doppler_smallest_normal"),
     # an empty path would name the working directory
     pytest.param(_probe_config("fit", "fit.series =\n"), 2,
                  "CONFIG_BAD_VALUE", "fit.series = ", id="fit_series_empty"),

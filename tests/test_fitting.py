@@ -226,7 +226,7 @@ class TestResiduals:
             fit_series(clean_series, init=Theta(2.0, 11.4, -1.0, np.nan))
         assert str(excinfo.value) == (
             "b = 2.0 is outside [0, 1]; gamma_dec = -1.0 is outside "
-            "[0, inf]; scale = nan is outside [1e-300, inf]")
+            "[0, 1e+150]; scale = nan is outside [1e-300, inf]")
 
 
 class TestForwardModel:

@@ -392,7 +392,6 @@ class TestPolesAlongTheGrid:
 
         monkeypatch.setattr(biphoton.faddeeva, "gaussian_pole_integral",
                             counted_integral)
-        monkeypatch.setattr(K, "gaussian_pole_integral", counted_integral)
         for dc_ghz in (0.0, 1.0):
             p = params_15mw.replace(delta_c=ghz_to_gamma(dc_ghz))
             deltas = auto_grid(p).values
@@ -400,6 +399,42 @@ class TestPolesAlongTheGrid:
             K.doppler_responses(deltas, p)
             # two arguments per detuning, each 5x fewer points or better
             assert sum(counted) <= 2 * deltas.size // 5
+
+
+class TestResonanceOnAFullSlice:
+    """The exact two-photon resonance q = 0 inside a slice that takes the
+    Taylor path: the kernels evaluate the whole slice at q = 1 there and
+    patch the limits, so the resonance keeps the one-point values that
+    TestRhoC and TestKappa pin, and the rest of the slice agrees with
+    pointwise evaluation.  A RuntimeWarning fails the test (see
+    pyproject.toml)."""
+
+    @staticmethod
+    def outputs(delta, p):
+        """Every array the five entry points return at ``delta``."""
+        rho, kap, tangents = K.response_tangents(delta, p)
+        return [*K.doppler_responses(delta, p), rho, kap,
+                *(t for pair in tangents for t in pair),
+                K.rho_m_bar(delta, p), K.rho_c_bar(delta, p),
+                K.kappa_bar(delta, p)]
+
+    @pytest.mark.parametrize("omega_c", [11.4, 0.0])
+    def test_matches_one_point_and_pointwise_values(self, params_15mw,
+                                                    omega_c):
+        p = params_15mw.replace(gamma_dec=0.0, omega_c=omega_c)
+        # delta = 0 on a block anchor, where J is evaluated pointwise
+        at = _CHUNK // 2 + biphoton.faddeeva._ALONG_BLOCK // 2
+        delta = (np.arange(_CHUNK) - at) * auto_grid(p).spacing
+        assert delta.size == _CHUNK and delta[at] == 0.0
+        whole = self.outputs(delta, p)
+        alone = self.outputs(delta[at:at + 1], p)
+        # arrays shorter than 2^14 points are evaluated pointwise
+        below, above = (self.outputs(part, p)
+                        for part in (delta[:at], delta[at + 1:]))
+        for got, one, lo, hi in zip(whole, alone, below, above, strict=True):
+            assert got[at] == one[0]
+            want = np.concatenate([lo, one, hi])
+            assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
 
 
 def test_quadrature_spec_validation():

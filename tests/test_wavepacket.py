@@ -284,7 +284,6 @@ class TestOnePointwiseCallPerSlice:
                 inside.pop()
 
         monkeypatch.setattr(F, "gaussian_pole_integral", integral)
-        monkeypatch.setattr(K, "gaussian_pole_integral", integral)
         monkeypatch.setattr(K, "gaussian_pole_difference", difference)
         return log
 
