@@ -19,10 +19,8 @@ derivatives in (b, omega_c, gamma_dec) (``forward.predict`` with
 loop asks for them at every theta it evaluates, since a step it takes
 needs the Jacobian there next, and holds the residuals r and the
 Jacobian J of its current theta, so nothing is evaluated twice and no
-value is kept per theta.  The one input theta does not move, each
-detuning's Doppler-averaged impurity line, the forward model evaluates
-once per fit and passes down to every sweep.  Four smooth parameters
-need nothing fancier; everything is deterministic for fixed inputs.
+value is kept per theta.  Four smooth parameters need nothing fancier;
+everything is deterministic for fixed inputs.
 
 The fit has converged when the Gauss-Newton decrement over the columns a
 step moves, d = g_s^T (J_s^T J_s)^+ g_s with J_s the Jacobian scaled to
@@ -48,7 +46,6 @@ from .errors import (BiphotonError, ExtractionError, GridOverflowError,
                      ParameterError)
 from .faddeeva import _HUGE_RADIUS
 from .forward import detuning_sweep
-from .kernels import impurity_line_integral
 from .params import SystemParams
 from .units import ghz_to_gamma, tau_to_ns
 from .wavepacket import MAX_GRID_POINTS, DetuningGrid, auto_grid
@@ -171,13 +168,7 @@ class _ForwardModel:
     at the generating theta is exactly zero for noiseless data.
 
     The model keeps no values per theta: the fit holds those of its
-    current theta.  It evaluates the impurity-line integral of each
-    detuning on the frozen grid once, since theta does not move it, and
-    hands the lines to every sweep: n_delta_c complex arrays of the
-    grid's size, so 2.5 MB for a 5-point series on a 2^15-point grid.  A
-    point that widens its grid evaluates the line on the new samples
-    with its amplitude.  The values are the same, bit for bit, as
-    without the lines, and with or without derivatives.
+    current theta.
     """
 
     def __init__(self, fixed: SystemParams, delta_c_ghz, gamma_dec: float):
@@ -198,13 +189,6 @@ class _ForwardModel:
             raise ParameterError(
                 f"delta_c_ghz = {float(self.delta_c_ghz[far][0])!r} is not "
                 "finite in units of Gamma")
-        self.impurity_lines = []
-        for dc_ghz, dc in zip(self.delta_c_ghz, self.delta_c):
-            try:
-                self.impurity_lines.append(impurity_line_integral(
-                    self.grid.values, fixed.replace(delta_c=float(dc))))
-            except BiphotonError as exc:
-                raise _at_detuning(exc, dc_ghz)
 
     def __call__(self, theta, derivatives=False):
         """(rg_arb, tau_w_ns, d_rg_arb, d_tau_w_ns) at every detuning, for
@@ -220,8 +204,7 @@ class _ForwardModel:
                                     gamma_dec=theta[2])
         points = []
         for dc_ghz, pred in zip(self.delta_c_ghz, detuning_sweep(
-                params, self.delta_c, self.grid, self.impurity_lines,
-                derivatives=derivatives)):
+                params, self.delta_c, self.grid, derivatives=derivatives)):
             if isinstance(pred, BiphotonError):
                 raise _at_detuning(pred, dc_ghz)
             points.append((pred.rg_arb, pred.tau_w_ns, pred.d_rg_arb,

@@ -7,9 +7,8 @@ and its tangents come from one sweep of the grid (forward mode, as in
 Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 """
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -48,15 +47,11 @@ class ModelPrediction:
 
 def predict(params: SystemParams,
             grid_hint: DetuningGrid | None = None,
-            impurity_line: np.ndarray | None = None,
             derivatives: bool = False) -> ModelPrediction:
     """Run the pipeline and extract (R_g, tau_w, delta_omega).
 
     A zero amplitude (pump off) yields rg_arb = 0 with NaN widths rather
     than an extraction error, so sweeps can record the degenerate point.
-    ``impurity_line`` is the optional impurity-line integral of ``params``
-    on ``grid_hint``, passed on to
-    :func:`~biphoton.wavepacket.sample_spectral_amplitude`.
 
     ``derivatives`` adds ``d_rg_arb`` and ``d_tau_w`` (NaN for a zero
     amplitude) and leaves every other output the same, bit for bit.  The
@@ -66,8 +61,7 @@ def predict(params: SystemParams,
     amplitude a, and d tau_w follows the linear interpolation of ``fwhm``
     with d g2 = 2 Re(conj(G) dG).
     """
-    sa = sample_spectral_amplitude(params, grid_hint, impurity_line,
-                                   derivatives)
+    sa = sample_spectral_amplitude(params, grid_hint, derivatives)
     wp = wave_packet(sa)
     rg = generation_rate(wp)
     d_rg = d_tau_w = None
@@ -93,14 +87,18 @@ def _rate_and_width_tangents(sa: SpectralAmplitude, wp: WavePacket):
     # each energy sum reduces every sample of a tangent
     if not np.isfinite(d_energy).all():
         raise BiphotonError("spectral amplitude derivatives are not finite")
-    d_g2 = 2.0 * (np.conj(g) * d_g).real
-    return ((sa.grid.spacing / (2.0 * np.pi)) * d_energy,
-            np.array([fwhm_tangent(hm, wp.tau, wp.g2, d) for d in d_g2]))
+    # as in the amplitude, extreme parameters take the width tangents past
+    # the float range without a warning; the fit reports J^T J as not
+    # finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d_g2 = 2.0 * (np.conj(g) * d_g).real
+        d_tau_w = np.array([fwhm_tangent(hm, wp.tau, wp.g2, d)
+                            for d in d_g2])
+    return (sa.grid.spacing / (2.0 * np.pi)) * d_energy, d_tau_w
 
 
 def detuning_sweep(params: SystemParams, delta_c_values,
                    grid_hint: DetuningGrid | None = None,
-                   impurity_lines: Sequence[np.ndarray] | None = None,
                    derivatives: bool = False
                    ) -> Iterator[ModelPrediction | BiphotonError]:
     """Yield the forward model at each coupling detuning, a 1-d float
@@ -108,15 +106,11 @@ def detuning_sweep(params: SystemParams, delta_c_values,
 
     Points run in order as they are consumed, all from ``grid_hint``; a
     point whose pipeline fails yields its BiphotonError in its place.
-    ``impurity_lines``, if given, holds each detuning's impurity-line
-    integral on ``grid_hint``, in the order of ``delta_c_values``; each
-    point's line and ``derivatives`` are passed on to its :func:`predict`.
+    ``derivatives`` is passed on to each point's :func:`predict`.
     """
-    lines = repeat(None) if impurity_lines is None else impurity_lines
-    for dc, line in zip(delta_c_values, lines):
+    for dc in delta_c_values:
         try:
             yield predict(params.replace(delta_c=float(dc)),
-                          grid_hint=grid_hint, impurity_line=line,
-                          derivatives=derivatives)
+                          grid_hint=grid_hint, derivatives=derivatives)
         except BiphotonError as exc:
             yield exc

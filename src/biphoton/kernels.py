@@ -17,12 +17,9 @@ axis, the average reduces exactly to Faddeeva evaluations of the Gaussian
 pole integral J, which is the only way the package evaluates the kernels.
 rho_c_bar and kappa_bar share the coupling-dressed pole omega_0(delta),
 so ``doppler_responses`` gives (rho_c_bar + rho_m_bar, kappa_bar) with
-J(omega_0/Gamma_D) evaluated once.  The other array argument, the
-impurity line J(-P/Gamma_D), moves with neither b, Omega_c nor
-gamma_dec; ``impurity_line_integral`` gives it alone, and
-``doppler_responses`` takes it precomputed, so a fit evaluates it once
-per detuning.  Each formula is written once, in private pieces that the
-three public kernels and ``doppler_responses`` build from.
+J(omega_0/Gamma_D) evaluated once.  Each formula is written once, in
+private pieces that the three public kernels and ``doppler_responses``
+build from.
 ``response_tangents`` adds the derivatives of both responses in (b,
 Omega_c, gamma_dec), in closed form from the same J arrays (J' = -2 zeta
 J - 2).  kappa is a divided difference D of J between the pump pole
@@ -38,10 +35,9 @@ dense samples of a path over the detuning grid, and go through
 pointwise at the middle of each block of 32 detunings and carried to the
 rest of the block by its Taylor series, where the block is narrow enough
 (the rules and the error bound are in the :mod:`~biphoton.faddeeva`
-docstring).  A pass hands it both paths, or the dressed pole alone when
-the impurity line is given, and the pump pole zeta_1, so that one
-pointwise Faddeeva call serves them all.  Every kernel takes a 1-d array
-of detunings.  Arrays shorter than 2^14 detunings are evaluated
+docstring).  A pass hands it both paths and the pump pole zeta_1, so
+that one pointwise Faddeeva call serves them all.  Every kernel takes a
+1-d array of detunings.  Arrays shorter than 2^14 detunings are evaluated
 pointwise, so a kernel there gives each detuning the same bits as an
 array of that detuning alone.  On 2^14 or more detunings, the size of
 every grid the package samples, each J agrees with pointwise J within
@@ -402,11 +398,11 @@ class _DressedPole(NamedTuple):
     j0: np.ndarray
 
 
-def _dressed_pole(d, params: SystemParams, line=False):
+def _dressed_pole(d, params: SystemParams):
     """(dp, line, j1): the :class:`_DressedPole` at ``d`` and, from the
     same :func:`~biphoton.faddeeva.gaussian_pole_integral_along` call,
-    the impurity line if ``line`` and J(omega_1/Gamma_D) if the pump is
-    on; None for what is not evaluated."""
+    the impurity line and J(omega_1/Gamma_D), or None with the pump
+    off."""
     gd = params.gamma_doppler
     q = d + 1j * params.gamma_dec
     p_pole = _probe_pole(d, params)
@@ -418,12 +414,12 @@ def _dressed_pole(d, params: SystemParams, line=False):
             q[resonant] = 1.0
     omega0 = params.omega_c**2 / (4.0 * q) - p_pole
     zeta0 = omega0 / gd
-    paths = [zeta0, _impurity_line(p_pole, params)] if line else [zeta0]
     pump = params.omega_p != 0.0
     j = gaussian_pole_integral_along(
-        *paths, points=np.array([_pump_pole(params) / gd]) if pump else None)
-    return (_DressedPole(q, resonant, omega0, zeta0, j[0]),
-            j[1] if line else None, complex(j[-1][0]) if pump else None)
+        zeta0, _impurity_line(p_pole, params),
+        points=np.array([_pump_pole(params) / gd]) if pump else None)
+    return (_DressedPole(q, resonant, omega0, zeta0, j[0]), j[1],
+            complex(j[2][0]) if pump else None)
 
 
 def _rho_c(dp: _DressedPole, params: SystemParams):
@@ -502,24 +498,13 @@ def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
 def rho_m_bar(delta, params: SystemParams):
     """Doppler-averaged impurity response at two-photon detuning ``delta``.
 
-    Prefactor b*alpha/2 on the averaged two-level line; the imaginary part
-    is strictly positive (pure absorber).
+    Prefactor b*alpha/2 on the averaged two-level line J(-P/Gamma_D),
+    P = delta + Delta_c + i Gamma/2; the imaginary part is strictly
+    positive (pure absorber).
     """
-    return _rho_m(impurity_line_integral(delta, params), params)
-
-
-def impurity_line_integral(delta, params: SystemParams):
-    """J(-P/Gamma_D) with P = delta + Delta_c + i Gamma/2: the Doppler-
-    averaged impurity line that rho_m_bar scales by b alpha/2.
-
-    It depends on delta, Delta_c and Gamma_D only, not on b, Omega_c or
-    gamma_dec, so a caller that varies those can evaluate it once and
-    hand it to :func:`doppler_responses`.  Poles past the float range
-    give inf or NaN without a warning, as in the amplitude.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return gaussian_pole_integral_along(
-            _impurity_line(_probe_pole(delta, params), params))[0]
+    line = gaussian_pole_integral_along(
+        _impurity_line(_probe_pole(delta, params), params))[0]
+    return _rho_m(line, params)
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -549,32 +534,28 @@ def kappa_bar(delta, params: SystemParams):
     return _kappa(dp, params, _pole_split(dp, params, j1))
 
 
-def doppler_responses(delta, params: SystemParams, impurity_line=None):
+def doppler_responses(delta, params: SystemParams):
     """(rho_c_bar + rho_m_bar, kappa_bar) at ``delta`` in one pass.
 
     The values equal the three public kernels bit for bit, but the
     dressed-pole integral J(omega_0/Gamma_D) is evaluated once and shared
     by rho_c_bar and kappa_bar, and one pointwise Faddeeva call serves it,
-    the impurity line and the pump pole.  ``impurity_line``, if given, is
-    ``impurity_line_integral(delta, params)`` computed earlier, and saves
-    evaluating the line.
+    the impurity line and the pump pole.
     """
-    _, _, _, rho, kap = _responses(delta, params, impurity_line)
+    _, _, _, rho, kap = _responses(delta, params)
     return rho, kap
 
 
-def _responses(d, params: SystemParams, impurity_line):
+def _responses(d, params: SystemParams):
     """The dressed pole, the impurity line, the pole split, rho and kappa
     at ``d``."""
-    dp, line, j1 = _dressed_pole(d, params, line=impurity_line is None)
-    if impurity_line is None:
-        impurity_line = line
+    dp, line, j1 = _dressed_pole(d, params)
     split = _pole_split(dp, params, j1)
-    rho = _rho_c(dp, params) + _rho_m(impurity_line, params)
-    return dp, impurity_line, split, rho, _kappa(dp, params, split)
+    rho = _rho_c(dp, params) + _rho_m(line, params)
+    return dp, line, split, rho, _kappa(dp, params, split)
 
 
-def response_tangents(delta, params: SystemParams, impurity_line=None):
+def response_tangents(delta, params: SystemParams):
     """``doppler_responses`` at ``delta``, with its derivatives.
 
     Returns (rho, kappa, tangents): rho and kappa equal
@@ -595,15 +576,16 @@ def response_tangents(delta, params: SystemParams, impurity_line=None):
 
     On exact two-photon resonance with gamma_dec = 0 (q = 0, never a
     sample of a zero-symmetric grid with an even number of points) every
-    formula is evaluated at q = 1 and then overwritten: only d rho_m/d b
-    is carried there, and the other derivatives are zero.
+    formula is evaluated at q = 1 and then overwritten: the kappa
+    derivatives are zero there, and of the rho derivatives only d rho_m/d
+    b is carried.  At Omega_c = 0, where rho is the two-level line there
+    too, the rho derivatives keep their evaluated values.
     """
-    dp, impurity_line, split, rho, kap = _responses(delta, params,
-                                                    impurity_line)
-    return rho, kap, _tangents(dp, impurity_line, split, params)
+    dp, line, split, rho, kap = _responses(delta, params)
+    return rho, kap, _tangents(dp, line, split, params)
 
 
-def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
+def _tangents(dp: _DressedPole, line, split, params: SystemParams):
     gd = params.gamma_doppler
     omega_c = params.omega_c
     keep = 1.0 - params.b
@@ -621,17 +603,20 @@ def _tangents(dp: _DressedPole, impurity_line, split, params: SystemParams):
     zeta_g = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
     tangents = [
         # b
-        (c * dp.j0 - c * impurity_line, -omega_c * kap_unit),
+        (c * dp.j0 - c * line, -omega_c * kap_unit),
         # Omega_c
         (rho_zeta * zeta_c, keep * kap_unit + kap_zeta * zeta_c),
         # gamma_dec
         (rho_zeta * zeta_g,
          (-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g)]
-    if dp.resonant is not None:     # only d rho_m/d b moves there
-        for d_rho, d_kap in tangents:
-            d_rho[dp.resonant] = 0.0
+    if dp.resonant is not None:
+        for _, d_kap in tangents:
             d_kap[dp.resonant] = 0.0
-        tangents[0][0][dp.resonant] = -c * impurity_line[dp.resonant]
+        # as in _rho_c: at Omega_c = 0, rho keeps the two-level line there
+        if omega_c != 0.0:      # only d rho_m/d b moves
+            tangents[0][0][dp.resonant] = -c * line[dp.resonant]
+            for d_rho, _ in tangents[1:]:
+                d_rho[dp.resonant] = 0.0
     return tangents
 
 

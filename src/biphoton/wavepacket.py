@@ -168,23 +168,19 @@ class SpectralAmplitude:
     tangents: np.ndarray | None = None
 
 
-def amplitude_at(delta, params: SystemParams, impurity_line=None,
-                 derivatives=False):
+def amplitude_at(delta, params: SystemParams, derivatives=False):
     """(A, dA): the integrand A(delta) along a 1-d array of detunings, and
     with ``derivatives`` its tangents dA, else None.
 
     The array is walked ``_CHUNK`` points at a time.  dA is the (3, n)
     array of the derivatives of A with respect to b, Omega_c and
     gamma_dec, and A is the same, bit for bit, with or without it.
-    ``impurity_line`` is an optional precomputed
-    ``kernels.impurity_line_integral(delta, params)``.
     """
     amp = np.empty(delta.size, dtype=complex)
     d_amp = np.empty((3, delta.size), dtype=complex) if derivatives else None
     for lo in range(0, delta.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        line = None if impurity_line is None else impurity_line[part]
-        amp[part] = _amplitude(delta[part], params, line,
+        amp[part] = _amplitude(delta[part], params,
                                None if d_amp is None else d_amp[:, part])
     return amp, d_amp
 
@@ -197,7 +193,7 @@ def _assemble(s, kap, etalon):
     return s
 
 
-def _amplitude(delta, params: SystemParams, impurity_line, d_amp):
+def _amplitude(delta, params: SystemParams, d_amp):
     """A on one slice, and with ``d_amp`` given, dA written into it.
     With S = sinc(rho) exp(i rho), A = kappa S B and
     dA = (d kappa S + kappa S'(rho) d rho) B.
@@ -210,11 +206,9 @@ def _amplitude(delta, params: SystemParams, impurity_line, d_amp):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         etalon = etalon_response(delta, params.gamma_etalon)
         if d_amp is None:
-            rho, kap = doppler_responses(delta, params,
-                                         impurity_line=impurity_line)
+            rho, kap = doppler_responses(delta, params)
             return _assemble(sinc_phase(rho), kap, etalon)
-        rho, kap, responses = response_tangents(delta, params,
-                                                impurity_line=impurity_line)
+        rho, kap, responses = response_tangents(delta, params)
         s, ds = sinc_phase_tangent(rho)
         s_etalon = s * etalon       # before S turns into A in place
         kap_ds = _assemble(ds, kap, etalon)
@@ -247,10 +241,10 @@ def _set_ends(a, ends):
     a[..., -q:] = ends[..., q:]
 
 
-def _sample(delta, params, line, derivatives):
+def _sample(delta, params, derivatives):
     """(A, dA or None, max |A|) on ``delta`` from one :func:`amplitude_at`
     call; raises NUMERICAL on an inf or NaN sample of A."""
-    amp, tangents = amplitude_at(delta, params, line, derivatives)
+    amp, tangents = amplitude_at(delta, params, derivatives)
     peak = float(np.max(np.abs(amp)))
     if not math.isfinite(peak):
         raise BiphotonError("spectral amplitude is not finite")
@@ -259,7 +253,6 @@ def _sample(delta, params, line, derivatives):
 
 def sample_spectral_amplitude(params: SystemParams,
                               grid_hint: DetuningGrid | None = None,
-                              impurity_line: np.ndarray | None = None,
                               derivatives: bool = False) -> SpectralAmplitude:
     """Sample A(delta), widening the grid until the edges have decayed.
 
@@ -278,18 +271,10 @@ def sample_spectral_amplitude(params: SystemParams,
     With ``derivatives``, A and its ``tangents`` come from the same
     passes of :func:`amplitude_at`; A is the same, bit for bit, as
     without.
-
-    ``impurity_line``, if given, is
-    ``kernels.impurity_line_integral(grid_hint.values, params)``, which
-    does not depend on b, Omega_c or gamma_dec: a caller that varies only
-    those evaluates it once and passes it to every call.  It serves the
-    first grid; a widening evaluates the line on its new quarters in the
-    same pass as A.  The amplitude is the same, bit for bit, with or
-    without it.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
     delta = grid.values
-    amp, tangents, peak = _sample(delta, params, impurity_line, derivatives)
+    amp, tangents, peak = _sample(delta, params, derivatives)
     for widenings in range(MAX_WIDENINGS + 1):
         if max(abs(amp[0]), abs(amp[-1])) <= EDGE_DECAY * peak:
             return SpectralAmplitude(grid, amp, peak, tangents)
@@ -305,7 +290,7 @@ def sample_spectral_amplitude(params: SystemParams,
         if tangents is not None:
             tangents = _around(tangents, grid.n_points)
         delta = _ends(delta)
-        ends, d_ends, ends_peak = _sample(delta, params, None, derivatives)
+        ends, d_ends, ends_peak = _sample(delta, params, derivatives)
         _set_ends(amp, ends)
         if tangents is not None:
             _set_ends(tangents, d_ends)

@@ -672,6 +672,16 @@ PROBES = [
                                  + FIT_INIT),
                  4, "NUMERICAL", "normal matrix J^T J is not finite",
                  id="fit_normal_matrix_overflows"),
+    # width tangents that overflow reach J^T J without a warning
+    pytest.param(_probe_fit_init(FIT_INIT.replace("0.012", "1e149")), 4,
+                 "NUMERICAL", "normal matrix J^T J is not finite at "
+                 "iteration 1", id="fit_init_gamma_dec_overflows_tangents"),
+    pytest.param(_probe_fit_init(FIT_INIT.replace("= 12", "= 1e149")), 4,
+                 "NUMERICAL", "normal matrix J^T J is not finite at "
+                 "iteration 1", id="fit_init_omega_c_overflows_tangents"),
+    pytest.param(_probe_fit_init("system.omega_p = 1e149\n" + FIT_INIT), 4,
+                 "NUMERICAL", "normal matrix J^T J is not finite at "
+                 "iteration 1", id="fit_omega_p_overflows_tangents"),
     # a decoherence or etalon scale that divides to 0: one grid overflow
     # line, and no ZeroDivisionError or divide warning
     pytest.param(_probe_config("simulate", SYSTEM_15MW
@@ -696,8 +706,8 @@ PROBES = [
                  "CONFIG_BAD_VALUE",
                  "fit.init_gamma_dec = 1e+308 is outside [0, 1e+150]",
                  id="fit_init_gamma_dec_past_the_cap"),
-    # a Doppler width whose poles pass the float range: the amplitude,
-    # and the fit's impurity lines, are not finite, without a warning
+    # a Doppler width whose poles pass the float range: the amplitude is
+    # not finite, without a warning
     pytest.param(_probe_config("simulate", SYSTEM_15MW
                                + "system.gamma_doppler = 1e-320\n"),
                  4, "NUMERICAL", "spectral amplitude is not finite",

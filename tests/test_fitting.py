@@ -243,6 +243,36 @@ class TestForwardModel:
         if gamma_dec == 0.013:
             assert model.grid.delta_max == pytest.approx(89.0014, abs=0.01)
 
+    def test_default_init_fit_shares_one_model(self, clean_series,
+                                               monkeypatch):
+        # the starting point's scan and the fit run on the same model
+        real = biphoton.fitting._ForwardModel
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(biphoton.fitting, "_ForwardModel", counted)
+        fit_series(clean_series, options=FitOptions(max_iterations=1))
+        assert len(built) == 1
+
+    def test_model_is_bit_identical_to_a_fresh_one(self):
+        model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        model(np.asarray(THETA_TRUE))
+        moved = np.asarray(THETA_TRUE) * np.array([1.1, 0.97, 1.2, 1.0])
+        rg, tw, _, _ = model(moved)
+        fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
+        rg_fresh, tw_fresh, _, _ = fresh(moved)
+        assert np.array_equal(rg, rg_fresh)
+        assert np.array_equal(tw, tw_fresh)
+        # and equal to a plain predict on the model's grid
+        params = SystemParams().replace(b=moved[0], omega_c=moved[1],
+                                        gamma_dec=moved[2],
+                                        delta_c=ghz_to_gamma(DETUNINGS[-1]))
+        plain = predict(params, grid_hint=model.grid)
+        assert plain.rg_arb == rg[-1] and plain.tau_w_ns == tw[-1]
+
     @pytest.mark.parametrize("theta", [
         THETA_TRUE, Theta(b=0.315, omega_c=16.6, gamma_dec=0.010, scale=1.0)],
         ids=["15mW", "30mW"])
@@ -373,10 +403,10 @@ class TestOnePassPerTheta:
         real = biphoton.kernels._responses
         chunks = Counter()
 
-        def counted(d, params, impurity_line):
+        def counted(d, params):
             theta = (params.b, params.omega_c, params.gamma_dec)
             chunks[theta, params.delta_c, float(d[0]), d.size] += 1
-            return real(d, params, impurity_line)
+            return real(d, params)
 
         monkeypatch.setattr(biphoton.kernels, "_responses", counted)
         fit_series(clean_series, init=INIT,
@@ -393,52 +423,6 @@ class TestOnePassPerTheta:
         assert len(thetas) >= 3
         assert len(per_chunk) == (len(thetas) * len(DETUNINGS)
                                   * grid.n_points // _CHUNK)
-
-
-class TestImpurityLineCache:
-    @pytest.fixture
-    def line_evaluations(self, monkeypatch):
-        """The delta_c of every impurity-line evaluation in the package."""
-        real = biphoton.kernels._impurity_line
-        seen = []
-
-        def counted(p_pole, params):
-            seen.append(params.delta_c)
-            return real(p_pole, params)
-
-        monkeypatch.setattr(biphoton.kernels, "_impurity_line", counted)
-        return seen
-
-    def test_evaluated_once_per_detuning_in_a_fit(self, clean_series,
-                                                  line_evaluations):
-        init = Theta(b=0.35, omega_c=12.0, gamma_dec=0.012, scale=1.8e9)
-        fit_series(clean_series, init=init,
-                   options=FitOptions(max_iterations=2))
-        assert sorted(line_evaluations) == sorted(ghz_to_gamma(
-            np.asarray(DETUNINGS)))
-
-    def test_default_init_fit_shares_one_model(self, clean_series,
-                                               line_evaluations):
-        # the starting point's scan and the fit run on the same model
-        fit_series(clean_series, options=FitOptions(max_iterations=1))
-        assert sorted(line_evaluations) == sorted(ghz_to_gamma(
-            np.asarray(DETUNINGS)))
-
-    def test_cached_model_is_bit_identical_to_a_fresh_one(self):
-        model = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        model(np.asarray(THETA_TRUE))
-        moved = np.asarray(THETA_TRUE) * np.array([1.1, 0.97, 1.2, 1.0])
-        rg, tw, _, _ = model(moved)
-        fresh = _ForwardModel(SystemParams(), DETUNINGS, THETA_TRUE.gamma_dec)
-        rg_fresh, tw_fresh, _, _ = fresh(moved)
-        assert np.array_equal(rg, rg_fresh)
-        assert np.array_equal(tw, tw_fresh)
-        # and equal to a predict that keeps no cache at all
-        params = SystemParams().replace(b=moved[0], omega_c=moved[1],
-                                        gamma_dec=moved[2],
-                                        delta_c=ghz_to_gamma(DETUNINGS[-1]))
-        plain = predict(params, grid_hint=model.grid)
-        assert plain.rg_arb == rg[-1] and plain.tau_w_ns == tw[-1]
 
 
 class TestFit:

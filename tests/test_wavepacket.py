@@ -230,16 +230,13 @@ class TestIncrementalWidening:
     # from 2^14 points the joined quarters are one slice across the join;
     # (20, 2^14) widens twice; the auto grid (2^15) is widened once
     @pytest.mark.parametrize("hint", [(44.5, 2**14), (20.0, 2**14), None])
-    @pytest.mark.parametrize("mode", ["plain", "derivatives", "cached"])
+    @pytest.mark.parametrize("mode", ["plain", "derivatives"])
     def test_equals_the_whole_widened_grid(self, params_15mw, sizes, hint,
                                            mode):
         grid = (DetuningGrid.spanning(*hint) if hint
                 else auto_grid(params_15mw))
-        line = (K.impurity_line_integral(grid.values, params_15mw)
-                if mode == "cached" else None)
         derivatives = mode == "derivatives"
         sa = sample_spectral_amplitude(params_15mw, grid_hint=grid,
-                                       impurity_line=line,
                                        derivatives=derivatives)
         n = grid.n_points
         widenings = (sa.grid.n_points // n).bit_length() - 1
@@ -288,19 +285,15 @@ class TestOnePointwiseCallPerSlice:
         return log
 
     @pytest.mark.parametrize("derivatives", [False, True])
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_one_call_per_slice(self, params_15mw, calls, derivatives,
-                                cached):
+    def test_one_call_per_slice(self, params_15mw, calls, derivatives):
         # the widened auto grid at 0.2 GHz: its middle slices have 33
         # blocks each that are evaluated pointwise
         p = params_15mw.replace(delta_c=ghz_to_gamma(0.2))
         delta = auto_grid(p).widened().values
-        line = K.impurity_line_integral(delta, p) if cached else None
-        calls["integral"].clear()
-        amplitude_at(delta, p, impurity_line=line, derivatives=derivatives)
+        amplitude_at(delta, p, derivatives=derivatives)
         assert len(calls["integral"]) == delta.size // _CHUNK
         # per path one anchor per block, and the pump pole
-        anchors = (1 if cached else 2) * _CHUNK // F._ALONG_BLOCK + 1
+        anchors = 2 * _CHUNK // F._ALONG_BLOCK + 1
         assert min(calls["integral"]) == anchors
         assert max(calls["integral"]) == anchors + 33 * F._ALONG_BLOCK
         assert calls["difference"] == []
