@@ -164,6 +164,11 @@ class _ForwardModel:
     the span sets.  Only the pointwise width of |A|^2, which the fit
     never reads, needs 4 samples per gamma_dec.  At gamma_dec = 0 and at
     the auto grid's floor, doubling gamma_dec leaves the grid as it is.
+    The widening is there for the tau step alone: a pass samples A and
+    its tangents at every point of the middle half (2^14 points at the
+    benchmark's theta) and at every 32nd point of the outer quarters,
+    interpolating linearly in between (see ``sample_spectral_amplitude``),
+    so the Jacobian stays the exact derivative of the model.
     The series generator uses the same policy, so a residual evaluated
     at the generating theta is exactly zero for noiseless data.
 

@@ -17,20 +17,26 @@ that factor is never applied, and fftshift puts tau in increasing order.
 
 ``amplitude_at`` is the one place that walks a detuning grid: it takes
 ``_CHUNK`` = 2^14 points at a time, so no temporary of the grid's size
-is formed and every slice takes the Faddeeva layer's Taylor path (a
-slice of a grid gives the same bits as the whole grid would).  With
+is formed and every whole slice takes the Faddeeva layer's Taylor path
+(a slice of a grid gives the same bits as the whole grid would).  With
 ``derivatives`` it samples dA/d(b, Omega_c, gamma_dec) in the same
 pass, for the fitter, and ``transform_tangents`` then sums a few samples
 of the transform and their derivatives directly.
 
-Every slice the package evaluates holds exactly 2^14 points, the
-widening's joined outer quarters included (see
-``sample_spectral_amplitude``).  Two things need that.  The Faddeeva
-layer carries J by Taylor series only on 2^14 points or more.  And numpy
-elides temporaries of 256 KiB and more, which is exactly a 2^14-point
-complex array: on a slice of that size an expression like ``a * b * c``
-reuses its temporary in place, on a shorter one it does not, and numpy's
-in-place and out-of-place complex products can round differently.
+A grid is sampled at every point only in its core, the grid before any
+widening.  The two outer quarters a widening adds hold nothing narrower
+than about Gamma (the narrow lines sit within a few Gamma of the
+two-photon resonance; the Doppler and etalon widths are 54 and 8.9
+Gamma), so ``sample_spectral_amplitude`` evaluates them at every
+``_STRIDE`` = 32nd point, in one short ``amplitude_at`` call, and
+interpolates linearly in between.  That call is evaluated pointwise,
+since the Faddeeva layer carries J by Taylor series only on 2^14 points
+or more.  Every slice of a core holds exactly 2^14 points: numpy elides
+temporaries of 256 KiB and more, which is exactly a 2^14-point complex
+array, so on a slice of that size an expression like ``a * b * c``
+reuses its temporary in place, on a shorter one it does not, and
+numpy's in-place and out-of-place complex products can round
+differently.
 """
 
 import math
@@ -55,6 +61,10 @@ EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
 # zero-padding factor of the DFT: halves the tau step below pi/delta_max
 OVERSAMPLE = 2
+# a widening evaluates its outer quarters at every _STRIDE-th point: on
+# the fit grid, 64 still held tau_w within 1e-9 of a finer grid, 128 did
+# not
+_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,16 @@ class DetuningGrid:
     for bit and, n being even, never holds delta = 0.  The grid
     :meth:`widened` returns has the same spacing, so its middle half is
     exactly this grid's samples.
+
+    ``core_points`` is the middle of the grid that was never widened, the
+    whole grid (the default) unless it came from :meth:`widened`:
+    :func:`sample_spectral_amplitude` samples the core at every point
+    and each widening around it sparsely.
     """
 
     spacing: float
     n_points: int
+    core_points: int | None = None
 
     def __post_init__(self):
         n = self.n_points
@@ -87,6 +103,13 @@ class DetuningGrid:
             raise ParameterError.on_field(
                 "DetuningGrid.delta_max", self.delta_max,
                 f"must be positive and below {_HUGE_RADIUS:.0e} Gamma")
+        if self.core_points is None:
+            object.__setattr__(self, "core_points", n)
+        core = self.core_points
+        if not (MIN_GRID_POINTS <= core <= n and (core & (core - 1)) == 0):
+            raise ParameterError.on_field(
+                "DetuningGrid.core_points", core,
+                f"must be a power of two from {MIN_GRID_POINTS} to n_points")
 
     @classmethod
     def spanning(cls, delta_max: float, n_points: int) -> "DetuningGrid":
@@ -113,8 +136,9 @@ class DetuningGrid:
 
     def widened(self) -> "DetuningGrid":
         """The grid of twice the points at this spacing, so a little over
-        twice the span; its middle half is this grid's samples."""
-        return DetuningGrid(self.spacing, 2 * self.n_points)
+        twice the span, and the same core; its middle half is this grid's
+        samples."""
+        return DetuningGrid(self.spacing, 2 * self.n_points, self.core_points)
 
 
 def _next_pow2(n):
@@ -201,7 +225,7 @@ def _amplitude(delta, params: SystemParams, d_amp):
     Extreme parameters drive intermediate products past the float range:
     a Doppler width far below Gamma (1e-300, say) or a kappa prefactor
     past 1e308.  They then come out inf or NaN without a warning, and
-    :func:`_sample` reports the amplitude as NUMERICAL.
+    :func:`_peak` reports the amplitude as NUMERICAL.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         etalon = etalon_response(delta, params.gamma_etalon)
@@ -221,34 +245,69 @@ def _amplitude(delta, params: SystemParams, d_amp):
 
 def _around(middle, n_points):
     """A new array of ``n_points`` samples along the last axis, with
-    ``middle`` as its middle half; the outer quarters are left unset."""
+    ``middle`` at its centre; the samples around it are left unset."""
     out = np.empty(middle.shape[:-1] + (n_points,), dtype=middle.dtype)
-    out[..., n_points // 4:n_points - n_points // 4] = middle
+    lo = (n_points - middle.shape[-1]) // 2
+    out[..., lo:n_points - lo] = middle
     return out
 
 
-def _ends(a):
-    """The outer quarters of ``a`` along its last axis, joined."""
-    q = a.shape[-1] // 4
-    return np.concatenate((a[..., :q], a[..., -q:]), axis=-1)
-
-
-def _set_ends(a, ends):
-    """Write ``ends``, outer quarters joined as :func:`_ends` gives them,
-    into ``a``."""
-    q = a.shape[-1] // 4
-    a[..., :q] = ends[..., :q]
-    a[..., -q:] = ends[..., q:]
-
-
-def _sample(delta, params, derivatives):
-    """(A, dA or None, max |A|) on ``delta`` from one :func:`amplitude_at`
-    call; raises NUMERICAL on an inf or NaN sample of A."""
-    amp, tangents = amplitude_at(delta, params, derivatives)
+def _peak(amp):
+    """max |amp|; raises NUMERICAL when it is inf or NaN."""
     peak = float(np.max(np.abs(amp)))
     if not math.isfinite(peak):
         raise BiphotonError("spectral amplitude is not finite")
-    return amp, tangents, peak
+    return peak
+
+
+def _interpolate(a, start, count):
+    """Fill ``a`` along its last axis linearly between the nodes at
+    start + j _STRIDE, j = 0 .. count, which it already holds.
+
+    The real and imaginary parts are each taken as np.interp takes them,
+    v_j + ((v_(j+1) - v_j)/_STRIDE) i, so the fill is that of np.interp
+    bit for bit."""
+    stop = start + count * _STRIDE
+    for part in (a.real, a.imag):
+        nodes = part[..., start:stop + 1:_STRIDE]
+        slope = np.diff(nodes, axis=-1) / _STRIDE
+        # splitting the last axis is always a view, so this writes into a
+        run = part[..., start:stop].reshape(
+            part.shape[:-1] + (count, _STRIDE))[..., 1:]
+        np.multiply(slope[..., None], np.arange(1.0, _STRIDE), out=run)
+        run += nodes[..., :-1, None]
+
+
+def _widen(amp, tangents, m, spacing, params):
+    """Sample the two quarters around the ``m`` middle samples of ``amp``
+    (and ``tangents``), on the grid of ``spacing`` that ``amp`` spans, and
+    return max |A| over them.
+
+    A and dA are evaluated at every ``_STRIDE``-th point only, outward
+    from the middle sample next to each quarter, in one
+    :func:`amplitude_at` call; the points between come from
+    :func:`_interpolate`."""
+    q = m // 2
+    lo = (amp.size - m) // 2
+    count = q // _STRIDE
+    # the left run ends on the middle's first sample, the right run
+    # starts on its last
+    left, right = lo - q, lo + m - 1
+    nodes = np.r_[left:lo:_STRIDE, right + _STRIDE:right + q + 1:_STRIDE]
+    # the grid's values at the nodes, the same floats as DetuningGrid.values
+    delta = (nodes - (amp.size - 1) / 2) * spacing
+    node_amp, node_tangents = amplitude_at(delta, params, tangents is not None)
+    amp[nodes] = node_amp
+    if tangents is not None:
+        tangents[:, nodes] = node_tangents
+    # as in the amplitude, samples past the float range go on without a
+    # warning, and the peak below or the width tangents report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in (amp, tangents):
+            if a is not None:
+                _interpolate(a, left, count)
+                _interpolate(a, right, count)
+    return max(_peak(amp[left:lo]), _peak(amp[lo + m:right + q + 1]))
 
 
 def sample_spectral_amplitude(params: SystemParams,
@@ -259,42 +318,41 @@ def sample_spectral_amplitude(params: SystemParams,
     Starts from ``grid_hint`` or the auto-sized grid and widens it
     (:meth:`DetuningGrid.widened`: twice the points at the same spacing)
     until |A| at both edges is below 1e-6 of the peak, giving up after 3
-    widenings.  The samples already taken are the middle half of the
-    widened grid, so a widening evaluates A only on its two new outer
-    quarters, joined into one :func:`amplitude_at` call: the joined array
-    has n points, a multiple of 2^14, so it is walked in whole slices as
-    the full grid would be, and A there is the same, bit for bit.  A
-    pump-free amplitude is identically zero and returned as-is.  An
-    amplitude with an inf or NaN sample raises on the grid that has it, as
-    NUMERICAL, without widening.
-
-    With ``derivatives``, A and its ``tangents`` come from the same
-    passes of :func:`amplitude_at`; A is the same, bit for bit, as
-    without.
+    widenings.  A is evaluated at every point of the grid's core
+    (``core_points``, the whole of a grid that was never widened) in one
+    :func:`amplitude_at` call.  Each widening around it, those the grid
+    was built with and those taken here alike, samples its two new outer
+    quarters at every ``_STRIDE``-th point alone, outward from the sample
+    next to each, and interpolates linearly in between: those quarters
+    hold nothing narrower than about Gamma.  The interpolation is linear
+    in the samples, so with ``derivatives`` the ``tangents``, sampled in
+    the same passes and interpolated alike, are the exact derivatives of
+    the amplitude returned; A is the same, bit for bit, as without.  The
+    grid's two edge samples are evaluated, so the decay test reads A
+    itself.  A pump-free amplitude is identically zero and returned
+    as-is.  An amplitude with an inf or NaN sample raises on the grid
+    that has it, as NUMERICAL, without widening.
     """
     grid = grid_hint if grid_hint is not None else auto_grid(params)
-    delta = grid.values
-    amp, tangents, peak = _sample(delta, params, derivatives)
-    for widenings in range(MAX_WIDENINGS + 1):
+    amp, tangents = amplitude_at(
+        DetuningGrid(grid.spacing, grid.core_points).values, params,
+        derivatives)
+    peak = _peak(amp)
+    for _ in range(MAX_WIDENINGS + 1):
+        if amp.size < grid.n_points:
+            m = amp.size
+            # rebinding frees the smaller arrays before the new samples
+            amp = _around(amp, grid.n_points)
+            if tangents is not None:
+                tangents = _around(tangents, grid.n_points)
+            while m < grid.n_points:
+                peak = max(peak, _widen(amp, tangents, m, grid.spacing,
+                                        params))
+                m *= 2
         if max(abs(amp[0]), abs(amp[-1])) <= EDGE_DECAY * peak:
             return SpectralAmplitude(grid, amp, peak, tangents)
         # past MAX_GRID_POINTS, widened() raises before the decay error
         grid = grid.widened()
-        if widenings == MAX_WIDENINGS:
-            break
-        # taken before the amplitude is moved: in the other order the peak
-        # RSS was 6 MB higher after a 2^17-point widening
-        delta = grid.values
-        # rebinding frees the parent's arrays before the new samples exist
-        amp = _around(amp, grid.n_points)
-        if tangents is not None:
-            tangents = _around(tangents, grid.n_points)
-        delta = _ends(delta)
-        ends, d_ends, ends_peak = _sample(delta, params, derivatives)
-        _set_ends(amp, ends)
-        if tangents is not None:
-            _set_ends(tangents, d_ends)
-        peak = max(peak, ends_peak)
     raise GridOverflowError(
         f"spectral amplitude does not decay below {EDGE_DECAY:.0e} of its "
         f"peak within {MAX_WIDENINGS} grid widenings")

@@ -28,7 +28,7 @@ from biphoton.fitting import (_LOWER, _UPPER, PARAM_NAMES, DetuningSeries,
                               synthesize_series)
 from biphoton.params import SystemParams
 from biphoton.units import ghz_to_gamma, tau_to_ns
-from biphoton.wavepacket import _CHUNK, DetuningGrid
+from biphoton.wavepacket import _CHUNK, _STRIDE, DetuningGrid
 
 THETA_TRUE = Theta(b=0.375, omega_c=11.4, gamma_dec=0.013, scale=2.0e9)
 DETUNINGS = [0.2, 0.6, 1.0, 1.5, 2.2]
@@ -399,7 +399,8 @@ class TestOnePassPerTheta:
     def test_amplitude_evaluated_once_per_detuning(self, clean_series,
                                                    monkeypatch):
         """A fit samples each detuning's amplitude once per theta triple,
-        derivatives included: every chunk of the grid exactly once."""
+        derivatives included: every slice of the grid's core and the one
+        node call of its widening exactly once."""
         real = biphoton.kernels._responses
         chunks = Counter()
 
@@ -417,12 +418,16 @@ class TestOnePassPerTheta:
         for (theta, dc, start, _), calls in chunks.items():
             per_chunk[theta, dc, start] += calls
         assert set(per_chunk.values()) == {1}
-        assert {size for *_, size in chunks} == {_CHUNK}
         thetas = {theta for theta, *_ in per_chunk}
         # the init and at least one accepted step per iteration
         assert len(thetas) >= 3
-        assert len(per_chunk) == (len(thetas) * len(DETUNINGS)
-                                  * grid.n_points // _CHUNK)
+        # per theta and detuning: the core (2^14 points) in whole slices,
+        # and the outer quarters' every _STRIDE-th point in one call
+        nodes = (grid.n_points - grid.core_points) // _STRIDE
+        assert grid.core_points == _CHUNK and nodes == 512
+        passes = len(thetas) * len(DETUNINGS)
+        assert Counter(size for *_, size in chunks) == Counter(
+            {_CHUNK: passes * grid.core_points // _CHUNK, nodes: passes})
 
 
 class TestFit:

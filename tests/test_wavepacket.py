@@ -15,10 +15,11 @@ from biphoton.forward import predict
 from biphoton.observables import fwhm, generation_rate
 from biphoton.params import SystemParams, coupling_15mw_params
 from biphoton.units import ghz_to_gamma
-from biphoton.wavepacket import (_CHUNK, MAX_GRID_POINTS, MAX_WIDENINGS,
-                                 DetuningGrid, SpectralAmplitude,
-                                 amplitude_at, auto_grid, biphoton_spectrum,
-                                 sample_spectral_amplitude, wave_packet)
+from biphoton.wavepacket import (_CHUNK, _STRIDE, MAX_GRID_POINTS,
+                                 MAX_WIDENINGS, DetuningGrid,
+                                 SpectralAmplitude, amplitude_at, auto_grid,
+                                 biphoton_spectrum, sample_spectral_amplitude,
+                                 wave_packet)
 
 from conftest import at_point
 
@@ -64,6 +65,16 @@ class TestGrid:
             DetuningGrid.spanning(2.0, 2**14 + 1)
         with pytest.raises(ParameterError):
             DetuningGrid.spanning(2.0, 2**10)
+
+    def test_widened_grid_keeps_its_core(self):
+        grid = DetuningGrid.spanning(2.0, 2**14)
+        assert grid.core_points == 2**14
+        assert grid == DetuningGrid(grid.spacing, 2**14, 2**14)
+        wide = grid.widened().widened()
+        assert (wide.n_points, wide.core_points) == (2**16, 2**14)
+        for core in (2**13, 2**14 + 32, 2**17):
+            with pytest.raises(ParameterError, match="core_points"):
+                DetuningGrid(grid.spacing, 2**16, core)
 
     def test_grid_size_is_capped(self):
         # every case raises before any grid array exists
@@ -209,9 +220,10 @@ class TestSampling:
 
 class TestIncrementalWidening:
     """A widening keeps the samples already taken, the middle half of the
-    widened grid, and evaluates A on the two new outer quarters alone, in
-    one amplitude_at call; the result is A on the widened grid, bit for
-    bit."""
+    widened grid, and evaluates A on its two new outer quarters at every
+    _STRIDE-th point alone, in one amplitude_at call, outward from the
+    middle sample next to each; the points between are the linear
+    interpolant of those samples."""
 
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -227,7 +239,6 @@ class TestIncrementalWidening:
         monkeypatch.setattr(biphoton.wavepacket, "amplitude_at", counted)
         return log
 
-    # from 2^14 points the joined quarters are one slice across the join;
     # (20, 2^14) widens twice; the auto grid (2^15) is widened once
     @pytest.mark.parametrize("hint", [(44.5, 2**14), (20.0, 2**14), None])
     @pytest.mark.parametrize("mode", ["plain", "derivatives"])
@@ -240,16 +251,73 @@ class TestIncrementalWidening:
                                        derivatives=derivatives)
         n = grid.n_points
         widenings = (sa.grid.n_points // n).bit_length() - 1
-        assert widenings >= 1
-        # n points per widening from n
-        assert sizes == [n] + [n << k for k in range(widenings)]
+        assert widenings >= 1 and sa.grid.core_points == n
+        # the grid whole, then n/_STRIDE points per widening from n
+        assert sizes == [n] + [(n << k) // _STRIDE for k in range(widenings)]
+
+        def rows(amp, tangents):
+            return np.vstack([amp] + ([] if tangents is None else
+                                      list(tangents)))
+
+        got = rows(sa.amplitude, sa.tangents)
         delta = sa.grid.values
-        want, d_want = amplitude_at(delta, params_15mw,
-                                    derivatives=derivatives)
-        if derivatives:
-            assert np.array_equal(sa.tangents, d_want)
-        assert np.array_equal(sa.amplitude, want)
-        assert sa.peak_magnitude == float(np.max(np.abs(want)))
+        total = delta.size
+        lo = (total - n) // 2
+        core = rows(*amplitude_at(delta[lo:lo + n], params_15mw,
+                                  derivatives=derivatives))
+        assert np.array_equal(got[:, lo:lo + n], core)
+        # so the middle half of each widening is the grid it widened: the
+        # core, then the core and the quarters checked before
+        index = np.arange(total, dtype=float)
+        m = n
+        while m < total:
+            q, lo = m // 2, (total - m) // 2
+            # the nodes of each quarter and the middle sample next to it
+            left = np.arange(lo - q, lo + 1, _STRIDE)
+            right = np.arange(lo + m - 1, lo + m + q, _STRIDE)
+            nodes = rows(*amplitude_at(
+                delta[np.r_[left[:-1], right[1:]]], params_15mw,
+                derivatives=derivatives))
+            k = left.size - 1
+            for row, node in zip(got, nodes):
+                left_want = np.interp(index[lo - q:lo], left,
+                                      np.append(node[:k], row[lo]))
+                right_want = np.interp(index[lo + m:lo + m + q], right,
+                                       np.append(row[lo + m - 1], node[k:]))
+                assert np.array_equal(row[lo - q:lo], left_want)
+                assert np.array_equal(row[lo + m:lo + m + q], right_want)
+            m *= 2
+        assert sa.peak_magnitude == float(np.max(np.abs(sa.amplitude)))
+
+    @pytest.mark.parametrize("delta_c_ghz", [0.0, 0.2, 1.0, 2.2, 3.0])
+    def test_matches_the_widened_grid_sampled_densely(self, delta_c_ghz,
+                                                      random_valid_params):
+        """Each predict that widens, from the auto grid or from the auto
+        grid widened once as the fit's grid is, against one on the same
+        grid sampled at every point: R_g within 1e-12 and tau_w within
+        1e-8, and delta_omega bit for bit.  A predict that does not widen
+        samples every point of its grid."""
+        widened = 0
+        for draw in random_valid_params(6):
+            del draw["delta_c_ghz"]
+            p = SystemParams(delta_c=ghz_to_gamma(delta_c_ghz), **draw)
+            for hint in (None, auto_grid(p).widened()):
+                got = predict(p, grid_hint=hint)
+                grid = got.amplitude.grid
+                if grid.core_points == grid.n_points:
+                    want, _ = amplitude_at(grid.values, p)
+                    assert np.array_equal(got.amplitude.amplitude, want)
+                    continue
+                widened += 1
+                dense = predict(p, grid_hint=DetuningGrid(grid.spacing,
+                                                          grid.n_points))
+                assert dense.amplitude.grid.n_points == grid.n_points
+                assert got.rg_arb == pytest.approx(dense.rg_arb, rel=1e-12,
+                                                   abs=0)
+                assert got.tau_w == pytest.approx(dense.tau_w, rel=1e-8,
+                                                  abs=0)
+                assert got.delta_omega == dense.delta_omega
+        assert widened >= 6
 
 
 class TestOnePointwiseCallPerSlice:
