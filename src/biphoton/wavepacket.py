@@ -8,12 +8,16 @@ The spectral amplitude at two-photon detuning delta is
 and the two-photon correlation function is the squared continuous Fourier
 transform G2(tau) = | (1/2pi) Integral[ A(delta) exp(-i delta tau) ] |^2.
 
-The transform is a trapezoid-weighted DFT, zero-padded to OVERSAMPLE
-times the grid size and scaled by d_delta/2pi, so the 1/2pi
-normalization is exact for the sampled amplitude.  Starting the sum at
-the grid's first sample, -delta_max, instead of 0 multiplies G(tau) by
-the unit-modulus factor exp(i delta_max tau); only |G|^2 is formed, so
-that factor is never applied, and fftshift puts tau in increasing order.
+The transform is a trapezoid-weighted DFT of the n samples, zero-padded
+to 2n points and scaled by d_delta/2pi, so the 1/2pi normalization is
+exact for the sampled amplitude.  The padding is never formed: the even
+outputs of a twofold zero-padded DFT are the n-point DFT of the samples
+a_l, and its odd outputs the n-point DFT of a_l exp(-i pi l/n) (input
+pruning).  Both run in turn in one n-point work array, and each half's
+|G|^2 goes straight to its slots of the increasing tau grid.  Starting
+the sum at the grid's first sample, -delta_max, instead of 0 multiplies
+G(tau) by the unit-modulus factor exp(i delta_max tau); only |G|^2 is
+formed, so that factor is never applied.
 
 ``amplitude_at`` is the one place that walks a detuning grid: it takes
 ``_CHUNK`` = 2^14 points at a time, so no temporary of the grid's size
@@ -59,8 +63,6 @@ MAX_GRID_POINTS = 2**22
 # |A| at the grid edge must fall below this fraction of the peak |A|
 EDGE_DECAY = 1e-6
 MAX_WIDENINGS = 3
-# zero-padding factor of the DFT: halves the tau step below pi/delta_max
-OVERSAMPLE = 2
 # a widening evaluates its outer quarters at every _STRIDE-th point: on
 # the fit grid, 64 still held tau_w within 1e-9 of a finer grid, 128 did
 # not
@@ -369,28 +371,64 @@ class WavePacket:
 def wave_packet(sa: SpectralAmplitude) -> WavePacket:
     """Transform the spectral amplitude to the delay-time domain.
 
-    The DFT is zero-padded by OVERSAMPLE, so the tau step is half the
-    Nyquist step pi/delta_max.  The tau grid spans one full period
-    2 pi/spacing, which exceeds any wave-packet support by orders of
-    magnitude, so Parseval holds on it to rounding error.
+    G is the DFT of the end-halved amplitude zero-padded to 2n points, so
+    the tau step is half the Nyquist step pi/delta_max.  It is taken as
+    two n-point FFTs in one n-point work array: the even outputs from the
+    amplitude, then the odd outputs from the amplitude times
+    exp(-i pi l/n).  The tau grid spans one full period 2 pi/spacing,
+    which exceeds any wave-packet support by orders of magnitude, so
+    Parseval holds on it to rounding error.
     """
     grid = sa.grid
-    d_delta = grid.spacing
     n = grid.n_points
-    m = n * OVERSAMPLE
+    half = n // 2
+    scale = grid.spacing / (2.0 * np.pi)
+    # output j of a half is output k = 2j + parity of the padded DFT, at
+    # tau_k = 2 pi k/(2n d_delta): index k + n of the increasing tau grid
+    # for k < n, index k - n for k >= n
+    g2 = np.empty(2 * n)
+    work = np.empty(n, dtype=complex)
+    for parity in (0, 1):
+        np.copyto(work, sa.amplitude)
+        work[0] *= 0.5
+        work[n - 1] *= 0.5
+        if parity:
+            _twiddle(work)
+        np.fft.fft(work, out=work)
+        work *= scale
+        np.abs(work[half:], out=g2[parity:n:2])
+        np.abs(work[:half], out=g2[n + parity::2])
+    np.square(g2, out=g2)
+    del work    # so that the peak holds g2 and one n-point array
+    # the floats of 2 pi fftshift(fftfreq(2n, d_delta)), built in place
+    tau = np.arange(-n, n, dtype=float)
+    tau *= 1.0 / (2 * n * grid.spacing)
+    tau *= 2.0 * np.pi
+    return WavePacket(tau, g2)
 
-    # the end-halved amplitude, zero-padded and transformed in place
-    g = np.zeros(m, dtype=complex)
-    g[:n] = sa.amplitude
-    g[0] *= 0.5
-    g[n - 1] *= 0.5
-    np.fft.fft(g, out=g)
-    g *= d_delta / (2.0 * np.pi)
-    g2 = np.abs(g) ** 2
-    del g       # before the shift copies g2
-    # tau_k = 2 pi k/(M d_delta) for k = -M/2 .. M/2 - 1
-    tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=d_delta))
-    return WavePacket(tau, np.fft.fftshift(g2))
+
+def _roots(n, k):
+    """The roots of unity exp(-2 pi i j k/2n) for j = 0 .. n - 1, factored
+    over j = r B + c, B ~ sqrt(n): (outer, inner), the (n/B, K) table of
+    the rows r and the (B, K) table of the columns c, so that no table
+    of the grid's size is formed.  The phases are reduced mod 2n in
+    integers before the exponential."""
+    m = 2 * n
+    block = 1 << (n.bit_length() - 1) // 2
+    c = np.arange(block, dtype=np.int64)[:, None]
+    r = np.arange(n // block, dtype=np.int64)[:, None]
+    inner = np.exp((-2j * np.pi / m) * ((c * k) % m))
+    outer = np.exp((-2j * np.pi / m) * ((r * block * k) % m))
+    return outer, inner
+
+
+def _twiddle(a):
+    """Multiply ``a`` by exp(-i pi l/n), l = 0 .. n - 1, in place: its
+    (n/B, B) view by the column factors, then by the row factors."""
+    outer, inner = _roots(a.size, 1)
+    view = a.reshape(outer.shape[0], -1)
+    view *= inner[:, 0]
+    view *= outer
 
 
 def transform_tangents(sa: SpectralAmplitude, indices):
@@ -399,24 +437,20 @@ def transform_tangents(sa: SpectralAmplitude, indices):
 
     Returns (G, dG, dE): G at the indices, dG (3, K) its derivatives, and
     dE (3,) the derivatives 2 Re<a, da> of sum |a|^2 over the end-halved
-    amplitude a.  ``indices`` index the increasing tau grid of :func:`wave_packet`; each
-    sample is the direct sum (d_delta/2pi) sum_j a_j exp(-2 pi i j k/M)
-    with k its unshifted DFT index.  The roots of unity factor over
-    j = r B + c, B ~ sqrt(n), into an (n/B, K) and a (B, K) table, so a
-    sum is one small matrix product; the phases are reduced mod M in
-    integers before the exponential.  The grid is summed ``_CHUNK``
-    points at a time, so no temporary of the grid's size is formed.  The
-    energy sums are numpy reductions, not BLAS dot products, whose
-    summation order would change with the BLAS thread count.
+    amplitude a.  ``indices`` index the increasing tau grid of
+    :func:`wave_packet`; each sample is the direct sum
+    (d_delta/2pi) sum_j a_j exp(-2 pi i j k/2n) with k its index in the
+    2n-point zero-padded DFT, even and odd outputs alike.  The roots of
+    unity come from :func:`_roots`, so a sum is one small matrix product
+    over the (n/B, B) view of the amplitude.  The grid is summed
+    ``_CHUNK`` points at a time, so no temporary of the grid's size is
+    formed.  The energy sums are numpy reductions, not BLAS dot products,
+    whose summation order would change with the BLAS thread count.
     """
     n = sa.grid.n_points
-    m = n * OVERSAMPLE
-    k = (np.asarray(indices, dtype=np.int64) + m // 2) % m
-    block = 1 << (n.bit_length() - 1) // 2
-    c = np.arange(block, dtype=np.int64)[:, None]
-    r = np.arange(n // block, dtype=np.int64)[:, None]
-    inner = np.exp((-2j * np.pi / m) * ((c * k) % m))
-    outer = np.exp((-2j * np.pi / m) * ((r * block * k) % m))
+    k = (np.asarray(indices, dtype=np.int64) + n) % (2 * n)
+    outer, inner = _roots(n, k)
+    block = inner.shape[0]
     g = np.zeros(k.size, dtype=complex)
     d_g = np.zeros((3, k.size), dtype=complex)
     d_energy = np.zeros(3)

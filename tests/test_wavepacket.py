@@ -397,13 +397,20 @@ class TestWavePacket:
         expected = 2.0 * np.sqrt(np.log(2.0)) / sigma
         assert measured == pytest.approx(expected, rel=1e-3)
 
-    def test_parseval(self, params_15mw):
-        sa = sample_spectral_amplitude(params_15mw)
-        wp = wave_packet(sa)
-        time_side = np.trapezoid(wp.g2, wp.tau)
-        freq_side = np.trapezoid(np.abs(sa.amplitude) ** 2,
-                                 sa.grid.values) / (2.0 * np.pi)
-        assert time_side == pytest.approx(freq_side, rel=1e-6)
+    def test_parseval(self, params_15mw, params_30mw):
+        # at the benchmark's PARSEVAL_RTOL, at both powers, off resonance
+        # and on a widened grid
+        p_1ghz = params_15mw.replace(delta_c=ghz_to_gamma(1.0))
+        for sa in (sample_spectral_amplitude(params_15mw),
+                   sample_spectral_amplitude(params_30mw),
+                   sample_spectral_amplitude(p_1ghz),
+                   sample_spectral_amplitude(
+                       p_1ghz, grid_hint=auto_grid(p_1ghz).widened())):
+            wp = wave_packet(sa)
+            time_side = np.trapezoid(wp.g2, wp.tau)
+            freq_side = np.trapezoid(np.abs(sa.amplitude) ** 2,
+                                     sa.grid.values) / (2.0 * np.pi)
+            assert time_side == pytest.approx(freq_side, rel=1e-12)
 
     def test_doubling_grid_changes_nothing(self, params_15mw):
         coarse = predict(params_15mw)
@@ -432,24 +439,56 @@ class TestWavePacket:
     def test_matches_the_phased_argsort_transform(self, params_15mw):
         # reference: the twofold zero-padded DFT with the
         # exp(i delta_max tau) phase applied and tau sorted by argsort
-        sa = sample_spectral_amplitude(params_15mw.replace(
-            delta_c=ghz_to_gamma(1.0)))
-        grid = sa.grid
-        m = 2 * grid.n_points
-        padded = np.zeros(m, dtype=complex)
-        padded[:grid.n_points] = sa.amplitude
-        padded[0] *= 0.5
-        padded[grid.n_points - 1] *= 0.5
-        tau = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
-        g = (grid.spacing / (2.0 * np.pi)) * np.exp(
-            1j * grid.delta_max * tau) * np.fft.fft(padded)
-        order = np.argsort(tau, kind="stable")
-        want_g2 = np.abs(g[order]) ** 2
+        p = params_15mw.replace(delta_c=ghz_to_gamma(1.0))
+        span = auto_grid(p).delta_max
+        widened = sample_spectral_amplitude(
+            p, grid_hint=auto_grid(p).widened())
+        assert widened.grid.core_points < widened.grid.n_points
+        cases = [sample_spectral_amplitude(p), widened]
+        for n in (2**14, 2**15, 2**17):
+            grid = DetuningGrid.spanning(span, n)
+            amp, _ = amplitude_at(grid.values, p)
+            cases.append(SpectralAmplitude(grid, amp, np.max(np.abs(amp))))
+        # a complex ramp under the line: two unequal, nonzero end samples
+        grid = cases[-1].grid
+        ramp = cases[-1].peak_magnitude * (
+            (0.3 + 0.2j) + (0.1 - 0.05j) * grid.values / grid.delta_max)
+        amp = cases[-1].amplitude + ramp
+        assert 0.0 != abs(amp[0]) != abs(amp[-1]) != 0.0
+        cases.append(SpectralAmplitude(grid, amp, np.max(np.abs(amp))))
 
-        wp = wave_packet(sa)
-        assert np.array_equal(wp.tau, tau[order])
-        assert np.all(np.diff(wp.tau) > 0.0)
-        assert np.max(np.abs(wp.g2 - want_g2)) <= 1e-14 * np.max(want_g2)
+        for sa in cases:
+            grid = sa.grid
+            m = 2 * grid.n_points
+            padded = np.zeros(m, dtype=complex)
+            padded[:grid.n_points] = sa.amplitude
+            padded[0] *= 0.5
+            padded[grid.n_points - 1] *= 0.5
+            tau = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+            g = (grid.spacing / (2.0 * np.pi)) * np.exp(
+                1j * grid.delta_max * tau) * np.fft.fft(padded)
+            order = np.argsort(tau, kind="stable")
+            want_g2 = np.abs(g[order]) ** 2
+
+            wp = wave_packet(sa)
+            assert np.array_equal(wp.tau, tau[order])
+            assert np.all(np.diff(wp.tau) > 0.0)
+            assert (np.max(np.abs(wp.g2 - want_g2))
+                    <= 1e-14 * np.max(want_g2))
+
+    def test_holds_no_padded_buffer(self):
+        # the returned tau and g2 and one n-point complex work array; the
+        # zero-padded 2n-point transform peaks at 4 x 16n bytes
+        grid = DetuningGrid.spanning(40.0, 2**17)
+        amp = np.exp(-grid.values**2 / 8.0).astype(complex)
+        sa = SpectralAmplitude(grid, amp, 1.0)
+        tracemalloc.start()
+        try:
+            wave_packet(sa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * grid.n_points
 
     def test_full_pipeline_regressions(self, params_15mw):
         pr0 = predict(params_15mw)
