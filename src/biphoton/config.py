@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BiphotonError, ParameterError
 from .ingest import read_pairs
 from .params import SystemParams
-from .units import mhz_to_gamma
+from .units import ghz_to_gamma, mhz_to_gamma
 from .wavepacket import DetuningGrid
 
 
@@ -160,7 +160,10 @@ class RunConfig:
         if vals.size < 2:
             raise ConfigError("CONFIG_SWEEP_TOO_SHORT",
                               f"need >= 2 detunings, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
+        # finite in GHz is not enough: the sweep runs in units of Gamma
+        with np.errstate(over="ignore"):
+            finite = np.all(np.isfinite(ghz_to_gamma(vals)))
+        if not finite:
             raise ConfigError(
                 "CONFIG_BAD_VALUE", f"sweep.delta_c_ghz = "
                 f"{self.values['sweep.delta_c_ghz']}: must all be finite")

@@ -134,6 +134,10 @@ class FitOptions:
                 "FitOptions.freeze", self.freeze,
                 f"cannot freeze unknown parameters {', '.join(unknown)}; "
                 f"the parameters are {', '.join(PARAM_NAMES)}")
+        if set(self.freeze) == set(PARAM_NAMES):
+            raise ParameterError.on_field(
+                "FitOptions.freeze", self.freeze,
+                "all parameters are frozen; nothing to fit")
 
 
 @dataclass(frozen=True)
@@ -333,8 +337,6 @@ def fit_series(series: DetuningSeries, init: Theta | None = None,
     identical inputs and options.
     """
     free = np.array([name not in options.freeze for name in PARAM_NAMES])
-    if not free.any():
-        raise ParameterError("all parameters are frozen; nothing to fit")
     if init is None:
         model = _ForwardModel(series.fixed, series.delta_c_ghz,
                               _DEFAULT_GAMMA_DEC)

@@ -15,19 +15,19 @@ weight exp(-omega_D^2/Gamma_D^2)/(sqrt(pi) Gamma_D).  Because every
 integrand is a rational function of omega_D with simple poles off the real
 axis, the average reduces exactly to Faddeeva evaluations of the Gaussian
 pole integral J, which is the only way the package evaluates the kernels.
-rho_c_bar and kappa_bar share the coupling-dressed pole omega_0(delta),
-so ``doppler_responses`` gives (rho_c_bar + rho_m_bar, kappa_bar) with
-J(omega_0/Gamma_D) evaluated once.  Each formula is written once, in
-private pieces that the three public kernels and ``doppler_responses``
-build from.
-``response_tangents`` adds the derivatives of both responses in (b,
-Omega_c, gamma_dec), in closed form from the same J arrays (J' = -2 zeta
-J - 2).  kappa is a divided difference D of J between the pump pole
-omega_1 and the dressed pole.  One pole split per pass serves kappa and
-its tangents: the pump-line integral J(omega_1/Gamma_D), which does not
-move with delta, and where the two poles merge, the pair (D, dD/dzeta_0)
-from one :func:`~biphoton.faddeeva.gaussian_pole_difference` call, which
-a pass where nothing merges skips.
+
+All three come from one private pass over an array of detunings, which
+the three public kernels and ``doppler_responses`` share.  The pass
+forms q = delta + i gamma_dec and the coupling-dressed pole
+omega_0(delta), which rho_c_bar and kappa_bar share, once; takes J at
+the dressed pole, at the impurity line and at the pump pole omega_1
+from one Faddeeva call; and, where omega_1 and the dressed pole merge,
+takes kappa's divided difference D of J and dD/dzeta_0 from one
+:func:`~biphoton.faddeeva.gaussian_pole_difference` call, which a pass
+where nothing merges skips.  ``doppler_responses`` returns
+(rho_c_bar + rho_m_bar, kappa_bar) and, with ``derivatives``, their
+derivatives in (b, Omega_c, gamma_dec), in closed form from the same J
+arrays (J' = -2 zeta J - 2).  Each formula is written once.
 
 Both array arguments of J, the impurity line and the dressed pole, are
 dense samples of a path over the detuning grid, and go through
@@ -35,33 +35,31 @@ dense samples of a path over the detuning grid, and go through
 pointwise at the middle of each block of 32 detunings and carried to the
 rest of the block by its Taylor series, where the block is narrow enough
 (the rules and the error bound are in the :mod:`~biphoton.faddeeva`
-docstring).  A pass hands it both paths and the pump pole zeta_1, so
-that one pointwise Faddeeva call serves them all.  Every kernel takes a
-1-d array of detunings.  Arrays shorter than 2^14 detunings are evaluated
-pointwise, so a kernel there gives each detuning the same bits as an
-array of that detuning alone.  On 2^14 or more detunings, the size of
-every grid the package samples, each J agrees with pointwise J within
-that bound, 5e-14 relative, not bit for bit.  A kernel passes that on
-as it passes on J's own error of up to 3e-13: magnified where its formula
-cancels, most in kappa's divided difference next to the merged-pole
-band (up to 8e-12 relative measured on auto grids, gamma_dec = 0
-included).  ``doppler_responses``,
-``response_tangents`` and the three public kernels take the same path,
-so they stay equal to each other bit for bit.  A grid sliced at
-multiples of 2^14 gives the same bits as the whole:
-:func:`~biphoton.wavepacket.amplitude_at`, the one caller that walks a
-grid, relies on that to evaluate it 2^14 detunings at a time.  So does a
-grid widening, which evaluates only its two new outer quarters, joined
-into whole slices.  Every slice holds exactly 2^14 detunings, so every
-complex temporary of these formulas is 256 KiB, numpy's threshold for
-eliding temporaries: a slice of another size could take an out-of-place
+docstring).  Every kernel takes a 1-d array of detunings.  Arrays
+shorter than 2^14 detunings are evaluated pointwise, so a kernel there
+gives each detuning the same bits as an array of that detuning alone.
+On 2^14 or more detunings, the size of every grid the package samples,
+each J agrees with pointwise J within that bound, 5e-14 relative, not
+bit for bit.  A kernel passes that on as it passes on J's own error of
+up to 3e-13: magnified where its formula cancels, most in kappa's
+divided difference next to the merged-pole band (up to 8e-12 relative
+measured on auto grids, gamma_dec = 0 included).  Since every kernel is
+the same pass, they stay equal to each other bit for bit, with
+derivatives and without.  A grid sliced at multiples of 2^14 gives the
+same bits as the whole: :func:`~biphoton.wavepacket.amplitude_at`, the
+one caller that walks a grid, relies on that to evaluate a grid's core
+2^14 detunings at a time; the sparse nodes of a grid widening go
+through one short call of their own, which is evaluated pointwise.
+Every slice of a core holds exactly 2^14 detunings, so every complex
+temporary of these formulas is 256 KiB, numpy's threshold for eliding
+temporaries: a slice of another size could take an out-of-place
 product where a 2^14-point slice takes an in-place one, and numpy's two
 complex products can round differently.  Special points are
 substituted and patched, never gathered out, so every formula runs on
 the whole slice: where the poles merge, kappa takes the series' values,
 and on the exact two-photon resonance q = 0 (|q| <= 1e-200) q is taken
 as 1 and the results are overwritten with their limits.  Where no pole
-merges, or no point sits on q = 0, the kernels skip the selects and
+merges, or no point sits on q = 0, the pass skips the selects and
 masked writes, which would change no value.
 
 The section marked "test reference" holds the integrands themselves and a
@@ -81,7 +79,6 @@ rho_c_bar.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -366,135 +363,6 @@ def kappa_integrand(delta, p: SystemParams):
 # ---------------------------------------------------------------------------
 # analytic reductions
 
-def _probe_pole(d, params: SystemParams):
-    return d + params.delta_c + 0.5j
-
-
-def _impurity_line(p_pole, params: SystemParams):
-    """The impurity line's poles -P/Gamma_D; every evaluation of the line
-    starts here."""
-    return -p_pole / params.gamma_doppler
-
-
-def _pump_pole(params: SystemParams):
-    return -params.delta_p - 0.5j
-
-
-def _rho_m(line, params: SystemParams):
-    pref = params.b * params.alpha / 2.0
-    return -pref / (4.0 * params.gamma_doppler) * line
-
-
-class _DressedPole(NamedTuple):
-    """What rho_c_bar and kappa_bar share: q = delta + i gamma_dec, the
-    dressed pole ``omega0``, ``zeta0`` = omega_0/Gamma_D and its J.  q is
-    taken as 1 at the ``resonant`` points, those on q = 0 (None if there
-    are none), and the kernels overwrite their results there."""
-
-    q: np.ndarray
-    resonant: np.ndarray | None
-    omega0: np.ndarray
-    zeta0: np.ndarray
-    j0: np.ndarray
-
-
-def _dressed_pole(d, params: SystemParams):
-    """(dp, line, j1): the :class:`_DressedPole` at ``d`` and, from the
-    same :func:`~biphoton.faddeeva.gaussian_pole_integral_along` call,
-    the impurity line and J(omega_1/Gamma_D), or None with the pump
-    off."""
-    gd = params.gamma_doppler
-    q = d + 1j * params.gamma_dec
-    p_pole = _probe_pole(d, params)
-    resonant = None
-    if params.gamma_dec <= _Q_FLOOR:    # else |q| >= gamma_dec
-        at_zero = np.abs(q) <= _Q_FLOOR
-        if at_zero.any():
-            resonant = at_zero
-            q[resonant] = 1.0
-    omega0 = params.omega_c**2 / (4.0 * q) - p_pole
-    zeta0 = omega0 / gd
-    pump = params.omega_p != 0.0
-    j = gaussian_pole_integral_along(
-        zeta0, _impurity_line(p_pole, params),
-        points=np.array([_pump_pole(params) / gd]) if pump else None)
-    return (_DressedPole(q, resonant, omega0, zeta0, j[0]), j[1],
-            complex(j[2][0]) if pump else None)
-
-
-def _rho_c(dp: _DressedPole, params: SystemParams):
-    pref = (1.0 - params.b) * params.alpha / (8.0 * params.gamma_doppler)
-    out = -pref * dp.j0
-    # the numerator q kills the response on resonance; at Omega_c = 0 the
-    # dressed pole is the impurity line's, the cancelled two-level limit
-    if dp.resonant is not None and params.omega_c != 0.0:
-        out[dp.resonant] = 0.0
-    return out
-
-
-class _PoleSplit(NamedTuple):
-    """What kappa and its slopes take from the pump pole ``omega1`` in one
-    pass: ``j1`` = J(omega_1/Gamma_D), which does not move with delta,
-    the points where omega_1 and the dressed pole are too close to
-    difference J (``merged``), and there the divided difference D and
-    dD/dzeta_0 by series (``diff``, ``diff_zeta``, empty where nothing
-    merges)."""
-
-    omega1: complex
-    j1: complex
-    merged: np.ndarray
-    diff: np.ndarray
-    diff_zeta: np.ndarray
-
-    @property
-    def merging(self) -> bool:
-        """Whether any point merges; where none does, kappa and its
-        slopes skip the select and the masked writes, which would change
-        no value."""
-        return self.diff.size > 0
-
-
-def _pole_split(dp: _DressedPole, params: SystemParams, j1):
-    """The pass's :class:`_PoleSplit` with J(omega_1/Gamma_D) = ``j1``, or
-    None with the pump off."""
-    if params.omega_p == 0.0:
-        return None
-    gd = params.gamma_doppler
-    omega1 = _pump_pole(params)
-    merged = np.abs(omega1 - dp.omega0) < _POLE_MERGE_RTOL * np.maximum(
-        gd, np.maximum(abs(omega1), np.abs(dp.omega0)))
-    if not merged.any():
-        empty = np.empty(0, dtype=complex)
-        return _PoleSplit(omega1, j1, merged, empty, empty)
-    return _PoleSplit(omega1, j1, merged, *gaussian_pole_difference(
-        dp.zeta0[merged], omega1 / gd))
-
-
-def _kappa(dp: _DressedPole, params: SystemParams, split: _PoleSplit):
-    gd = params.gamma_doppler
-    if params.omega_p == 0.0 or params.omega_c == 0.0:
-        return np.zeros(dp.q.shape, dtype=complex)
-
-    sep = split.omega1 - dp.omega0
-    if split.merging:
-        sep = np.where(split.merged, 1.0, sep)
-    # the prefactor overflows past alpha Omega_p Omega_c ~ 1e308, and
-    # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then not
-    # finite, which sample_spectral_amplitude reports, so no warning
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pref = -(1.0 - params.b) * params.alpha * \
-            params.omega_p * params.omega_c / (16.0 * dp.q)
-        vals = pref * (split.j1 - dp.j0) / sep / gd
-        if split.merging:
-            vals[split.merged] = pref[split.merged] * split.diff / gd**2
-    if dp.resonant is not None:
-        # coupling factor is the constant Gamma/Omega_c on resonance
-        pref0 = (1.0 - params.b) * params.alpha / 4.0 * \
-            params.omega_p / params.omega_c
-        vals[dp.resonant] = pref0 * split.j1 / gd
-    return vals
-
-
 def rho_m_bar(delta, params: SystemParams):
     """Doppler-averaged impurity response at two-photon detuning ``delta``.
 
@@ -502,9 +370,7 @@ def rho_m_bar(delta, params: SystemParams):
     P = delta + Delta_c + i Gamma/2; the imaginary part is strictly
     positive (pure absorber).
     """
-    line = gaussian_pole_integral_along(
-        _impurity_line(_probe_pole(delta, params), params))[0]
-    return _rho_m(line, params)
+    return _responses(delta, params)[1]
 
 
 def rho_c_bar(delta, params: SystemParams):
@@ -516,7 +382,7 @@ def rho_c_bar(delta, params: SystemParams):
     two-photon resonance with gamma_dec = 0 the response vanishes (or, if
     Omega_c = 0 as well, reduces to the two-level line).
     """
-    return _rho_c(_dressed_pole(delta, params)[0], params)
+    return _responses(delta, params)[0]
 
 
 def kappa_bar(delta, params: SystemParams):
@@ -530,38 +396,17 @@ def kappa_bar(delta, params: SystemParams):
     a series (:func:`~biphoton.faddeeva.gaussian_pole_difference`), so the
     merged poles of gamma_dec = 0 stay accurate to 1e-10.
     """
-    dp, _, j1 = _dressed_pole(delta, params)
-    return _kappa(dp, params, _pole_split(dp, params, j1))
+    return _responses(delta, params)[2]
 
 
-def doppler_responses(delta, params: SystemParams):
-    """(rho_c_bar + rho_m_bar, kappa_bar) at ``delta`` in one pass.
+def doppler_responses(delta, params: SystemParams, derivatives=False):
+    """(rho, kappa, tangents): rho = rho_c_bar + rho_m_bar and kappa_bar
+    at ``delta``, equal to the public kernels bit for bit, and with
+    ``derivatives`` their tangents, else None.
 
-    The values equal the three public kernels bit for bit, but the
-    dressed-pole integral J(omega_0/Gamma_D) is evaluated once and shared
-    by rho_c_bar and kappa_bar, and one pointwise Faddeeva call serves it,
-    the impurity line and the pump pole.
-    """
-    _, _, _, rho, kap = _responses(delta, params)
-    return rho, kap
-
-
-def _responses(d, params: SystemParams):
-    """The dressed pole, the impurity line, the pole split, rho and kappa
-    at ``d``."""
-    dp, line, j1 = _dressed_pole(d, params)
-    split = _pole_split(dp, params, j1)
-    rho = _rho_c(dp, params) + _rho_m(line, params)
-    return dp, line, split, rho, _kappa(dp, params, split)
-
-
-def response_tangents(delta, params: SystemParams):
-    """``doppler_responses`` at ``delta``, with its derivatives.
-
-    Returns (rho, kappa, tangents): rho and kappa equal
-    ``doppler_responses`` bit for bit, and ``tangents`` is the list of the
-    three pairs (d rho, d kappa) with respect to b, Omega_c and gamma_dec
-    in turn, each from the J arrays already at hand:
+    ``tangents`` is the list of the three pairs (d rho, d kappa) with
+    respect to b, Omega_c and gamma_dec in turn, each from the J arrays
+    of the same pass:
 
     * rho_c and kappa scale with (1 - b) and rho_m with b, so the b pair
       costs no Faddeeva work at all;
@@ -571,8 +416,6 @@ def response_tangents(delta, params: SystemParams):
     * kappa's divided difference D moves with (D - J'(zeta_0))/(zeta_1 -
       zeta_0), or, where the poles merge, with the dD/dzeta_0 that
       :func:`~biphoton.faddeeva.gaussian_pole_difference` pairs with D.
-      kappa and its slopes share one pole split: the merged points and
-      their (D, dD/dzeta_0) series are evaluated once per call.
 
     On exact two-photon resonance with gamma_dec = 0 (q = 0, never a
     sample of a zero-symmetric grid with an even number of points) every
@@ -581,68 +424,132 @@ def response_tangents(delta, params: SystemParams):
     b is carried.  At Omega_c = 0, where rho is the two-level line there
     too, the rho derivatives keep their evaluated values.
     """
-    dp, line, split, rho, kap = _responses(delta, params)
-    return rho, kap, _tangents(dp, line, split, params)
+    rho, rho_m, kap, tangents = _responses(delta, params, derivatives)
+    rho += rho_m        # rho_c + rho_m, in rho_c's array
+    return rho, kap, tangents
 
 
-def _tangents(dp: _DressedPole, line, split, params: SystemParams):
+def _responses(d, params: SystemParams, derivatives=False):
+    """(rho_c, rho_m, kappa, tangents) at ``d`` in one pass: ``tangents``
+    as :func:`doppler_responses` gives them with ``derivatives``, else
+    None.
+
+    Every array no later formula reads is freed as soon as it is spent:
+    the derivative pass peaks while it builds its six tangents, and each
+    array held through that adds its size to the working set of every
+    derivative slice of a fit.
+    """
     gd = params.gamma_doppler
-    omega_c = params.omega_c
-    keep = 1.0 - params.b
-    inv_q = 1.0 / dp.q
-    zeta0 = dp.zeta0
-    j0_prime = -2.0 * zeta0 * dp.j0 - 2.0
-    c = params.alpha / (8.0 * gd)
+    b, alpha = params.b, params.alpha
+    omega_c, omega_p = params.omega_c, params.omega_p
+    pump = omega_p != 0.0
+    q = d + 1j * params.gamma_dec
+    p_pole = d + params.delta_c + 0.5j
+    resonant = None
+    if params.gamma_dec <= _Q_FLOOR:    # else |q| >= gamma_dec
+        at_zero = np.abs(q) <= _Q_FLOOR
+        if at_zero.any():
+            resonant = at_zero
+            q[resonant] = 1.0
+    omega0 = omega_c**2 / (4.0 * q) - p_pole
+    zeta0 = omega0 / gd
+    omega1 = -params.delta_p - 0.5j
+    # one pointwise Faddeeva call: the dressed pole, the impurity line
+    # and, with the pump on, J(omega_1/Gamma_D), which does not move
+    j0, line, *at_pump = gaussian_pole_integral_along(
+        zeta0, -p_pole / gd,
+        points=np.array([omega1 / gd]) if pump else None)
+    del p_pole
+    j1 = complex(at_pump[0][0]) if pump else None
+
+    # where omega_1 and the dressed pole are too close to difference J,
+    # D and dD/dzeta_0 by series; where none merges, kappa and its slopes
+    # skip the selects and masked writes, which would change no value
+    merging = False
+    if pump:
+        merged = np.abs(omega1 - omega0) < _POLE_MERGE_RTOL * np.maximum(
+            gd, np.maximum(abs(omega1), np.abs(omega0)))
+        merging = merged.any()
+        if merging:
+            merged_diff, merged_slope = gaussian_pole_difference(
+                zeta0[merged], omega1 / gd)
+
+    if not pump or omega_c == 0.0:
+        kap = np.zeros(q.shape, dtype=complex)
+    else:
+        sep = omega1 - omega0
+        if merging:
+            sep = np.where(merged, 1.0, sep)
+        # the prefactor overflows past alpha Omega_p Omega_c ~ 1e308, and
+        # gd**2 underflows to 0 below gd = 1e-154; the amplitude is then
+        # not finite, which sample_spectral_amplitude reports, so no
+        # warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pref = -(1.0 - b) * alpha * omega_p * omega_c / (16.0 * q)
+            kap = pref * (j1 - j0) / sep / gd
+            if merging:
+                kap[merged] = pref[merged] * merged_diff / gd**2
+        del sep, pref
+        if resonant is not None:
+            # coupling factor is the constant Gamma/Omega_c on resonance
+            pref0 = (1.0 - b) * alpha / 4.0 * omega_p / omega_c
+            kap[resonant] = pref0 * j1 / gd
+    del omega0
+
+    rho_c = -((1.0 - b) * alpha / (8.0 * gd)) * j0
+    # the numerator q kills the response on resonance; at Omega_c = 0 the
+    # dressed pole is the impurity line's, the cancelled two-level limit
+    if resonant is not None and omega_c != 0.0:
+        rho_c[resonant] = 0.0
+    rho_m = -(b * alpha / 2.0) / (4.0 * gd) * line
+    if not derivatives:
+        return rho_c, rho_m, kap, None
+
+    keep = 1.0 - b
+    inv_q = 1.0 / q
+    del q
+    j0_prime = -2.0 * zeta0 * j0 - 2.0
+    c = alpha / (8.0 * gd)
     # d rho/d zeta_0
     rho_zeta = -keep * c * j0_prime
-    kap_unit, kap_zeta = _kappa_slopes(dp, split, params, zeta0, j0_prime,
-                                       inv_q)
+    # kappa = (1 - b) Omega_c kap_unit, and kap_zeta = (1 - b) Omega_c
+    # d kap_unit/d zeta_0
+    if not pump:
+        kap_unit = kap_zeta = np.zeros_like(inv_q)
+    else:
+        sep = omega1 / gd - zeta0
+        if merging:
+            sep = np.where(merged, 1.0, sep)
+        diff = (j1 - j0) / sep
+        diff_zeta = (diff - j0_prime) / sep
+        if merging:
+            diff[merged] = merged_diff
+            diff_zeta[merged] = merged_slope
+        # np.divide, not /: a gd**2 that underflows to 0 gives inf, and
+        # forward.predict reports the tangents as not finite
+        k_unit = np.divide(-alpha * omega_p, 16.0 * gd**2) * inv_q
+        kap_unit = k_unit * diff
+        kap_zeta = (keep * omega_c) * k_unit * diff_zeta
+        del sep, diff, diff_zeta, k_unit
+    del zeta0, j0_prime
     # d zeta_0 = Omega_c/(2 q Gamma_D) per unit Omega_c and
     # -i Omega_c^2/(4 q^2 Gamma_D) per unit gamma_dec, and d(1/q) = -i/q^2
     zeta_c = (omega_c / (2.0 * gd)) * inv_q
     zeta_g = (-0.25j * omega_c**2 / gd) * inv_q * inv_q
     tangents = [
         # b
-        (c * dp.j0 - c * line, -omega_c * kap_unit),
+        (c * j0 - c * line, -omega_c * kap_unit),
         # Omega_c
         (rho_zeta * zeta_c, keep * kap_unit + kap_zeta * zeta_c),
         # gamma_dec
         (rho_zeta * zeta_g,
          (-1j * keep * omega_c) * kap_unit * inv_q + kap_zeta * zeta_g)]
-    if dp.resonant is not None:
+    if resonant is not None:
         for _, d_kap in tangents:
-            d_kap[dp.resonant] = 0.0
-        # as in _rho_c: at Omega_c = 0, rho keeps the two-level line there
+            d_kap[resonant] = 0.0
+        # as for rho_c: at Omega_c = 0, rho keeps the two-level line there
         if omega_c != 0.0:      # only d rho_m/d b moves
-            tangents[0][0][dp.resonant] = -c * line[dp.resonant]
+            tangents[0][0][resonant] = -c * line[resonant]
             for d_rho, _ in tangents[1:]:
-                d_rho[dp.resonant] = 0.0
-    return tangents
-
-
-def _kappa_slopes(dp: _DressedPole, split, params: SystemParams, zeta0,
-                  j0_prime, inv_q):
-    """(kap_unit, kap_zeta) of ``_tangents``: kappa = (1 - b) Omega_c
-    kap_unit, and kap_zeta = (1 - b) Omega_c d kap_unit/d zeta_0.
-
-    A function of its own so that its temporaries are freed before the
-    tangents are built: holding them until then costs the derivative
-    pass about a quarter of its time in page faults.
-    """
-    if split is None:
-        zero = np.zeros_like(inv_q)
-        return zero, zero
-    gd = params.gamma_doppler
-    sep = split.omega1 / gd - zeta0
-    if split.merging:
-        sep = np.where(split.merged, 1.0, sep)
-    diff = (split.j1 - dp.j0) / sep
-    diff_zeta = (diff - j0_prime) / sep
-    if split.merging:
-        diff[split.merged] = split.diff
-        diff_zeta[split.merged] = split.diff_zeta
-    # np.divide, not /: a gd**2 that underflows to 0 gives inf, and
-    # forward.predict reports the tangents as not finite
-    k_unit = np.divide(-params.alpha * params.omega_p, 16.0 * gd**2) * inv_q
-    return (k_unit * diff,
-            ((1.0 - params.b) * params.omega_c) * k_unit * diff_zeta)
+                d_rho[resonant] = 0.0
+    return rho_c, rho_m, kap, tangents

@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import BiphotonError, GridOverflowError, ParameterError
 from .faddeeva import _HUGE_RADIUS, ALONG_MIN_POINTS as _CHUNK
-from .kernels import (doppler_responses, etalon_response, response_tangents,
-                      sinc_phase, sinc_phase_tangent)
+from .kernels import (doppler_responses, etalon_response, sinc_phase,
+                      sinc_phase_tangent)
 from .params import SystemParams
 
 # a grid holds at least one slice of amplitude_at.  _CHUNK is also a
@@ -224,6 +224,8 @@ def _amplitude(delta, params: SystemParams, d_amp):
     With S = sinc(rho) exp(i rho), A = kappa S B and
     dA = (d kappa S + kappa S'(rho) d rho) B.
 
+    rho, kappa and, for dA, their tangents come from one
+    :func:`~biphoton.kernels.doppler_responses` pass over the slice.
     Extreme parameters drive intermediate products past the float range:
     a Doppler width far below Gamma (1e-300, say) or a kappa prefactor
     past 1e308.  They then come out inf or NaN without a warning, and
@@ -231,10 +233,10 @@ def _amplitude(delta, params: SystemParams, d_amp):
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         etalon = etalon_response(delta, params.gamma_etalon)
+        rho, kap, responses = doppler_responses(delta, params,
+                                                d_amp is not None)
         if d_amp is None:
-            rho, kap = doppler_responses(delta, params)
             return _assemble(sinc_phase(rho), kap, etalon)
-        rho, kap, responses = response_tangents(delta, params)
         s, ds = sinc_phase_tangent(rho)
         s_etalon = s * etalon       # before S turns into A in place
         kap_ds = _assemble(ds, kap, etalon)

@@ -576,6 +576,17 @@ PROBES = [
                  "CONFIG_BAD_VALUE",
                  "fit.freeze = b, bb: cannot freeze unknown parameters bb",
                  id="fit_freeze_unknown"),
+    pytest.param(_probe_fit_init("fit.freeze = b, omega_c, gamma_dec, "
+                                 "scale\n"), 2, "CONFIG_BAD_VALUE",
+                 "fit.freeze = b, omega_c, gamma_dec, scale: all parameters "
+                 "are frozen; nothing to fit", id="fit_freeze_all"),
+    # finite in GHz, inf in units of Gamma: one error line, no overflow
+    # warning
+    pytest.param(_probe_config("sweep", SYSTEM_15MW
+                               + "sweep.delta_c_ghz = 1e307, 0\n"),
+                 2, "CONFIG_BAD_VALUE",
+                 "sweep.delta_c_ghz = 1e307, 0: must all be finite",
+                 id="sweep_detuning_past_gamma_units"),
     pytest.param(_probe_config("simulate", SYSTEM_15MW.replace(
         "0.375", "1.5")), 2, "CONFIG_BAD_VALUE",
                  "system.b = 1.5: must lie in [0, 1]", id="system_b_above_1"),

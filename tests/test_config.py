@@ -234,7 +234,9 @@ class TestGridAndSweep:
             load(tmp_path, "sweep.delta_c_ghz = 1.5\n").sweep_detunings()
         assert excinfo.value.code == "CONFIG_SWEEP_TOO_SHORT"
 
-    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    # 1e307 GHz is finite, but not in units of Gamma
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e307",
+                                       "-1e307"])
     def test_sweep_detunings_must_be_finite(self, tmp_path, entry):
         cfg = load(tmp_path, f"sweep.delta_c_ghz = 0.5, {entry}, 1.5\n")
         with pytest.raises(ConfigError) as excinfo:

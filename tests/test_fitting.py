@@ -107,6 +107,13 @@ class TestSeries:
     def test_max_iterations_accepts_numpy_integers(self):
         assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3
 
+    def test_freezing_every_parameter_names_the_field(self):
+        with pytest.raises(ParameterError) as excinfo:
+            FitOptions(freeze=("scale", "b", "gamma_dec", "omega_c", "b"))
+        assert excinfo.value.field == "FitOptions.freeze"
+        assert excinfo.value.reason == \
+            "all parameters are frozen; nothing to fit"
+
     def test_nan_error_bar(self):
         with pytest.raises(ParameterError, match="error"):
             DetuningSeries(delta_c_ghz=np.array([0.1, 0.5, 0.9, 1.0]),
@@ -404,10 +411,10 @@ class TestOnePassPerTheta:
         real = biphoton.kernels._responses
         chunks = Counter()
 
-        def counted(d, params):
+        def counted(d, params, derivatives=False):
             theta = (params.b, params.omega_c, params.gamma_dec)
             chunks[theta, params.delta_c, float(d[0]), d.size] += 1
-            return real(d, params)
+            return real(d, params, derivatives)
 
         monkeypatch.setattr(biphoton.kernels, "_responses", counted)
         fit_series(clean_series, init=INIT,

@@ -300,16 +300,19 @@ class TestMergedPoles:
 
 
 class TestDopplerResponses:
-    """The fused pass equals the public kernels bit for bit."""
+    """The fused pass equals the public kernels bit for bit, with its
+    derivatives and without."""
 
     @staticmethod
     def assert_fused_equals_kernels(delta, p):
-        rho, kap = K.doppler_responses(delta, p)
         want_rho = K.rho_c_bar(delta, p) + K.rho_m_bar(delta, p)
         want_kap = K.kappa_bar(delta, p)
-        assert np.array_equal(rho, want_rho)
-        assert np.array_equal(kap, want_kap)
-        assert np.ndim(rho) == np.ndim(want_rho)
+        for derivatives in (False, True):
+            rho, kap, tangents = K.doppler_responses(delta, p, derivatives)
+            assert (tangents is not None) == derivatives
+            assert np.array_equal(rho, want_rho)
+            assert np.array_equal(kap, want_kap)
+            assert np.ndim(rho) == np.ndim(want_rho)
 
     def test_random_params_on_their_auto_grids(self, random_valid_params):
         for draw in random_valid_params(20):
@@ -411,9 +414,10 @@ class TestResonanceOnAFullSlice:
 
     @staticmethod
     def outputs(delta, p):
-        """Every array the five entry points return at ``delta``."""
-        rho, kap, tangents = K.response_tangents(delta, p)
-        return [*K.doppler_responses(delta, p), rho, kap,
+        """Every array the kernels return at ``delta``, the fused pass
+        with its derivatives and without."""
+        rho, kap, tangents = K.doppler_responses(delta, p, derivatives=True)
+        return [*K.doppler_responses(delta, p)[:2], rho, kap,
                 *(t for pair in tangents for t in pair),
                 K.rho_m_bar(delta, p), K.rho_c_bar(delta, p),
                 K.kappa_bar(delta, p)]
@@ -457,7 +461,7 @@ class TestResponseTangents:
     @classmethod
     def assert_matches_differences(cls, deltas, p, rel_step=1e-6, tol=1e-6,
                                    names=NAMES):
-        rho, kap, tangents = K.response_tangents(deltas, p)
+        rho, kap, tangents = K.doppler_responses(deltas, p, derivatives=True)
         assert np.array_equal(rho, K.doppler_responses(deltas, p)[0])
         assert np.array_equal(kap, K.doppler_responses(deltas, p)[1])
         for name, (d_rho, d_kap) in zip(cls.NAMES, tangents, strict=True):
@@ -466,9 +470,9 @@ class TestResponseTangents:
             x = getattr(p, name)
             h = rel_step * max(x, 1e-2)
             lo = max(x - h, 0.0)
-            hi_rho, hi_kap = K.doppler_responses(
+            hi_rho, hi_kap, _ = K.doppler_responses(
                 deltas, p.replace(**{name: x + h}))
-            lo_rho, lo_kap = K.doppler_responses(
+            lo_rho, lo_kap, _ = K.doppler_responses(
                 deltas, p.replace(**{name: lo}))
             for got, hi, low, value in ((d_rho, hi_rho, lo_rho, rho),
                                         (d_kap, hi_kap, lo_kap, kap)):
@@ -508,7 +512,7 @@ class TestResponseTangents:
 
     def test_one_pole_split_per_slice(self, params_15mw, monkeypatch):
         """kappa and its slopes share the merged points' (D, dD/dzeta_0)
-        series: one evaluation per response_tangents call, which is one
+        series: one evaluation per doppler_responses call, which is one
         slice of amplitude_at."""
         sizes = []
         real = K.gaussian_pole_difference
@@ -521,8 +525,9 @@ class TestResponseTangents:
         p = params_15mw.replace(gamma_dec=0.0)
         roots = np.array(TestMergedPoles.roots(p))
         merged = np.concatenate([roots * (1.0 + 1e-4), roots * (1.0 - 1e-4)])
-        K.response_tangents(
-            np.concatenate([merged, np.linspace(-30.5, 30.5, 60)]), p)
+        K.doppler_responses(
+            np.concatenate([merged, np.linspace(-30.5, 30.5, 60)]), p,
+            derivatives=True)
         assert sizes == [4]
         sizes.clear()
         # three slices, each with the merged samples

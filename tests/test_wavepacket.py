@@ -217,6 +217,21 @@ class TestSampling:
             tracemalloc.stop()
         assert peak <= 2.5 * amp.nbytes
 
+    def test_derivative_slice_peak_memory(self, params_15mw):
+        """A and its three tangents on one 2^14-point slice of the 15 mW,
+        1 GHz auto grid peak within 26 complex arrays of the slice's
+        size: each array the kernels hold past its use adds its size to
+        the working set of every derivative pass of a fit."""
+        p = params_15mw.replace(delta_c=ghz_to_gamma(1.0))
+        delta = auto_grid(p).values[:_CHUNK]
+        tracemalloc.start()
+        try:
+            amplitude_at(delta, p, derivatives=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 16 * _CHUNK
+
 
 class TestIncrementalWidening:
     """A widening keeps the samples already taken, the middle half of the
